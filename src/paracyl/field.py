@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import Grid1D, QuadratureRule, overlap
-from .oscillator import OscillatorSpec, _max_residual, _state_values, norm_const
+from .oscillator import OscillatorSpec, _max_residual, norm_const
 from .pcf import eval_D
 
 
@@ -155,6 +155,6 @@ def field_hamiltonian_residual(state: ShiftedState, e: float, grid: Grid1D) -> f
     center = state.x_center
     if x[0] > center - span + slack or x[-1] < center + span - slack:
         raise ValueError("grid must cover the displaced center to +/- 6 oscillator lengths")
-    psi = _state_values(state.pcf_index, spec, x, shift=2.0 * state.gamma)
+    psi = state(x)
     potential = 0.5 * spec.mu * spec.omega**2 * x * x + state.charge_field_product * x
     return _max_residual(psi, potential, e, spec, grid.h)

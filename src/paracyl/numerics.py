@@ -16,7 +16,8 @@ import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: Largest supported rule size.  Keeps the Newton construction robust.
+#: Largest supported rule size.  A resource guard: the dense Jacobi
+#: eigensolve costs O(n^3) and every built rule stays cached.
 MAX_RULE_POINTS = 256
 
 
@@ -88,7 +89,7 @@ def _orthonormal_hermite(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _refine_roots(k: int, guesses: np.ndarray) -> np.ndarray:
-    """Newton-polish interlacing guesses into the k roots of H_k."""
+    """Newton-polish sorted guesses into the k roots of H_k."""
     dcoef = math.sqrt(2.0 * k)
     x = guesses.astype(float)
     for _ in range(100):
@@ -113,11 +114,12 @@ def _refine_roots(k: int, guesses: np.ndarray) -> np.ndarray:
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """N-point Gauss-Hermite rule, exact for polynomial degree <= 2N - 1.
 
-    Nodes are the roots of H_n, found by walking the interlacing ladder:
-    the roots of H_{k+1} are bracketed by those of H_k, so midpoints of the
-    previous root set (plus the outer bound sqrt(2k + 1)) make excellent
-    Newton starting points.  Weights come from the standard derivative
-    formula, w_i = 1 / (n * h_{n-1}(x_i)^2) in orthonormal form.
+    Nodes are the roots of H_n, found as in Golub & Welsch (Math. Comp. 23,
+    1969): they are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the orthonormal recurrence (zero diagonal, off-diagonal
+    sqrt(k / 2) for k = 1..n-1), then Newton-polished on that recurrence and
+    symmetrized.  Weights come from the standard derivative formula,
+    w_i = 1 / (n * h_{n-1}(x_i)^2) in orthonormal form.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("rule size must be an int")
@@ -128,14 +130,9 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _build_rule(n: int) -> QuadratureRule:
-    roots = np.zeros(1)
-    for k in range(2, n + 1):
-        bound = math.sqrt(2.0 * k + 1.0)
-        guesses = np.empty(k)
-        guesses[0] = -bound
-        guesses[-1] = bound
-        guesses[1:-1] = 0.5 * (roots[:-1] + roots[1:])
-        roots = _refine_roots(k, guesses)
+    # eigvalsh reads only the lower triangle of the symmetric Jacobi matrix.
+    jacobi_lower = np.diag(np.sqrt(0.5 * np.arange(1, n)), -1)
+    roots = _refine_roots(n, np.linalg.eigvalsh(jacobi_lower))
     values, _ = _orthonormal_hermite(n - 1, roots)
     weights = 1.0 / (n * values**2)
     return QuadratureRule(tuple(float(x) for x in roots), tuple(float(w) for w in weights))
@@ -144,18 +141,18 @@ def _build_rule(n: int) -> QuadratureRule:
 def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
     """Sum_i w_i f(t_i) g(t_i); the e^{-t^2} weight is the rule's.
 
-    The caller must already have folded the Gaussian weight out of the
-    product f*g.  Summation uses fsum, so integrands that are exactly odd
-    across the symmetric node set cancel to exactly zero.
+    ``f`` and ``g`` are each called once, with the ndarray of all nodes,
+    and return an array of values at them (a scalar is broadcast to every
+    node).  The caller must already have folded the Gaussian weight out of
+    the product f*g.  Summation uses fsum, so integrands that are exactly
+    odd across the symmetric node set cancel to exactly zero.
     """
-    terms = []
-    for t, w in zip(rule.nodes, rule.weights):
-        fv = f(t)
-        gv = g(t)
-        if not (math.isfinite(fv) and math.isfinite(gv)):
-            raise ValueError(f"non-finite integrand value at node {t!r}")
-        terms.append(w * fv * gv)
-    return math.fsum(terms)
+    nodes = np.array(rule.nodes)
+    fv, gv = f(nodes), g(nodes)
+    bad = ~(np.isfinite(fv) & np.isfinite(gv))
+    if bad.any():
+        raise ValueError(f"non-finite integrand value at node {rule.nodes[int(np.argmax(bad))]!r}")
+    return math.fsum((np.array(rule.weights) * fv * gv).tolist())
 
 
 def fd_second_derivative(f, x: float, h: float) -> float:
@@ -170,7 +167,9 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
 
     Substitutes t = sqrt(scale) x and folds one half of the quadrature
     weight into each factor, so each mapped factor stays O(1) over the node
-    range.  ``scale`` is mu*omega/hbar for oscillator eigenstates.
+    range.  ``scale`` is mu*omega/hbar for oscillator eigenstates.  ``a`` and
+    ``b`` are each called once, with the ndarray of mapped nodes x = t /
+    sqrt(scale), and must return their values there.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
@@ -179,7 +178,7 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     s = math.sqrt(scale)
 
     def fold(state):
-        return lambda t: state(t / s) * math.exp(0.5 * t * t)
+        return lambda t: state(t / s) * np.exp(0.5 * t * t)
 
     return weighted_inner_product(fold(a), fold(b), rule) / s
 

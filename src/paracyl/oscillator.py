@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Grid1D, QuadratureRule, overlap
-from .pcf import eval_D, pcf_poly
-from .polys import poly_eval
+from .pcf import eval_D
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,6 @@ def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = No
     return overlap(psi, lambda x: x * psi(x), spec.gaussian_scale, rule)
 
 
-def _state_values(n: int, spec: OscillatorSpec, x: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Vectorized psi values on a grid (optionally z-shifted)."""
-    z = spec.z_scale * x + shift
-    return norm_const(n, spec) * poly_eval(pcf_poly(n).poly, z) * np.exp(-z * z / 4.0)
-
-
 def _max_residual(psi: np.ndarray, potential: np.ndarray, e: float, spec: OscillatorSpec, h: float) -> float:
     """Max |H psi - E psi| over interior points, kinetic term by stencil."""
     kinetic = -(spec.hbar**2 / (2.0 * spec.mu)) * (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
@@ -125,6 +118,6 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
     slack = 1e-9 * spec.length_scale
     if x[0] > -span + slack or x[-1] < span - slack:
         raise ValueError("grid must cover [-6, 6] oscillator lengths")
-    psi = _state_values(n, spec, x)
+    psi = Eigenstate(n, spec)(x)
     potential = 0.5 * spec.mu * spec.omega**2 * x * x
     return _max_residual(psi, potential, energy(n, spec), spec, grid.h)

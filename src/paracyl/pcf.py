@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .polys import (
     DEGREE_CAP,
     ONE,
@@ -53,7 +55,7 @@ class PcfPolyPart:
 
 
 @lru_cache(maxsize=None)
-def _pcf_coeffs(n: int) -> tuple[int, ...]:
+def _pcf_part(n: int) -> PcfPolyPart:
     coeffs = []
     for k, c in enumerate(_hermite_coeffs(n)):
         if c == 0:
@@ -63,13 +65,17 @@ def _pcf_coeffs(n: int) -> tuple[int, ...]:
         if r:
             raise AssertionError("Hermite-to-cylinder substitution produced a non-integer coefficient")
         coeffs.append(q)
-    return tuple(coeffs)
+    return PcfPolyPart(PolyZ(tuple(coeffs)), n)
 
 
 def pcf_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
-    """P_n obtained from H_n through the exact z/sqrt(2) substitution."""
+    """P_n obtained from H_n through the exact z/sqrt(2) substitution.
+
+    The order is checked against ``cap`` on every call; the factor itself is
+    built and validated once per n.
+    """
     _check_order(n, cap)
-    return PcfPolyPart(PolyZ(_pcf_coeffs(n)), n)
+    return _pcf_part(n)
 
 
 def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
@@ -85,13 +91,22 @@ def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
     return PcfPolyPart(r if n % 2 == 0 else _poly_scale(r, -1), n)
 
 
-def eval_D(n: int, z: float, cap: int = DEGREE_CAP) -> float:
-    """Evaluate D_n(z) = P_n(z) e^{-z^2/4}.
+def eval_D(n: int, z, cap: int = DEGREE_CAP):
+    """Evaluate D_n(z) = P_n(z) e^{-z^2/4} at a float or an ndarray of floats.
 
     Underflows gracefully to 0.0 once the Gaussian factor is below the
     smallest positive double, so huge |z| never overflows through P_n.
     """
     part = pcf_poly(n, cap)
+    if isinstance(z, np.ndarray):
+        z = np.asarray(z, dtype=float)
+        # Where the Gaussian underflows, P_n may overflow and the product be
+        # nan; those points are set to 0.0 as in the scalar branch below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gauss = np.exp(-(z * z) / 4.0)
+            values = poly_eval(part.poly, z) * gauss
+        values[gauss == 0.0] = 0.0
+        return values
     gauss = math.exp(-(z * z) / 4.0)
     if gauss == 0.0:
         return 0.0

@@ -71,7 +71,7 @@ class TestGaussHermiteRule:
         if n % 2:
             assert nodes[n // 2] == 0.0
 
-    @pytest.mark.parametrize("n", [8, 64, MAX_RULE_POINTS])
+    @pytest.mark.parametrize("n", range(1, MAX_RULE_POINTS + 1))
     def test_against_scipy(self, n):
         x_ref, w_ref = roots_hermite(n)
         rule = gauss_hermite_rule(n)
@@ -109,6 +109,28 @@ class TestWeightedInnerProduct:
         rule = gauss_hermite_rule(4)
         with pytest.raises(ValueError):
             weighted_inner_product(lambda t: math.inf, lambda t: 1.0, rule)
+
+    def test_factors_receive_the_node_array(self):
+        rule = gauss_hermite_rule(6)
+        seen = []
+        weighted_inner_product(lambda t: seen.append(t) or t, lambda t: t, rule)
+        assert len(seen) == 1
+        assert isinstance(seen[0], np.ndarray)
+        assert tuple(seen[0]) == rule.nodes
+
+    def test_scalar_factor_broadcasts(self):
+        # 2 * integral of t^2 e^{-t^2} = sqrt(pi)
+        rule = gauss_hermite_rule(5)
+        assert weighted_inner_product(lambda t: 2.0, lambda t: t * t, rule) == pytest.approx(SQRT_PI, rel=1e-14)
+
+    def test_non_finite_value_at_one_node_is_named(self):
+        rule = gauss_hermite_rule(5)
+        bad = rule.nodes[3]
+        f = lambda t: np.where(t == bad, math.nan, 1.0)
+        with pytest.raises(ValueError, match=repr(bad)):
+            weighted_inner_product(f, lambda t: 1.0, rule)
+        with pytest.raises(ValueError, match=repr(bad)):
+            weighted_inner_product(lambda t: 1.0, f, rule)
 
 
 class TestFdSecondDerivative:
@@ -150,6 +172,32 @@ class TestOverlap:
         spec = OscillatorSpec()
         value = overlap(Eigenstate(1, spec), Eigenstate(3, spec), 1.0, gauss_hermite_rule(32))
         assert abs(value) < 1e-10
+
+    def test_each_state_is_called_once(self):
+        spec = OscillatorSpec()
+        calls = {"a": 0, "b": 0}
+
+        def counting(name, state):
+            def call(x):
+                calls[name] += 1
+                return state(x)
+
+            return call
+
+        overlap(counting("a", Eigenstate(2, spec)), counting("b", Eigenstate(4, spec)), 1.0, gauss_hermite_rule(64))
+        assert calls == {"a": 1, "b": 1}
+
+    @pytest.mark.parametrize("scale", [0.37, 1.0, 2.5])
+    def test_matches_per_node_scalar_loop(self, scale):
+        spec = OscillatorSpec(mu=scale)
+        rule = gauss_hermite_rule(32)
+        a, b = Eigenstate(3, spec), Eigenstate(5, spec)
+        s = math.sqrt(scale)
+        reference = math.fsum(
+            w * a(t / s) * math.exp(0.5 * t * t) * b(t / s) * math.exp(0.5 * t * t)
+            for t, w in zip(rule.nodes, rule.weights)
+        ) / s
+        assert overlap(a, b, scale, rule) == pytest.approx(reference, abs=1e-14)
 
     def test_rejects_nonpositive_scale(self):
         spec = OscillatorSpec()

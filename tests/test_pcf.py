@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import sympy
 from scipy.special import pbdv
@@ -57,6 +58,18 @@ class TestHermiteRoute:
         with pytest.raises(ValueError):
             pcf_poly(DEGREE_CAP + 1)
 
+    def test_repeated_calls_share_one_validated_part(self):
+        first = pcf_poly(17)
+        assert isinstance(first, PcfPolyPart)
+        assert pcf_poly(17) is first
+
+    def test_cap_is_checked_after_caching(self):
+        pcf_poly(23)
+        with pytest.raises(ValueError):
+            pcf_poly(23, cap=22)
+        with pytest.raises(ValueError):
+            eval_D(23, 0.5, cap=22)
+
 
 class TestRodriguesRoute:
     def test_n1(self):
@@ -90,6 +103,22 @@ class TestEvalD:
     def test_underflows_to_zero(self):
         assert eval_D(3, 80.0) == 0.0
         assert eval_D(3, 1e200) == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 10])
+    def test_array_matches_scalar(self, n):
+        z = np.linspace(-6.0, 6.0, 97)
+        values = eval_D(n, z)
+        assert values.shape == z.shape
+        for zi, vi in zip(z.tolist(), values.tolist()):
+            assert vi == pytest.approx(eval_D(n, zi), abs=1e-15, rel=1e-14)
+
+    def test_array_underflows_to_zero(self):
+        values = eval_D(2, np.array([0.0, 80.0, -1e200, 1e200]))
+        assert values.tolist() == [-1.0, 0.0, 0.0, 0.0]
+
+    def test_integer_array_is_evaluated_in_floats(self):
+        z = np.arange(-3, 4)
+        assert eval_D(40, z).tolist() == eval_D(40, z.astype(float)).tolist()
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_parity_is_exact(self, n):
