@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .field import (
     FieldSpec,
     ShiftedState,
@@ -35,14 +37,14 @@ from .ljmodel import (
     lj_minimum,
     lj_potential,
 )
-from .numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, overlap
+from .numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, grid_count, overlap
 from .oscillator import (
     Eigenstate,
     OscillatorSpec,
     energy,
-    eval_psi,
     expectation_x,
     hamiltonian_residual,
+    norm_const,
 )
 from .pcf import eval_D, ode_residual, pcf_poly, pcf_rodrigues_poly
 from .polys import DEGREE_CAP, PolyZ, hermite_recurrence, hermite_rodrigues
@@ -51,6 +53,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+MAX_GRID_ROWS = 10**6  #: row limit of ``eval`` and ``figure1`` grids, which are built in memory
 
 #: Closed forms of the first six polynomial factors, in monic form.
 TABLE_POLYS = {
@@ -68,20 +72,15 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _grid_count(lo: float, hi: float, step: float) -> int:
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
         raise ValueError("range needs hi >= lo")
-    ratio = (hi - lo) / step
-    nearest = round(ratio)
-    if abs(ratio - nearest) <= 1e-6 * max(1.0, abs(ratio)):
-        return int(nearest) + 1
-    return int(math.floor(ratio)) + 1
-
-
-def _srange(lo: float, hi: float, step: float) -> list[float]:
-    return [lo + i * step for i in range(_grid_count(lo, hi, step))]
+    count = grid_count(lo, hi, step)
+    if count > MAX_GRID_ROWS:
+        raise ValueError(f"grid of {count} rows exceeds the limit of {MAX_GRID_ROWS}")
+    return lo + step * np.arange(count)
 
 
 def _poly_str(p: PolyZ, var: str = "z") -> str:
@@ -136,16 +135,16 @@ def _cmd_table(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec = _spec_from_args(args)
-    if args.n < 0 or args.n > DEGREE_CAP:
-        raise ValueError(f"--n must be in 0..{DEGREE_CAP}")
+    x = _grid(args.lo, args.hi, args.step)
+    z = spec.z_scale * x
+    d = eval_D(args.n, z)  # also rejects --n outside 0..DEGREE_CAP
     print(
         f"# n={args.n} mu={_fmt(spec.mu)} omega={_fmt(spec.omega)} "
         f"hbar={_fmt(spec.hbar)} E_n={_fmt(energy(args.n, spec))}"
     )
     print("x,z,D_n,psi_n")
-    for x in _srange(args.lo, args.hi, args.step):
-        z = spec.z_scale * x
-        print(f"{_fmt(x)},{_fmt(z)},{_fmt(eval_D(args.n, z))},{_fmt(eval_psi(args.n, spec, x))}")
+    for row in zip(x.tolist(), z.tolist(), d.tolist(), (norm_const(args.n, spec) * d).tolist()):
+        print(",".join(_fmt(v) for v in row))
     return EXIT_OK
 
 
@@ -211,9 +210,8 @@ def _cmd_lj(args) -> int:
 def _cmd_figure1(args) -> int:
     if not args.lo < args.hi:
         raise ValueError("needs --lo < --hi")
-    rows = []
-    for z in _srange(args.lo, args.hi, args.step):
-        rows.append((z, eval_D(0, z), eval_D(1, z), eval_D(2, z), eval_D(3, z)))
+    z = _grid(args.lo, args.hi, args.step)
+    rows = list(zip(z.tolist(), *(eval_D(n, z).tolist() for n in range(4))))
     _write_csv(args.out, "z,D0,D1,D2,D3", rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
@@ -233,7 +231,7 @@ def _cmd_figure2(args) -> int:
         k = args.k
     if not k > 0:
         raise ValueError("--k must be positive")
-    r_grid = _srange(0.95 * spec.sigma, 2.0 * spec.sigma, 0.005 * spec.sigma)
+    r_grid = _grid(0.95 * spec.sigma, 2.0 * spec.sigma, 0.005 * spec.sigma).tolist()
     r_min = R_MIN_FACTOR * spec.sigma
     if min(abs(r - r_min) for r in r_grid) > 1e-12 * spec.sigma:
         r_grid.append(r_min)
@@ -272,7 +270,7 @@ def _free_suite() -> list[CheckResult]:
     )
     checks.append(CheckResult("free", "route-equivalence", ok, "both construction routes identical for n <= 50"))
 
-    worst = max(abs(ode_residual(n, z)) for n in range(11) for z in _srange(-6.0, 6.0, 0.05))
+    worst = max(abs(ode_residual(n, z)) for n in range(11) for z in _grid(-6.0, 6.0, 0.05).tolist())
     checks.append(
         CheckResult("free", "ode-residual", worst < 1e-8, f"max residual {worst:.3e} (tol 1e-08)")
     )

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import Grid1D, QuadratureRule, overlap
-from .oscillator import OscillatorSpec, _max_residual, norm_const
+from .oscillator import OscillatorSpec, _grid_residual, norm_const
 from .pcf import eval_D
 
 
@@ -146,15 +146,5 @@ def field_hamiltonian_residual(state: ShiftedState, e: float, grid: Grid1D) -> f
     reconstructed from the state's gamma.  The grid must cover the
     displaced well center to +/- 6 oscillator lengths.
     """
-    spec = state.spec
-    if grid.npoints < 50:
-        raise ValueError("grid too coarse: at least 50 points required")
-    x = grid.points()
-    span = 6.0 * spec.length_scale
-    slack = 1e-9 * spec.length_scale
-    center = state.x_center
-    if x[0] > center - span + slack or x[-1] < center + span - slack:
-        raise ValueError("grid must cover the displaced center to +/- 6 oscillator lengths")
-    psi = state(x)
-    potential = 0.5 * spec.mu * spec.omega**2 * x * x + state.charge_field_product * x
-    return _max_residual(psi, potential, e, spec, grid.h)
+    coverage = "grid must cover the displaced center to +/- 6 oscillator lengths"
+    return _grid_residual(state, e, state.charge_field_product, state.x_center, grid, coverage)

@@ -43,6 +43,17 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+def grid_count(lo: float, hi: float, step: float) -> int:
+    """Points in lo, lo + step, ... <= hi (within 1e-6 of a step), step > 0."""
+    ratio = (hi - lo) / step
+    if not math.isfinite(ratio):
+        raise ValueError("grid range and step must give a finite point count")
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= 1e-6 * max(1.0, abs(ratio)):
+        return int(nearest) + 1
+    return int(math.floor(ratio)) + 1
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid lo, lo + h, ..., covering [lo, hi]."""
@@ -61,11 +72,7 @@ class Grid1D:
 
     @property
     def npoints(self) -> int:
-        ratio = (self.hi - self.lo) / self.h
-        nearest = round(ratio)
-        if abs(ratio - nearest) <= 1e-6 * max(1.0, abs(ratio)):
-            return int(nearest) + 1
-        return int(math.floor(ratio)) + 1
+        return grid_count(self.lo, self.hi, self.h)
 
     def points(self) -> np.ndarray:
         return self.lo + self.h * np.arange(self.npoints)

@@ -74,18 +74,17 @@ def eval_psi(n: int, spec: OscillatorSpec, x: float) -> float:
 
 @dataclass(frozen=True)
 class Eigenstate:
-    """Callable eigenstate; ``shift`` is a dimensionless offset in z."""
+    """Callable eigenstate psi_n; takes a float or an ndarray of x values."""
 
     n: int
     spec: OscillatorSpec
-    shift: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("quantum number must be non-negative")
 
     def __call__(self, x: float) -> float:
-        return norm_const(self.n, self.spec) * eval_D(self.n, self.spec.z_scale * x + self.shift)
+        return eval_psi(self.n, self.spec, x)
 
     @property
     def energy(self) -> float:
@@ -98,8 +97,18 @@ def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = No
     return overlap(psi, lambda x: x * psi(x), spec.gaussian_scale, rule)
 
 
-def _max_residual(psi: np.ndarray, potential: np.ndarray, e: float, spec: OscillatorSpec, h: float) -> float:
-    """Max |H psi - E psi| over interior points, kinetic term by stencil."""
+def _grid_residual(state, e: float, qe: float, center: float, grid: Grid1D, coverage: str) -> float:
+    """Max |(H - e) psi| on the grid interior for V = mu omega^2 x^2 / 2 + qe x, well at ``center``."""
+    spec = state.spec
+    if grid.npoints < 50:
+        raise ValueError("grid too coarse: at least 50 points required")
+    x, h = grid.points(), grid.h
+    span = 6.0 * spec.length_scale
+    slack = 1e-9 * spec.length_scale
+    if x[0] > center - span + slack or x[-1] < center + span - slack:
+        raise ValueError(coverage)
+    psi = state(x)
+    potential = 0.5 * spec.mu * spec.omega**2 * x * x + qe * x
     kinetic = -(spec.hbar**2 / (2.0 * spec.mu)) * (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
     return float(np.max(np.abs(kinetic + (potential[1:-1] - e) * psi[1:-1])))
 
@@ -111,13 +120,5 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
     decays as O(h^2).  The grid must span [-6 l, 6 l] with l the oscillator
     length and carry at least 50 points.
     """
-    if grid.npoints < 50:
-        raise ValueError("grid too coarse: at least 50 points required")
-    x = grid.points()
-    span = 6.0 * spec.length_scale
-    slack = 1e-9 * spec.length_scale
-    if x[0] > -span + slack or x[-1] < span - slack:
-        raise ValueError("grid must cover [-6, 6] oscillator lengths")
-    psi = Eigenstate(n, spec)(x)
-    potential = 0.5 * spec.mu * spec.omega**2 * x * x
-    return _max_residual(psi, potential, energy(n, spec), spec, grid.h)
+    coverage = "grid must cover [-6, 6] oscillator lengths"
+    return _grid_residual(Eigenstate(n, spec), energy(n, spec), 0.0, 0.0, grid, coverage)

@@ -1,8 +1,8 @@
 """Parabolic cylinder functions D_n(z) = P_n(z) e^{-z^2/4}, integer n >= 0.
 
-P_n is monic with exact integer coefficients, so D_n evaluates stably for
-any n and z without floating-point recurrences.  Two independent
-constructions are provided and must agree coefficient-for-coefficient:
+P_n is monic with exact integer coefficients, built by two independent
+routes that must agree coefficient-for-coefficient (``eval_D`` does not use
+them; it runs the three-term recurrence of D_n in floats):
 
 * substitution through the Hermite polynomials,
   P_n(z) = 2^{-n/2} H_n(z / sqrt(2)), carried out exactly (the power of
@@ -92,25 +92,29 @@ def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
 
 
 def eval_D(n: int, z, cap: int = DEGREE_CAP):
-    """Evaluate D_n(z) = P_n(z) e^{-z^2/4} at a float or an ndarray of floats.
+    """Evaluate D_n(z) at a float or an ndarray of floats.
 
-    Underflows gracefully to 0.0 once the Gaussian factor is below the
-    smallest positive double, so huge |z| never overflows through P_n.
+    Runs D_{k+1} = z D_k - k D_{k-1} (DLMF 12.8.2) up from D_0 = e^{-z^2/4},
+    giving 0.0 where that Gaussian underflows.  Orders above about 340, past
+    a raised ``cap``, overflow doubles and raise FloatingPointError.
     """
-    part = pcf_poly(n, cap)
-    if isinstance(z, np.ndarray):
-        z = np.asarray(z, dtype=float)
-        # Where the Gaussian underflows, P_n may overflow and the product be
-        # nan; those points are set to 0.0 as in the scalar branch below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            gauss = np.exp(-(z * z) / 4.0)
-            values = poly_eval(part.poly, z) * gauss
-        values[gauss == 0.0] = 0.0
-        return values
-    gauss = math.exp(-(z * z) / 4.0)
-    if gauss == 0.0:
-        return 0.0
-    return poly_eval(part.poly, z) * gauss
+    _check_order(n, cap)
+    # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
+    t = np.clip(np.asarray(z, dtype=float), -100.0, 100.0)
+    prev, cur = 0.0, np.exp(-(t * t) / 4.0)
+    with np.errstate(over="raise"):
+        for k in range(n):
+            nxt = t * cur
+            prev *= k  # D_{k-1} is not needed after this step: scale it in place
+            nxt -= prev
+            prev, cur = cur, nxt
+    return cur + 0.0 if isinstance(z, np.ndarray) else float(cur) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+@lru_cache(maxsize=None)
+def _pcf_derivatives(n: int) -> tuple[PolyZ, PolyZ, PolyZ]:
+    p = _pcf_part(n).poly
+    return p, poly_derivative(p), poly_derivative(poly_derivative(p))
 
 
 def ode_residual(n: int, z: float, cap: int = DEGREE_CAP) -> float:
@@ -121,9 +125,8 @@ def ode_residual(n: int, z: float, cap: int = DEGREE_CAP) -> float:
     from the exact polynomial factor keeps the check independent of any
     finite-difference stencil.
     """
-    p = pcf_poly(n, cap).poly
-    p1 = poly_derivative(p)
-    p2 = poly_derivative(p1)
+    _check_order(n, cap)
+    p, p1, p2 = _pcf_derivatives(n)
     quarter = z * z / 4.0
     bracket = poly_eval(p2, z) - z * poly_eval(p1, z) + (quarter - 0.5) * poly_eval(p, z)
     return (bracket + (n + 0.5 - quarter) * poly_eval(p, z)) * math.exp(-quarter)

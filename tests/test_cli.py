@@ -58,6 +58,44 @@ class TestEval:
         assert len(rows) == 5
         assert rows[2].startswith("0,0,1,")
 
+    @pytest.mark.parametrize("n", ["-1", "201"])
+    def test_order_outside_the_cap_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "eval", "--n", n)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: order")
+
+
+class TestGridLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--lo", "0", "--hi", "1", "--step", "1e-6"],  # one row over the limit
+            ["eval", "--lo", "0", "--hi", "1", "--step", "1e-12"],
+            ["eval", "--lo", "0", "--hi", "1", "--step", "1e-320"],  # count overflows a float
+            ["figure1", "--lo", "0", "--hi", "1", "--step", "1e-12"],
+        ],
+    )
+    def test_oversized_grid_fails_on_the_count_before_allocating(self, capsys, monkeypatch, tmp_path, argv):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("grid allocated before its row count was checked")
+
+        monkeypatch.setattr(cli.np, "arange", no_allocation)
+        if argv[0] == "figure1":
+            argv = [*argv, "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_at_the_row_limit_is_allowed(self):
+        assert len(cli._grid(0.0, 0.999999, 1e-6)) == cli.MAX_GRID_ROWS
+
+    def test_grid_matches_the_stepped_sum(self):
+        lo, step = -6.0, 0.05
+        assert cli._grid(lo, 6.0, step).tolist() == [lo + i * step for i in range(241)]
+
 
 class TestSpectrum:
     def test_ladder(self, capsys):

@@ -14,7 +14,7 @@ from paracyl.field import (
     integer_branch_spectrum,
     potential_minimum,
 )
-from paracyl.numerics import Grid1D, golden_section_minimize, overlap
+from paracyl.numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, overlap
 from paracyl.oscillator import OscillatorSpec, energy, eval_psi, hamiltonian_residual
 
 PI_QUARTER = math.pi ** -0.25
@@ -96,6 +96,12 @@ class TestExpectationXShifted:
         gamma = gamma_of(FieldSpec(1.0, 1.0), ONES)
         state = ShiftedState.continuous(n, gamma, ONES)
         assert expectation_x_shifted(state) == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(195, 201))
+    def test_displacement_at_the_order_cap(self, n):
+        gamma = gamma_of(FieldSpec(1.0, 1.0), ONES)
+        state = ShiftedState.continuous(n, gamma, ONES)
+        assert expectation_x_shifted(state, gauss_hermite_rule(256)) == pytest.approx(-1.0, abs=1e-9)
 
 
 class TestIntegerBranchSpectrum:

@@ -226,6 +226,8 @@ class TestGrid1D:
             Grid1D(0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 0.5)  # only 3 points
+        with pytest.raises(ValueError):
+            Grid1D(0.0, math.inf, 0.1)
 
 
 class TestGoldenSection:

@@ -104,6 +104,15 @@ class TestOrthonormality:
                 value = overlap(states[i], states[j], spec.gaussian_scale, rule)
                 assert value == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
+    def test_six_by_six_block_at_the_order_cap(self):
+        spec = OscillatorSpec()
+        rule = gauss_hermite_rule(256)
+        states = [Eigenstate(n, spec) for n in range(195, 201)]
+        for i in range(6):
+            for j in range(i, 6):
+                value = overlap(states[i], states[j], spec.gaussian_scale, rule)
+                assert value == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
+
 
 class TestExpectationX:
     def test_ground_state(self):

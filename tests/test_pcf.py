@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -69,6 +70,9 @@ class TestHermiteRoute:
             pcf_poly(23, cap=22)
         with pytest.raises(ValueError):
             eval_D(23, 0.5, cap=22)
+        ode_residual(23, 0.5)
+        with pytest.raises(ValueError):
+            ode_residual(23, 0.5, cap=22)
 
 
 class TestRodriguesRoute:
@@ -116,6 +120,20 @@ class TestEvalD:
         values = eval_D(2, np.array([0.0, 80.0, -1e200, 1e200]))
         assert values.tolist() == [-1.0, 0.0, 0.0, 0.0]
 
+    def test_infinite_argument_gives_zero(self):
+        assert eval_D(4, math.inf) == 0.0
+        assert eval_D(5, np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_odd_order_at_negative_zero_is_positive_zero(self, n):
+        assert math.copysign(1.0, eval_D(n, -0.0)) == 1.0
+        assert math.copysign(1.0, eval_D(n, np.array([-0.0]))[0]) == 1.0
+
+    def test_raised_cap_overflow_is_an_error(self):
+        # D_400 peaks near sqrt(400!) ~ 1e434, beyond the double range.
+        with pytest.raises(FloatingPointError):
+            eval_D(400, 1.0, cap=400)
+
     def test_integer_array_is_evaluated_in_floats(self):
         z = np.arange(-3, 4)
         assert eval_D(40, z).tolist() == eval_D(40, z.astype(float)).tolist()
@@ -132,6 +150,20 @@ class TestEvalD:
             z = -6.0 + 0.25 * i
             ref = pbdv(n, z)[0]
             assert eval_D(n, z) == pytest.approx(ref, abs=1e-13, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n", [20, 40, 60, 100, 150, 200])
+    def test_against_mpmath_at_high_order(self, n):
+        # The oscillatory region |z| < 2 sqrt(n + 1/2) and three units of the
+        # decay beyond it, relative to the largest sampled |D_n|.
+        edge = 2.0 * math.sqrt(n + 1) + 3.0
+        z = np.linspace(-edge, edge, 81)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.pcfd(n, zi)) for zi in z.tolist()])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(eval_D(n, z) - ref)) <= 1e-12 * scale
+        scalar = np.array([eval_D(n, zi) for zi in z.tolist()])
+        assert np.max(np.abs(scalar - ref)) <= 1e-12 * scale
 
 
 class TestDefiningEquation:
