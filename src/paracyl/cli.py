@@ -54,7 +54,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-MAX_GRID_ROWS = 10**6  #: row limit of ``eval`` and ``figure1`` grids, which are built in memory
+#: Row limit of the grids (``eval``, ``figure1``) and ladders (``field --gamma-sq``,
+#: ``lj``, ``figure2``, ``verify --gamma-sq``) that are built in memory.
+MAX_GRID_ROWS = 10**6
 
 #: Closed forms of the first six polynomial factors, in monic form.
 TABLE_POLYS = {
@@ -72,14 +74,19 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
+def _check_rows(what: str, count: int) -> None:
+    """Reject a table of ``count`` rows before anything is built."""
+    if count > MAX_GRID_ROWS:
+        raise ValueError(f"{what} of {count} rows exceeds the limit of {MAX_GRID_ROWS}")
+
+
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
         raise ValueError("range needs hi >= lo")
     count = grid_count(lo, hi, step)
-    if count > MAX_GRID_ROWS:
-        raise ValueError(f"grid of {count} rows exceeds the limit of {MAX_GRID_ROWS}")
+    _check_rows("grid", count)
     return lo + step * np.arange(count)
 
 
@@ -163,6 +170,8 @@ def _cmd_field(args) -> int:
     if args.gamma_sq is not None:
         if args.gamma_sq < 1:
             raise ValueError("--gamma-sq must be a positive integer")
+        m_max = args.n if args.n is not None else args.gamma_sq
+        _check_rows("ladder", m_max + args.gamma_sq + 1)
         gamma = math.sqrt(args.gamma_sq)
         qe = gamma * math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
         fld = FieldSpec(q=qe, efield=1.0)
@@ -175,7 +184,6 @@ def _cmd_field(args) -> int:
     print(f"x_min = {_fmt(x_min)}")
     print(f"e_min = {_fmt(e_min)}")
     if args.gamma_sq is not None:
-        m_max = args.n if args.n is not None else args.gamma_sq
         print("m,E_m,pcf_index")
         for m, e, idx in integer_branch_spectrum(args.gamma_sq, m_max, spec):
             print(f"{m},{_fmt(e)},{idx}")
@@ -191,6 +199,7 @@ def _cmd_field(args) -> int:
 
 def _cmd_lj(args) -> int:
     spec = LJSpec(epsilon=args.epsilon, sigma=args.sigma, gamma_sq=args.gamma_sq)
+    _check_rows("ladder", spec.gamma_sq)
     osc = fit_oscillator(spec, mu=args.mu, hbar=args.hbar)
     r_min, u_min = lj_minimum(spec)
     print(f"r_min = {_fmt(r_min)}")
@@ -224,6 +233,7 @@ def _levels_path(out: str) -> str:
 
 def _cmd_figure2(args) -> int:
     spec = LJSpec(epsilon=args.epsilon, sigma=args.sigma, gamma_sq=args.gamma_sq)
+    _check_rows("ladder", spec.gamma_sq)
     if args.fit_k:
         osc = fit_oscillator(spec, mu=args.mu, hbar=args.hbar)
         k = osc.mu * osc.omega**2
@@ -390,6 +400,9 @@ def _lj_suite(epsilon: float, sigma: float, gamma_sq: int) -> list[CheckResult]:
 
 
 def _cmd_verify(args) -> int:
+    if args.gamma_sq is not None and args.suite != "free":
+        # The field suite builds the ladder m = -g .. g + 2, the L-J suite g levels.
+        _check_rows("ladder", args.gamma_sq if args.suite == "lj" else 2 * args.gamma_sq + 3)
     suites: list[CheckResult] = []
     if args.suite in ("free", "all"):
         suites.extend(_free_suite())

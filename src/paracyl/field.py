@@ -35,11 +35,16 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.q) and math.isfinite(self.efield)):
             raise ValueError("charge and field must be finite")
+        if not math.isfinite(self.q * self.efield):
+            raise ValueError("the product q E of charge and field overflows")
 
 
 def gamma_of(field: FieldSpec, spec: OscillatorSpec) -> float:
     """Dimensionless coupling gamma = q E / sqrt(2 mu hbar omega^3)."""
-    return field.q * field.efield / math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
+    gamma = field.q * field.efield / math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
+    if not math.isfinite(gamma * gamma):
+        raise ValueError("the coupling gamma^2 overflows for this field and oscillator")
+    return gamma
 
 
 def energy_shifted(n: int, gamma: float, spec: OscillatorSpec) -> float:
@@ -105,8 +110,18 @@ def eval_psi_shifted(state: ShiftedState, x: float) -> float:
 
 
 def expectation_x_shifted(state: ShiftedState, rule: QuadratureRule | None = None) -> float:
-    """<x> by quadrature; equals -q E / (mu omega^2) for every index."""
-    return overlap(state, lambda x: x * state(x), state.spec.gaussian_scale, rule)
+    """<x> by quadrature; equals -q E / (mu omega^2) for every index.
+
+    The integral runs over u = x - x_center, where the state is a polynomial
+    times the Gaussian of the rule, so a rule of pcf_index + 1 points or
+    more is exact.
+    """
+    center = state.x_center
+
+    def centred(u):
+        return state(center + u)
+
+    return overlap(centred, lambda u: (center + u) * centred(u), state.spec.gaussian_scale, rule)
 
 
 def integer_branch_spectrum(
@@ -136,6 +151,8 @@ def potential_minimum(field: FieldSpec, spec: OscillatorSpec) -> tuple[float, fl
     qe = field.q * field.efield
     x_min = -qe / (spec.mu * spec.omega**2)
     e_min = -(qe * qe) / (2.0 * spec.mu * spec.omega**2)
+    if not (math.isfinite(x_min) and math.isfinite(e_min)):
+        raise ValueError("the potential minimum overflows for this field and oscillator")
     return x_min, e_min
 
 

@@ -9,7 +9,7 @@ search provides an independent minimizer for potential curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +27,9 @@ class QuadratureRule:
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
+    #: Read-only ndarray copies of ``nodes`` and ``weights``, built once.
+    node_array: np.ndarray = field(init=False, repr=False, compare=False)
+    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.weights) or not self.nodes:
@@ -38,6 +41,10 @@ class QuadratureRule:
         mass = math.fsum(self.weights)
         if abs(mass - SQRT_PI) > 1e-12 * SQRT_PI:
             raise ValueError(f"total weight {mass!r} does not match sqrt(pi)")
+        for name, values in (("node_array", self.nodes), ("weight_array", self.weights)):
+            array = np.array(values, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -148,18 +155,18 @@ def _build_rule(n: int) -> QuadratureRule:
 def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
     """Sum_i w_i f(t_i) g(t_i); the e^{-t^2} weight is the rule's.
 
-    ``f`` and ``g`` are each called once, with the ndarray of all nodes,
-    and return an array of values at them (a scalar is broadcast to every
-    node).  The caller must already have folded the Gaussian weight out of
-    the product f*g.  Summation uses fsum, so integrands that are exactly
-    odd across the symmetric node set cancel to exactly zero.
+    ``f`` and ``g`` are each called once, with the rule's read-only
+    ndarray of nodes, and return an array of values at them (a scalar is
+    broadcast to every node).  The caller must already have folded the
+    Gaussian weight out of the product f*g.  Summation uses fsum, so
+    integrands that are exactly odd across the symmetric node set cancel to
+    exactly zero.
     """
-    nodes = np.array(rule.nodes)
-    fv, gv = f(nodes), g(nodes)
+    fv, gv = f(rule.node_array), g(rule.node_array)
     bad = ~(np.isfinite(fv) & np.isfinite(gv))
     if bad.any():
         raise ValueError(f"non-finite integrand value at node {rule.nodes[int(np.argmax(bad))]!r}")
-    return math.fsum((np.array(rule.weights) * fv * gv).tolist())
+    return math.fsum((rule.weight_array * fv * gv).tolist())
 
 
 def fd_second_derivative(f, x: float, h: float) -> float:

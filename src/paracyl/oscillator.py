@@ -29,6 +29,14 @@ class OscillatorSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite")
+        # gaussian_scale first: it is 0.0 whenever length_scale would divide by zero.
+        for name in ("gaussian_scale", "z_scale", "length_scale"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"derived {name} = {v!r} is out of the double range")
+        spacing = self.hbar * self.omega
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise ValueError(f"level spacing hbar omega = {spacing!r} is out of the double range")
 
     @property
     def z_scale(self) -> float:

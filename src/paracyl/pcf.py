@@ -18,6 +18,9 @@ this down against the n = 0..5 closed forms.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,24 +94,120 @@ def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
     return PcfPolyPart(r if n % 2 == 0 else _poly_scale(r, -1), n)
 
 
+#: Bytes (``sys.getsizeof``) that the ladders ``eval_D`` keeps may hold in all.
+_LADDER_BUDGET = 2**19
+
+
+@dataclass
+class _Ladder:
+    """Recurrence rows D_lo..D_top at one clipped argument, owned privately."""
+
+    arg: np.ndarray
+    lo: int  # 0 while every row fits the budget, else top - 1 (only a pair is kept)
+    rows: list
+    nbytes: int
+
+    @property
+    def top(self) -> int:
+        return self.lo + len(self.rows) - 1
+
+
+class _LadderCache:
+    """LRU of recurrence ladders keyed by the exact bits of the argument.
+
+    A prefilter on shape and end values finds the one candidate ladder, and
+    a bitwise comparison confirms it, so a miss costs no more than the clip
+    that already copied the argument.  Calls are serialized by one lock.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self.lock = threading.Lock()
+        self._ladders: OrderedDict[tuple, _Ladder] = OrderedDict()
+
+    def row(self, n: int, t) -> np.ndarray:
+        """D_n at the clipped argument ``t``; the result is shared, not copied."""
+        bits = t.view(np.uint64)
+        key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
+        ladder = self._ladders.get(key)
+        if ladder is not None and ladder.arg.tobytes() != t.tobytes():
+            ladder = None
+        if ladder is not None:
+            self._ladders.move_to_end(key)
+            if ladder.lo <= n <= ladder.top:
+                return ladder.rows[n - ladder.lo]
+        if ladder is not None and n > ladder.top:
+            t, lo, rows = ladder.arg, ladder.lo, ladder.rows
+        else:  # no stored pair at or below n: start again from D_0
+            lo, rows = 0, [np.exp(-(t * t) / 4.0)]
+        # The whole ladder while it fits the budget, else the top pair only
+        # (n >= 2 then, so the pair is D_{n-1}, D_n), else nothing.
+        size = sys.getsizeof(t)
+        keep_all = lo == 0 and (n + 2) * size <= self.budget
+        nbytes = (n + 2) * size if keep_all else 3 * size
+        store = nbytes <= self.budget
+        if store:
+            self._evict(key, nbytes)
+        prev = rows[-2] if len(rows) > 1 else 0.0
+        prev, cur, new = _climb(t, prev, rows[-1], lo + len(rows) - 1, n, keep_all)
+        if store:
+            kept = (0, rows + new) if keep_all else (n - 1, [prev, cur])
+            self._ladders[key] = _Ladder(t, *kept, nbytes)
+            self.nbytes += nbytes
+        return cur
+
+    def _evict(self, key: tuple, nbytes: int) -> None:
+        """Drop the ladder under ``key``, then the least recent, until ``nbytes`` more fit."""
+        if key in self._ladders:
+            self.nbytes -= self._ladders.pop(key).nbytes
+        while self._ladders and self.nbytes + nbytes > self.budget:
+            self.nbytes -= self._ladders.popitem(last=False)[1].nbytes
+
+
+def _climb(t, prev, cur, k: int, n: int, keep: bool):
+    """Run D_{j+1} = t D_j - j D_{j-1} from (D_{k-1}, D_k) up to D_n.
+
+    Returns (D_{n-1}, D_n, rows), where rows lists D_{k+1}..D_n when ``keep``
+    is set and is empty otherwise.  The step is the same, in the same order,
+    whichever pair it starts from, so resumed ladders are bit-identical.
+    """
+    new = []
+    with np.errstate(over="raise"):
+        for j in range(k, n):
+            nxt = t * cur
+            if keep or j < k + 2:  # D_{j-1} is kept, or is the caller's
+                nxt -= j * prev
+            else:  # D_{j-1} is not needed after this step: scale it in place
+                prev *= j
+                nxt -= prev
+            prev, cur = cur, nxt
+            if keep:
+                new.append(nxt)
+    return prev, cur, new
+
+
+_LADDERS = _LadderCache(_LADDER_BUDGET)
+
+
 def eval_D(n: int, z, cap: int = DEGREE_CAP):
     """Evaluate D_n(z) at a float or an ndarray of floats.
 
     Runs D_{k+1} = z D_k - k D_{k-1} (DLMF 12.8.2) up from D_0 = e^{-z^2/4},
     giving 0.0 where that Gaussian underflows.  Orders above about 340, past
     a raised ``cap``, overflow doubles and raise FloatingPointError.
+
+    The rows of the recurrence are kept for a few recent arguments, within
+    ``_LADDER_BUDGET`` bytes, so a later call on an equal argument returns a
+    stored row or resumes from the highest stored pair below n.  Values are
+    bit-identical to a fresh run, and every call returns a new array.
     """
     _check_order(n, cap)
     # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
     t = np.clip(np.asarray(z, dtype=float), -100.0, 100.0)
-    prev, cur = 0.0, np.exp(-(t * t) / 4.0)
-    with np.errstate(over="raise"):
-        for k in range(n):
-            nxt = t * cur
-            prev *= k  # D_{k-1} is not needed after this step: scale it in place
-            nxt -= prev
-            prev, cur = cur, nxt
-    return cur + 0.0 if isinstance(z, np.ndarray) else float(cur) + 0.0  # + 0.0 turns -0.0 into 0.0
+    with _LADDERS.lock:
+        d = _LADDERS.row(n, t)
+    return d + 0.0 if isinstance(z, np.ndarray) else float(d) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 @lru_cache(maxsize=None)

@@ -58,6 +58,20 @@ class TestEval:
         assert len(rows) == 5
         assert rows[2].startswith("0,0,1,")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mu", "1e308", "--omega", "1e308"],  # z_scale overflows
+            ["--mu", "1e-308", "--omega", "1e-308"],
+            ["--hbar", "1e-300", "--omega", "1e-300"],  # E_n underflows to 0
+        ],
+    )
+    def test_out_of_range_derived_scales_are_usage_errors(self, capsys, flags):
+        code, out, err = run(capsys, "eval", "--n", "3", *flags, "--lo", "0", "--hi", "1", "--step", "0.5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("n", ["-1", "201"])
     def test_order_outside_the_cap_is_usage_error(self, capsys, n):
         code, out, err = run(capsys, "eval", "--n", n)
@@ -132,6 +146,49 @@ class TestField:
         code, _, err = run(capsys, "field", "--gamma-sq", "0")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    def test_overflowing_charge_field_product_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "field", "--q", "1e308", "--efield", "1e308")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "q E" in err
+
+
+class TestLadderLimits:
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            (["field", "--gamma-sq", "1000000000", "--n", "1"], 1000000002),
+            (["field", "--gamma-sq", "999999"], 1999999),
+            (["lj", "--gamma-sq", "1000001"], 1000001),
+            (["figure2", "--gamma-sq", "1000000000"], 1000000000),
+            (["verify", "--gamma-sq", "499999"], 1000001),
+            (["verify", "--suite", "field", "--gamma-sq", "1000000000"], 2000000003),
+            (["verify", "--suite", "lj", "--gamma-sq", "1000001"], 1000001),
+        ],
+    )
+    def test_oversized_ladder_fails_on_the_count_before_building(
+        self, capsys, monkeypatch, tmp_path, argv, rows
+    ):
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("ladder built before its row count was checked")
+
+        for builder in ("integer_branch_spectrum", "bound_levels", "_free_suite"):
+            monkeypatch.setattr(cli, builder, no_ladder)
+        if argv[0] == "figure2":
+            argv = [*argv, "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: ladder of {rows} rows exceeds the limit of {cli.MAX_GRID_ROWS}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_ladder_at_the_row_limit_is_allowed(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "integer_branch_spectrum", lambda *args: built.append(args) or [])
+        code, _, _ = run(capsys, "field", "--gamma-sq", "999999", "--n", "0")
+        assert code == EXIT_OK
+        assert [(g, m_max) for g, m_max, _ in built] == [(999999, 0)]  # m = -999999 .. 0
 
 
 class TestLj:

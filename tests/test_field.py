@@ -34,6 +34,16 @@ class TestGamma:
     def test_sign_follows_charge(self):
         assert gamma_of(FieldSpec(-1.0, 1.0), ONES) < 0
 
+    def test_overflowing_product_is_rejected(self):
+        with pytest.raises(ValueError, match="q E"):
+            FieldSpec(1e308, 1e308)
+        with pytest.raises(ValueError, match="q E"):
+            FieldSpec(-1e200, 1e200)
+
+    def test_overflowing_gamma_sq_is_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            gamma_of(FieldSpec(1e200, 1e100), ONES)
+
 
 class TestEnergyShifted:
     def test_zero_field_reduces_to_free_ladder(self):
@@ -97,6 +107,17 @@ class TestExpectationXShifted:
         state = ShiftedState.continuous(n, gamma, ONES)
         assert expectation_x_shifted(state) == pytest.approx(-1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("gamma", [-0.9, 0.5])
+    @pytest.mark.parametrize(
+        "points,n", [(64, n) for n in range(44, 61)] + [(128, n) for n in range(111, 117)]
+    )
+    def test_displacement_with_a_rule_sized_for_the_order(self, points, n, gamma):
+        # Centred on x_center, the integrand is a polynomial of degree
+        # 2n + 1 times the rule's Gaussian: exact for n + 1 points or more.
+        state = ShiftedState.continuous(n, gamma, ONES)
+        xbar = expectation_x_shifted(state, gauss_hermite_rule(points))
+        assert abs(xbar + gamma * math.sqrt(2.0)) <= 1e-9
+
     @pytest.mark.parametrize("n", range(195, 201))
     def test_displacement_at_the_order_cap(self, n):
         gamma = gamma_of(FieldSpec(1.0, 1.0), ONES)
@@ -142,6 +163,10 @@ class TestPotentialMinimum:
 
     def test_zero_charge(self):
         assert potential_minimum(FieldSpec(0.0, 1.0), ONES) == (0.0, 0.0)
+
+    def test_overflowing_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="minimum"):
+            potential_minimum(FieldSpec(1e160, 1.0), ONES)
 
     def test_agrees_with_numeric_search(self):
         rng = random.Random(7)

@@ -40,6 +40,20 @@ class TestQuadratureRuleType:
         with pytest.raises(ValueError):
             QuadratureRule((-1.0, 1.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("n", [1, 16, 256])
+    def test_arrays_equal_the_tuples_and_are_read_only(self, n):
+        rule = gauss_hermite_rule(n)
+        for array, values in ((rule.node_array, rule.nodes), (rule.weight_array, rule.weights)):
+            assert array.dtype == np.float64
+            assert tuple(array.tolist()) == values
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_arrays_are_built_once(self):
+        rule = gauss_hermite_rule(8)
+        assert rule.node_array is gauss_hermite_rule(8).node_array
+        assert rule == QuadratureRule(rule.nodes, rule.weights)
+
 
 class TestGaussHermiteRule:
     def test_one_point_rule(self):

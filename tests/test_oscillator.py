@@ -24,6 +24,21 @@ class TestSpec:
             with pytest.raises(ValueError):
                 OscillatorSpec(**bad)
 
+    @pytest.mark.parametrize(
+        "params,name",
+        [
+            (dict(mu=1e308, omega=1e308), "gaussian_scale"),  # mu omega overflows
+            (dict(mu=1e-308, omega=1e-308), "gaussian_scale"),  # mu omega underflows to 0
+            (dict(mu=1e308, omega=1.0), "z_scale"),  # 2 mu omega overflows
+            (dict(mu=1e-320, omega=1.0), "length_scale"),  # hbar / (mu omega) overflows
+            (dict(mu=1e200, omega=1e-200, hbar=1e-200), "hbar omega"),  # underflows to 0
+            (dict(mu=1e-200, omega=1e200, hbar=1e200), "hbar omega"),  # overflows
+        ],
+    )
+    def test_out_of_range_derived_scales_are_rejected(self, params, name):
+        with pytest.raises(ValueError, match=name):
+            OscillatorSpec(**params)
+
     def test_derived_scales(self):
         spec = OscillatorSpec(mu=2.0, omega=8.0, hbar=1.0)
         assert spec.z_scale == pytest.approx(math.sqrt(32.0), rel=1e-15)

@@ -1,11 +1,17 @@
 import math
+import random
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import pbdv
 
+from paracyl import pcf
 from paracyl.pcf import PcfPolyPart, eval_D, ode_residual, pcf_poly, pcf_rodrigues_poly
 from paracyl.polys import DEGREE_CAP, PolyZ
 
@@ -172,3 +178,139 @@ class TestDefiningEquation:
         zs = [-6.0 + 0.05 * i for i in range(241)]
         worst = max(abs(ode_residual(n, z)) for z in zs)
         assert worst < 1e-8
+
+
+def uncached_D(n, z):
+    """The forward recurrence run afresh from D_0, as eval_D defines it."""
+    t = np.clip(np.asarray(z, dtype=float), -100.0, 100.0)
+    prev, cur = 0.0, np.exp(-(t * t) / 4.0)
+    with np.errstate(over="raise"):
+        for k in range(n):
+            prev, cur = cur, t * cur - k * prev
+    return cur + 0.0 if isinstance(z, np.ndarray) else float(cur) + 0.0
+
+
+def assert_bit_equal(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLadderCache:
+    """eval_D keeps recurrence rows between calls; none of that may show in its values."""
+
+    @staticmethod
+    def pool():
+        nodes = np.linspace(-7.0, 7.0, 257)
+        return [
+            nodes,
+            nodes.copy(),  # an equal-valued copy
+            np.linspace(-30.0, 30.0, 5000),  # pair-only above about n = 11
+            np.linspace(-40.0, 40.0, 22000),  # over the budget: never kept
+            np.array(1.25),
+            np.array([-0.0, 0.0, 1e300, -math.inf, math.nan]),
+            0.75,
+        ]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 200), st.integers(0, 6), st.booleans()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_call_sequences_match_the_uncached_recurrence(self, calls):
+        pool = self.pool()
+        for n, i, mutate in calls:
+            z = pool[i]
+            if mutate and isinstance(z, np.ndarray) and z.ndim:
+                z[z.size // 3] += 0.5  # the same array, new contents
+            assert_bit_equal(eval_D(n, z), uncached_D(n, z))
+
+    def test_mutating_the_argument_after_a_call(self):
+        z = np.linspace(-5.0, 5.0, 101)
+        eval_D(12, z)
+        z *= 1.5
+        assert_bit_equal(eval_D(12, z), uncached_D(12, z))
+        assert_bit_equal(eval_D(9, z), uncached_D(9, z))
+
+    def test_mutating_the_result_after_a_call(self):
+        z = np.linspace(-5.0, 5.0, 101)
+        first = eval_D(7, z)
+        first[:] = 99.0
+        again = eval_D(7, z)
+        assert_bit_equal(again, uncached_D(7, z))
+        assert not np.shares_memory(again, eval_D(7, z))
+
+    def test_consecutive_orders_resume_instead_of_restarting(self, monkeypatch):
+        z = np.linspace(-3.0, 3.0, 64) + 1e-3  # an argument no other test uses
+        climbs = []
+        climb = pcf._climb
+
+        def recording(t, prev, cur, k, n, keep):
+            climbs.append((k, n))
+            return climb(t, prev, cur, k, n, keep)
+
+        monkeypatch.setattr(pcf, "_climb", recording)
+        for n in (40, 41, 42, 40, 39):
+            assert_bit_equal(eval_D(n, z.copy()), uncached_D(n, z))
+        assert climbs == [(0, 40), (40, 41), (41, 42)]
+
+    def test_byte_total_stays_within_the_budget(self):
+        grid = np.linspace(-6.0, 6.0, 12001)
+        for i in range(30):
+            eval_D(20 + i, grid + 1e-3 * i)
+            eval_D(3, grid - 1e-3 * i)
+        ladders = list(pcf._LADDERS._ladders.values())
+        held = sum(sys.getsizeof(x.arg) + sum(sys.getsizeof(r) for r in x.rows) for x in ladders)
+        assert held == pcf._LADDERS.nbytes <= pcf._LADDER_BUDGET
+
+    def test_raised_cap_overflow_is_an_error_on_a_hit(self):
+        z = np.linspace(-1.0, 1.0, 9)
+        low = eval_D(250, z, cap=400)
+        for _ in range(2):
+            with pytest.raises(FloatingPointError):
+                eval_D(400, z, cap=400)
+            with pytest.raises(FloatingPointError):
+                eval_D(400, 1.0, cap=400)
+        assert_bit_equal(eval_D(250, z, cap=400), low)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_negative_zero_gives_positive_zero_on_a_hit(self, n):
+        z = np.array([-0.0, 0.0, 0.5])
+        for _ in range(2):
+            for m in (n, n + 2, n):
+                values = eval_D(m, z.copy())
+                assert math.copysign(1.0, values[0]) == 1.0
+                assert math.copysign(1.0, eval_D(m, -0.0)) == 1.0
+
+    def test_threads_with_interleaved_calls_agree(self):
+        args = [np.linspace(-8.0, 8.0, 200), np.linspace(-6.0, 6.0, 12001), np.array(0.3)]
+        tasks = [(n, i) for n in range(0, 201, 7) for i in range(len(args))]
+        want = {task: uncached_D(task[0], args[task[1]]) for task in tasks}
+        barrier = threading.Barrier(4)
+        bad = []
+
+        def worker(seed):
+            order = random.Random(seed).sample(tasks, len(tasks))
+            barrier.wait(timeout=60)
+            for n, i in order:
+                got = eval_D(n, args[i].copy())
+                if np.asarray(got).tobytes() != np.asarray(want[n, i]).tobytes():
+                    bad.append((seed, n, i))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+        ladders = pcf._LADDERS._ladders.values()
+        held = sum(sys.getsizeof(x.arg) + sum(sys.getsizeof(r) for r in x.rows) for x in ladders)
+        assert held == pcf._LADDERS.nbytes <= pcf._LADDER_BUDGET
