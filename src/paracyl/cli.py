@@ -12,21 +12,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .field import (
-    FieldSpec,
-    ShiftedState,
-    energy_shifted,
-    expectation_x_shifted,
-    field_hamiltonian_residual,
-    gamma_of,
-    integer_branch_spectrum,
-    potential_minimum,
-)
+from .checks import field_suite, free_suite, lj_suite
+from .field import FieldSpec, energy_shifted, gamma_of, integer_branch_spectrum, potential_minimum
 from .ljmodel import (
     LJSpec,
     R_MIN_FACTOR,
@@ -37,17 +28,10 @@ from .ljmodel import (
     lj_minimum,
     lj_potential,
 )
-from .numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, grid_count, overlap
-from .oscillator import (
-    Eigenstate,
-    OscillatorSpec,
-    energy,
-    expectation_x,
-    hamiltonian_residual,
-    norm_const,
-)
-from .pcf import eval_D, ode_residual, pcf_poly, pcf_rodrigues_poly
-from .polys import DEGREE_CAP, PolyZ, hermite_recurrence, hermite_rodrigues
+from .numerics import grid_count
+from .oscillator import OscillatorSpec, energy, norm_const
+from .pcf import eval_D, pcf_poly
+from .polys import DEGREE_CAP, PolyZ
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -57,17 +41,6 @@ EXIT_IO = 3
 #: Row limit of the grids (``eval``, ``figure1``) and ladders (``field --gamma-sq``,
 #: ``lj``, ``figure2``, ``verify --gamma-sq``) that are built in memory.
 MAX_GRID_ROWS = 10**6
-
-#: Closed forms of the first six polynomial factors, in monic form.
-TABLE_POLYS = {
-    0: (1,),
-    1: (0, 1),
-    2: (-1, 0, 1),
-    3: (0, -3, 0, 1),
-    4: (3, 0, -6, 0, 1),
-    5: (0, 15, 0, -10, 0, 1),
-}
-
 
 def _fmt(v) -> str:
     """12 significant digits, '.' separator; integers render compactly."""
@@ -159,6 +132,7 @@ def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
     if args.n < 0:
         raise ValueError("--n must be non-negative")
+    _check_rows("ladder", args.n + 1)
     print("n,E_n")
     for n in range(args.n + 1):
         print(f"{n},{_fmt(energy(n, spec))}")
@@ -178,6 +152,10 @@ def _cmd_field(args) -> int:
     else:
         fld = FieldSpec(q=args.q, efield=args.efield)
         gamma = gamma_of(fld, spec)
+        n_max = args.n if args.n is not None else 5
+        if n_max < 0:
+            raise ValueError("--n must be non-negative")
+        _check_rows("ladder", n_max + 1)
     x_min, e_min = potential_minimum(fld, spec)
     print(f"gamma = {_fmt(gamma)}")
     print(f"gamma^2 = {_fmt(gamma * gamma)}")
@@ -188,9 +166,6 @@ def _cmd_field(args) -> int:
         for m, e, idx in integer_branch_spectrum(args.gamma_sq, m_max, spec):
             print(f"{m},{_fmt(e)},{idx}")
     else:
-        n_max = args.n if args.n is not None else 5
-        if n_max < 0:
-            raise ValueError("--n must be non-negative")
         print("n,E_n")
         for n in range(n_max + 1):
             print(f"{n},{_fmt(energy_shifted(n, gamma, spec))}")
@@ -201,6 +176,7 @@ def _cmd_lj(args) -> int:
     spec = LJSpec(epsilon=args.epsilon, sigma=args.sigma, gamma_sq=args.gamma_sq)
     _check_rows("ladder", spec.gamma_sq)
     osc = fit_oscillator(spec, mu=args.mu, hbar=args.hbar)
+    estimate = None if args.delta_e is None else estimate_gamma_sq(args.epsilon, args.delta_e)
     r_min, u_min = lj_minimum(spec)
     print(f"r_min = {_fmt(r_min)}")
     print(f"u_min = {_fmt(u_min)}")
@@ -209,8 +185,8 @@ def _cmd_lj(args) -> int:
     print("m,E_m")
     for m, e in bound_levels(spec):
         print(f"{m},{_fmt(e)}")
-    if args.delta_e is not None:
-        g, residual = estimate_gamma_sq(args.epsilon, args.delta_e)
+    if estimate is not None:
+        g, residual = estimate
         print(f"estimated_gamma_sq = {g}")
         print(f"estimate_residual = {_fmt(residual)}")
     return EXIT_OK
@@ -254,170 +230,25 @@ def _cmd_figure2(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str
-
-
-def _free_suite() -> list[CheckResult]:
-    spec = OscillatorSpec()
-    checks = []
-
-    ok = all(pcf_poly(n).poly.coeffs == TABLE_POLYS[n] for n in range(6))
-    checks.append(CheckResult("free", "table-fixture", ok, "P_0..P_5 match the closed forms exactly"))
-
-    ok = all(
-        hermite_recurrence(n) == hermite_rodrigues(n)
-        and pcf_poly(n).poly == pcf_rodrigues_poly(n).poly
-        for n in range(51)
-    )
-    checks.append(CheckResult("free", "route-equivalence", ok, "both construction routes identical for n <= 50"))
-
-    worst = max(abs(ode_residual(n, z)) for n in range(11) for z in _grid(-6.0, 6.0, 0.05).tolist())
-    checks.append(
-        CheckResult("free", "ode-residual", worst < 1e-8, f"max residual {worst:.3e} (tol 1e-08)")
-    )
-
-    rule = gauss_hermite_rule(64)
-    states = [Eigenstate(n, spec) for n in range(11)]
-    worst = 0.0
-    for i in range(11):
-        for j in range(i, 11):
-            val = overlap(states[i], states[j], spec.gaussian_scale, rule)
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    checks.append(
-        CheckResult("free", "orthonormality", worst < 1e-10, f"max |<i|j> - delta_ij| {worst:.3e} (tol 1e-10)")
-    )
-
-    grid = Grid1D(-6.0, 6.0, 1e-3)
-    worst = max(hamiltonian_residual(n, spec, grid) for n in range(7))
-    checks.append(
-        CheckResult("free", "eigen-residual", worst < 1e-5, f"max residual at h=1e-3 {worst:.3e} (tol 1e-05)")
-    )
-
-    worst = max(abs(expectation_x(n, spec)) for n in range(11))
-    checks.append(
-        CheckResult("free", "position-expectation", worst < 1e-10, f"max |<x>| {worst:.3e} (tol 1e-10)")
-    )
-    return checks
-
-
-def _field_suite(gamma_sq_values: list[int]) -> list[CheckResult]:
-    spec = OscillatorSpec()
-    checks = []
-
-    worst = 0.0
-    for g in gamma_sq_values:
-        gamma = math.sqrt(g)
-        for _, e, idx in integer_branch_spectrum(g, g + 2, spec):
-            worst = max(worst, abs(e - energy_shifted(idx, gamma, spec)))
-    checks.append(
-        CheckResult("field", "branch-consistency", worst <= 1e-12, f"max ladder mismatch {worst:.3e} (tol 1e-12)")
-    )
-
-    worst = 0.0
-    for g in gamma_sq_values:
-        for m, e, _ in integer_branch_spectrum(g, -g + 2, spec):
-            state = ShiftedState.integer_branch(m, g, spec)
-            grid = Grid1D(state.x_center - 6.5, state.x_center + 6.5, 1e-3)
-            worst = max(worst, field_hamiltonian_residual(state, e, grid))
-    checks.append(
-        CheckResult("field", "field-eigen-residual", worst < 1e-5, f"max residual at h=1e-3 {worst:.3e} (tol 1e-05)")
-    )
-
-    fld = FieldSpec(q=1.0, efield=1.0)
-    gamma = gamma_of(fld, spec)
-    target = -fld.q * fld.efield / (spec.mu * spec.omega**2)
-    worst = max(
-        abs(expectation_x_shifted(ShiftedState.continuous(n, gamma, spec)) - target) for n in range(6)
-    )
-    checks.append(
-        CheckResult("field", "displacement-identity", worst < 1e-9, f"max |<x> + qE/(mu omega^2)| {worst:.3e} (tol 1e-09)")
-    )
-
-    x_min, e_min = potential_minimum(fld, spec)
-    qe = fld.q * fld.efield
-    xg, eg = golden_section_minimize(
-        lambda x: 0.5 * spec.mu * spec.omega**2 * x * x + qe * x, x_min - 2.0, x_min + 2.0
-    )
-    identity = abs(e_min + spec.hbar * spec.omega * gamma * gamma)
-    ok = abs(xg - x_min) < 1e-8 and abs(eg - e_min) < 1e-8 and identity <= 1e-14 * abs(e_min)
-    checks.append(
-        CheckResult(
-            "field",
-            "minimum-correction",
-            ok,
-            f"search offset {abs(xg - x_min):.3e}/{abs(eg - e_min):.3e}, "
-            f"|e_min + hbar omega gamma^2| {identity:.3e}",
-        )
-    )
-    return checks
-
-
-def _lj_suite(epsilon: float, sigma: float, gamma_sq: int) -> list[CheckResult]:
-    spec = LJSpec(epsilon=epsilon, sigma=sigma, gamma_sq=gamma_sq)
-    checks = []
-
-    levels = bound_levels(spec)
-    spacing = epsilon / gamma_sq
-    ok = len(levels) == gamma_sq and all(-epsilon < e < 0 for _, e in levels)
-    if gamma_sq > 1:
-        gaps = [b - a for (_, a), (_, b) in zip(levels, levels[1:])]
-        ok = ok and max(abs(g - spacing) for g in gaps) <= 4e-16 * epsilon
-    checks.append(
-        CheckResult("lj", "ladder-shape", ok, f"{len(levels)} negative levels, spacing {_fmt(spacing)}")
-    )
-
-    osc = fit_oscillator(spec)
-    branch = integer_branch_spectrum(gamma_sq, -1, osc)
-    worst = max(abs(e_lj - e_br) for (_, e_lj), (_, e_br, _) in zip(levels, branch))
-    checks.append(
-        CheckResult("lj", "ladder-branch-equivalence", worst <= 1e-12, f"max mismatch {worst:.3e} (tol 1e-12)")
-    )
-
-    identity = abs(osc.hbar * osc.omega * gamma_sq - epsilon)
-    checks.append(
-        CheckResult("lj", "fit-identity", identity <= 1e-14 * epsilon, f"|hbar omega gamma^2 - epsilon| {identity:.3e}")
-    )
-
-    r_min, u_min = lj_minimum(spec)
-    rg, ug = golden_section_minimize(lambda r: lj_potential(r, spec), 0.8 * sigma, 2.0 * sigma)
-    ok = abs(rg - r_min) < 1e-8 and abs(ug - u_min) < 1e-10
-    checks.append(
-        CheckResult("lj", "minimum-search", ok, f"offsets {abs(rg - r_min):.3e} / {abs(ug - u_min):.3e}")
-    )
-
-    ok = all(estimate_gamma_sq(epsilon, epsilon / g)[0] == g for g in range(1, 1001))
-    checks.append(CheckResult("lj", "spacing-inversion", ok, "round trip exact for gamma_sq = 1..1000"))
-    return checks
-
-
 def _cmd_verify(args) -> int:
-    if args.gamma_sq is not None and args.suite != "free":
+    g = args.gamma_sq
+    if g is not None and args.suite != "free":
         # The field suite builds the ladder m = -g .. g + 2, the L-J suite g levels.
-        _check_rows("ladder", args.gamma_sq if args.suite == "lj" else 2 * args.gamma_sq + 3)
-    suites: list[CheckResult] = []
+        _check_rows("ladder", g if args.suite == "lj" else 2 * g + 3)
+    records = []
     if args.suite in ("free", "all"):
-        suites.extend(_free_suite())
+        records.extend(free_suite())
     if args.suite in ("field", "all"):
-        gamma_sq_values = [args.gamma_sq] if args.gamma_sq is not None else [1, 2, 3, 4]
-        if any(g < 1 for g in gamma_sq_values):
+        if g is not None and g < 1:
             raise ValueError("--gamma-sq must be a positive integer")
-        suites.extend(_field_suite(gamma_sq_values))
+        records.extend(field_suite() if g is None else field_suite([g]))
     if args.suite in ("lj", "all"):
-        suites.extend(_lj_suite(args.epsilon, args.sigma, args.gamma_sq if args.gamma_sq is not None else 2))
-    for check in suites:
+        records.extend(lj_suite(args.epsilon, args.sigma) if g is None else lj_suite(args.epsilon, args.sigma, g))
+    for check in records:
         status = "PASS" if check.ok else "FAIL"
         print(f"{status}  [{check.suite}] {check.name}: {check.detail}")
-    failed = [c for c in suites if not c.ok]
-    print(f"verify: {len(suites) - len(failed)}/{len(suites)} checks passed")
+    failed = [c for c in records if not c.ok]
+    print(f"verify: {len(records) - len(failed)}/{len(records)} checks passed")
     return EXIT_OK if not failed else EXIT_VERIFY_FAIL
 
 

@@ -85,6 +85,8 @@ def estimate_gamma_sq(epsilon: float, delta_e: float) -> tuple[int, float]:
     if not (math.isfinite(delta_e) and delta_e > 0):
         raise ValueError("delta_e must be positive and finite")
     ratio = epsilon / delta_e
+    if not math.isfinite(ratio):
+        raise ValueError(f"epsilon / delta_e overflows: {epsilon!r} / {delta_e!r}")
     if delta_e > epsilon:
         warnings.warn(
             f"level spacing {delta_e!r} exceeds well depth {epsilon!r}; clamping gamma_sq to 1",

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import paracyl.checks as checks
 import paracyl.cli as cli
-from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, CheckResult, main
+from paracyl.checks import CheckResult, field_suite, free_suite, lj_suite
+from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
 def run(capsys, *argv):
@@ -142,6 +144,12 @@ class TestField:
         idx = lines.index("m,E_m,pcf_index")
         assert lines[idx + 1 :] == ["-1,-0.5,0", "0,0.5,1", "1,1.5,2"]
 
+    def test_negative_n_fails_before_any_output(self, capsys):
+        code, out, err = run(capsys, "field", "--n", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --n must be non-negative\n"
+
     def test_bad_gamma_sq_is_usage_error(self, capsys):
         code, _, err = run(capsys, "field", "--gamma-sq", "0")
         assert code == EXIT_USAGE
@@ -165,6 +173,8 @@ class TestLadderLimits:
             (["verify", "--gamma-sq", "499999"], 1000001),
             (["verify", "--suite", "field", "--gamma-sq", "1000000000"], 2000000003),
             (["verify", "--suite", "lj", "--gamma-sq", "1000001"], 1000001),
+            (["spectrum", "--n", "1000000000000"], 1000000000001),
+            (["field", "--n", "1000000"], 1000001),
         ],
     )
     def test_oversized_ladder_fails_on_the_count_before_building(
@@ -173,8 +183,10 @@ class TestLadderLimits:
         def no_ladder(*args, **kwargs):
             raise AssertionError("ladder built before its row count was checked")
 
-        for builder in ("integer_branch_spectrum", "bound_levels", "_free_suite"):
+        for builder in ("integer_branch_spectrum", "bound_levels", "free_suite", "energy", "energy_shifted"):
             monkeypatch.setattr(cli, builder, no_ladder)
+        for builder in ("integer_branch_spectrum", "bound_levels"):
+            monkeypatch.setattr(checks, builder, no_ladder)
         if argv[0] == "figure2":
             argv = [*argv, "--out", str(tmp_path / "x.csv")]
         code, out, err = run(capsys, *argv)
@@ -203,6 +215,13 @@ class TestLj:
         assert lines[idx + 1 : idx + 3] == ["-2,-0.75", "-1,-0.25"]
         assert "estimated_gamma_sq = 2" in lines
         assert "estimate_residual = 0" in lines
+
+    @pytest.mark.parametrize("epsilon,delta_e", [("1", "1e-320"), ("1e308", "1e-300")])
+    def test_overflowing_estimate_fails_before_any_output(self, capsys, epsilon, delta_e):
+        code, out, err = run(capsys, "lj", "--epsilon", epsilon, "--delta-e", delta_e)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: epsilon / delta_e overflows")
 
 
 class TestFigure1:
@@ -309,11 +328,35 @@ class TestVerify:
 
     def test_failing_check_sets_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "_free_suite", lambda: [CheckResult("free", "synthetic", False, "forced failure")]
+            cli, "free_suite", lambda: [CheckResult("free", "synthetic", False, "forced failure", ())]
         )
         code, out, _ = run(capsys, "verify", "--suite", "free")
         assert code == EXIT_VERIFY_FAIL
         assert "FAIL" in out
+
+    def test_default_run_prints_the_registry(self, capsys):
+        records = free_suite() + field_suite() + lj_suite()
+        code, out, _ = run(capsys, "verify")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            f"{'PASS' if r.ok else 'FAIL'}  [{r.suite}] {r.name}: {r.detail}" for r in records
+        ] + [f"verify: {len(records)}/{len(records)} checks passed"]
+
+    @pytest.mark.parametrize(
+        "sigma,epsilon", [("1e-6", "1"), ("3.4e-10", "1.65e-21"), ("100", "1"), ("1e4", "1")]
+    )
+    def test_lj_suite_passes_at_any_scale(self, capsys, sigma, epsilon):
+        code, out, _ = run(capsys, "verify", "--suite", "lj", "--sigma", sigma, "--epsilon", epsilon)
+        assert code == EXIT_OK
+        assert "FAIL" not in out
+
+    def test_minimum_search_sees_a_moved_minimum_at_atomic_scale(self, capsys, monkeypatch):
+        lj_potential = checks.lj_potential
+        monkeypatch.setattr(checks, "lj_potential", lambda r, spec: lj_potential(r / 1.01, spec))
+        code, out, _ = run(capsys, "verify", "--suite", "lj", "--sigma", "3.4e-10", "--epsilon", "1.65e-21")
+        assert code == EXIT_VERIFY_FAIL
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL  [lj] minimum-search: ")
 
 
 class TestUsage:

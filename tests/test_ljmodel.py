@@ -157,6 +157,11 @@ class TestEstimateGammaSq:
         with pytest.raises(ValueError):
             estimate_gamma_sq(-1.0, 0.5)
 
+    @pytest.mark.parametrize("epsilon,delta_e", [(1.0, 1e-320), (1e308, 1e-300)])
+    def test_rejects_an_overflowing_ratio(self, epsilon, delta_e):
+        with pytest.raises(ValueError, match="overflows"):
+            estimate_gamma_sq(epsilon, delta_e)
+
 
 class TestHarmonicCurve:
     def test_vertex(self):
