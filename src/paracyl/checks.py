@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import tee
+
+import numpy as np
 
 from .field import (
     FieldSpec,
@@ -24,8 +27,8 @@ from .field import (
 from .ljmodel import LJSpec, bound_levels, estimate_gamma_sq, fit_oscillator, lj_minimum, lj_potential
 from .numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, overlap
 from .oscillator import Eigenstate, OscillatorSpec, expectation_x, hamiltonian_residual
-from .pcf import ode_residual, pcf_poly, pcf_rodrigues_poly
-from .polys import hermite_recurrence, hermite_rodrigues
+from .pcf import _ode_identity, _ode_residual, _pcf_rows, pcf_poly
+from .polys import DEGREE_CAP, _hermite_rows, _rodrigues_rows
 
 #: Closed forms of the first six polynomial factors, in monic form.
 TABLE_POLYS = {
@@ -52,6 +55,25 @@ def _bounded(suite: str, name: str, ok: bool, label: str, worst: float, tol: flo
     return CheckResult(suite, name, ok, f"{label} {worst:.3e} (tol {tol:g})", (tol,))
 
 
+def exact_claims() -> tuple[bool, bool]:
+    """Walk the library's exact ladders once for n = 0..DEGREE_CAP.
+
+    Returns whether both routes agree (H_n by recurrence and by Rodrigues,
+    P_n by substitution and by Rodrigues), and whether every P_n satisfies
+    the He_n equation exactly.
+    """
+    hermite, substituted = tee(_hermite_rows())
+    ladders = zip(range(DEGREE_CAP + 1), hermite, _rodrigues_rows(2), _pcf_rows(substituted), _rodrigues_rows(1))
+    routes = ode = True
+    try:
+        for n, h, h_rodrigues, p, p_rodrigues in ladders:
+            routes = routes and h == h_rodrigues and p == p_rodrigues
+            ode = ode and _ode_identity(n, p)
+    except AssertionError:  # the substitution met a row that is not H_n: P_n was not built
+        return False, False
+    return routes, ode
+
+
 def free_suite() -> list[CheckResult]:
     spec = OscillatorSpec()
     checks = []
@@ -59,16 +81,15 @@ def free_suite() -> list[CheckResult]:
     ok = all(pcf_poly(n).poly.coeffs == TABLE_POLYS[n] for n in range(6))
     checks.append(CheckResult("free", "table-fixture", ok, "P_0..P_5 match the closed forms exactly", ()))
 
-    ok = all(
-        hermite_recurrence(n) == hermite_rodrigues(n)
-        and pcf_poly(n).poly == pcf_rodrigues_poly(n).poly
-        for n in range(51)
-    )
-    checks.append(CheckResult("free", "route-equivalence", ok, "both construction routes identical for n <= 50", ()))
+    routes, ode = exact_claims()
+    detail = f"both construction routes identical for n <= {DEGREE_CAP}"
+    checks.append(CheckResult("free", "route-equivalence", routes, detail, ()))
+    detail = f"P_n'' - z P_n' + n P_n == 0 exactly for n <= {DEGREE_CAP}"
+    checks.append(CheckResult("free", "ode-identity", ode, detail, ()))
 
     tol = 1e-8
-    zs = Grid1D(-6.0, 6.0, 0.05).points().tolist()
-    worst = max(abs(ode_residual(n, z)) for n in range(11) for z in zs)
+    zs = Grid1D(-6.0, 6.0, 0.05).points()
+    worst = max(float(np.max(np.abs(_ode_residual(n, zs)))) for n in range(11))
     checks.append(_bounded("free", "ode-residual", worst < tol, "max residual", worst, tol))
 
     tol = 1e-10

@@ -30,8 +30,8 @@ from .ljmodel import (
 )
 from .numerics import grid_count
 from .oscillator import OscillatorSpec, energy, norm_const
-from .pcf import eval_D, pcf_poly
-from .polys import DEGREE_CAP, PolyZ
+from .pcf import _pcf_rows, eval_D
+from .polys import DEGREE_CAP, _expand, _hermite_rows
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -63,12 +63,13 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-def _poly_str(p: PolyZ, var: str = "z") -> str:
-    if p.is_zero():
+def _poly_str(coeffs: tuple[int, ...], var: str = "z") -> str:
+    """``coeffs`` (index k holds the coefficient of var^k) as text, highest power first."""
+    if not any(coeffs):
         return "0"
     parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         mag = abs(c)
@@ -99,17 +100,22 @@ def _write_csv(path: str, header: str, rows) -> None:
 # subcommand handlers
 
 
+def _table_line(n: int, coeffs: tuple[int, ...]) -> str:
+    """The ``table`` line of D_n, whose polynomial factor has coefficients ``coeffs``."""
+    s = _poly_str(coeffs)
+    if s == "1":
+        return f"D_{n}(z) = exp(-z^2/4)"
+    if " " in s:
+        return f"D_{n}(z) = ({s}) exp(-z^2/4)"
+    return f"D_{n}(z) = {s} exp(-z^2/4)"
+
+
 def _cmd_table(args) -> int:
     if args.n < 0 or args.n > DEGREE_CAP:
         raise ValueError(f"--n must be in 0..{DEGREE_CAP}")
-    for n in range(args.n + 1):
-        s = _poly_str(pcf_poly(n).poly)
-        if s == "1":
-            print(f"D_{n}(z) = exp(-z^2/4)")
-        elif " " in s:
-            print(f"D_{n}(z) = ({s}) exp(-z^2/4)")
-        else:
-            print(f"D_{n}(z) = {s} exp(-z^2/4)")
+    # One walk up the ladder of P_n: O(n) work per line.
+    for n, row in zip(range(args.n + 1), _pcf_rows(_hermite_rows())):
+        print(_table_line(n, _expand(n, row)))
     return EXIT_OK
 
 

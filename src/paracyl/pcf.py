@@ -1,13 +1,23 @@
 """Parabolic cylinder functions D_n(z) = P_n(z) e^{-z^2/4}, integer n >= 0.
 
-P_n is monic with exact integer coefficients, built by two independent
-routes that must agree coefficient-for-coefficient (``eval_D`` does not use
-them; it runs the three-term recurrence of D_n in floats):
+P_n is monic with exact integer coefficients (it is the probabilists'
+Hermite polynomial He_n).  It is built by two independent routes that must
+agree coefficient for coefficient; ``eval_D`` uses neither, it runs the
+three-term recurrence of D_n in floats:
 
 * substitution through the Hermite polynomials,
-  P_n(z) = 2^{-n/2} H_n(z / sqrt(2)), carried out exactly (the power of
-  sqrt(2) cancels against the Hermite coefficients, leaving integers);
-* a Rodrigues-style route, D_n(z) = (-1)^n e^{+z^2/4} d^n/dz^n e^{-z^2/2}.
+  P_n(z) = 2^{-n/2} H_n(z / sqrt(2)), carried out exactly on each row of the
+  H_n recurrence (the power of sqrt(2) cancels against the Hermite
+  coefficients, leaving integers);
+* a Rodrigues-style route, D_n(z) = (-1)^n e^{+z^2/4} d^n/dz^n e^{-z^2/2},
+  whose cofactor ladder is ``polys._rodrigues_rows(1)``.
+
+Both are exact integer ladders (see ``polys``): streams of parity-compressed
+rows, one per order, each step O(n) integer work from the rows before it.
+``pcf_poly`` and ``pcf_rodrigues_poly`` read row n of their ladder and
+validate it once as a ``PcfPolyPart``; ``paracyl.checks`` walks the same
+ladders once up to ``DEGREE_CAP`` to prove the routes equal and
+P_n'' - z P_n' + n P_n = 0 (DLMF 18.8.1) exactly for every order.
 
 Note the sign in the Rodrigues prefactor: it must be e^{+z^2/4}.  With
 e^{-z^2/4} the n = 1 case would come out as z e^{-3 z^2/4}, which does not
@@ -21,6 +31,7 @@ import math
 import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,13 +39,12 @@ import numpy as np
 
 from .polys import (
     DEGREE_CAP,
-    ONE,
     PolyZ,
     _check_order,
-    _hermite_coeffs,
-    _poly_mul_t,
-    _poly_scale,
-    _poly_sub,
+    _expand,
+    _hermite_rows,
+    _nth,
+    _rodrigues_rows,
     poly_derivative,
     poly_eval,
 )
@@ -57,18 +67,32 @@ class PcfPolyPart:
                 raise ValueError("polynomial factor must have parity (-1)^index")
 
 
+def _substitute(n: int, h: tuple[int, ...]) -> tuple[int, ...]:
+    """The row of P_n from the row of H_n: coefficient k divided by 2^{(n+k)/2}."""
+    shifts = range((n + 1) // 2, (n + 1) // 2 + len(h))
+    row = tuple(c >> e for c, e in zip(h, shifts))
+    if [c << e for c, e in zip(row, shifts)] != list(h):
+        raise AssertionError("Hermite-to-cylinder substitution produced a non-integer coefficient")
+    return row
+
+
+def _pcf_rows(hermite: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Rows of P_0, P_1, ... substituted from a stream of H_0, H_1, ... rows."""
+    for n, h in enumerate(hermite):
+        yield _substitute(n, h)
+
+
+def _ode_identity(n: int, row: tuple[int, ...]) -> bool:
+    """Whether P'' - z P' + n P is exactly 0, for the row of P of order n.
+
+    Coefficient i of the left side is (i+2)(i+1) p_{i+2} + (n - i) p_i.
+    """
+    return all((i + 2) * (i + 1) * y == (i - n) * x for x, y, i in zip(row, row[1:], range(n % 2, n, 2)))
+
+
 @lru_cache(maxsize=None)
 def _pcf_part(n: int) -> PcfPolyPart:
-    coeffs = []
-    for k, c in enumerate(_hermite_coeffs(n)):
-        if c == 0:
-            coeffs.append(0)
-            continue
-        q, r = divmod(c, 2 ** ((n + k) // 2))
-        if r:
-            raise AssertionError("Hermite-to-cylinder substitution produced a non-integer coefficient")
-        coeffs.append(q)
-    return PcfPolyPart(PolyZ(tuple(coeffs)), n)
+    return PcfPolyPart(PolyZ(_expand(n, _nth(_pcf_rows(_hermite_rows()), n))), n)
 
 
 def pcf_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
@@ -88,10 +112,7 @@ def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
     e^{+z^2/4} d^n/dz^n e^{-z^2/2} = r_n(z) e^{-z^2/4}, so P_n = (-1)^n r_n.
     """
     _check_order(n, cap)
-    r = ONE
-    for _ in range(n):
-        r = _poly_sub(poly_derivative(r), _poly_mul_t(r))
-    return PcfPolyPart(r if n % 2 == 0 else _poly_scale(r, -1), n)
+    return PcfPolyPart(PolyZ(_expand(n, _nth(_rodrigues_rows(1), n))), n)
 
 
 #: Bytes (``sys.getsizeof``) that the ladders ``eval_D`` keeps may hold in all.
@@ -216,6 +237,16 @@ def _pcf_derivatives(n: int) -> tuple[PolyZ, PolyZ, PolyZ]:
     return p, poly_derivative(p), poly_derivative(poly_derivative(p))
 
 
+def _ode_residual(n: int, z):
+    """``ode_residual`` at a float, or elementwise at an ndarray of floats."""
+    p, p1, p2 = _pcf_derivatives(n)
+    quarter = z * z / 4.0
+    pz = poly_eval(p, z)
+    bracket = poly_eval(p2, z) - z * poly_eval(p1, z) + (quarter - 0.5) * pz
+    gauss = np.exp(-quarter) if isinstance(z, np.ndarray) else math.exp(-quarter)
+    return (bracket + (n + 0.5 - quarter) * pz) * gauss
+
+
 def ode_residual(n: int, z: float, cap: int = DEGREE_CAP) -> float:
     """Residual D_n'' + (n + 1/2 - z^2/4) D_n at z, derivatives analytic.
 
@@ -223,9 +254,13 @@ def ode_residual(n: int, z: float, cap: int = DEGREE_CAP) -> float:
     D'' = (P'' - z P' + (z^2/4 - 1/2) P) e^{-z^2/4}; evaluating that bracket
     from the exact polynomial factor keeps the check independent of any
     finite-difference stencil.
+
+    The bracket is summed in floats on the monomial form, so past n ~ 40
+    the value is rounding noise that grows with n (about 6e11 at n = 40 and
+    z = 1.3, 2.8e180 at n = 200), not a measure of D_n.  The exact identity
+    P_n'' - z P_n' + n P_n = 0 behind it is proved on the integer
+    coefficients for every n <= DEGREE_CAP by the ``ode-identity`` gate of
+    ``paracyl.checks``.
     """
     _check_order(n, cap)
-    p, p1, p2 = _pcf_derivatives(n)
-    quarter = z * z / 4.0
-    bracket = poly_eval(p2, z) - z * poly_eval(p1, z) + (quarter - 0.5) * poly_eval(p, z)
-    return (bracket + (n + 0.5 - quarter) * poly_eval(p, z)) * math.exp(-quarter)
+    return _ode_residual(n, z)

@@ -11,8 +11,9 @@ coefficient 2^n, squared norm 2^n n! sqrt(pi)).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count, islice
 
 #: Default order cap for the polynomial constructors.  A resource guard, not
 #: a mathematical limit; pass a larger ``cap`` explicitly to go beyond it.
@@ -48,7 +49,6 @@ class PolyZ:
 
 
 ZERO = PolyZ()
-ONE = PolyZ((1,))
 
 
 def poly_eval(p: PolyZ, t):
@@ -68,22 +68,6 @@ def poly_derivative(p: PolyZ) -> PolyZ:
     return PolyZ(tuple(i * c for i, c in enumerate(p.coeffs))[1:])
 
 
-def _poly_sub(a: PolyZ, b: PolyZ) -> PolyZ:
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0,) * (n - len(b.coeffs))
-    return PolyZ(tuple(x - y for x, y in zip(ca, cb)))
-
-
-def _poly_scale(a: PolyZ, k: int) -> PolyZ:
-    return PolyZ(tuple(k * c for c in a.coeffs))
-
-
-def _poly_mul_t(a: PolyZ) -> PolyZ:
-    """Multiply by t (shift every power up by one)."""
-    return PolyZ((0,) + a.coeffs) if a.coeffs else ZERO
-
-
 def _check_order(n: int, cap: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("order must be an int")
@@ -93,26 +77,65 @@ def _check_order(n: int, cap: int) -> None:
         raise ValueError(f"order {n} exceeds the configured cap {cap}")
 
 
-@lru_cache(maxsize=None)
-def _hermite_coeffs(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev, cur = (1,), (0, 2)
-    for k in range(1, n):
-        # H_{k+1} = 2 t H_k - 2 k H_{k-1}
-        nxt = [0] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(prev):
-            nxt[i] -= 2 * k * c
-        prev, cur = cur, tuple(nxt)
-    return cur
+# The exact ladders.  A row is the parity-compressed coefficient tuple of
+# one polynomial of degree n and parity (-1)^n: its entry j is the
+# coefficient of t**(n % 2 + 2 j), so the zero coefficients between them are
+# never stored or multiplied.  Each ladder yields rows n = 0, 1, 2, ... with
+# O(n) integer work per step and keeps only the rows its step reads, so a
+# caller that walks one to order N does O(N^2) work in O(N) memory.
+
+
+def _hermite_rows() -> Iterator[tuple[int, ...]]:
+    """Rows of H_0, H_1, ... by H_{k+1} = 2 t H_k - 2 k H_{k-1} (DLMF 18.9.1)."""
+    prev, cur = (1,), (2,)
+    yield prev
+    for k in count(1):
+        yield cur
+        # t H_k has the parity of H_{k+1}; its row gains a leading 0 when k is odd.
+        shifted = (0,) + cur if k % 2 else cur
+        prev, cur = cur, tuple(2 * (x - k * y) for x, y in zip(shifted, prev + (0,)))
+
+
+def _rodrigues_step(n: int, row: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The row of s t p - p' for the row of p = (-1)^n q_n, q_n the Rodrigues cofactor.
+
+    Differentiating q e^{-s t^2 / 2} gives (q' - s t q) e^{-s t^2 / 2}; with the
+    sign (-1)^n folded into the row, the step is p -> s t p - p'.
+    """
+    if n % 2:  # p odd: coefficient 2j of the result reads p_{2j-1} and p_{2j+1}
+        below, above = (0,) + row, row + (0,)
+    else:  # p even: coefficient 2j+1 reads p_{2j} and p_{2j+2}
+        below, above = row, row[1:] + (0,)
+    return tuple(s * x - m * y for x, y, m in zip(below, above, range(2 - n % 2, n + 3, 2)))
+
+
+def _rodrigues_rows(s: int) -> Iterator[tuple[int, ...]]:
+    """Rows of (-1)^n e^{s t^2 / 2} d^n/dt^n e^{-s t^2 / 2} for n = 0, 1, ...
+
+    ``s = 2`` gives H_n(t), ``s = 1`` the factor P_n(z) of D_n.
+    """
+    row = (1,)
+    for n in count():
+        yield row
+        row = _rodrigues_step(n, row, s)
+
+
+def _nth(rows: Iterator[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """Row n of a ladder."""
+    return next(islice(rows, n, None))
+
+
+def _expand(n: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    """The full coefficient tuple, zeros included, of row ``n``."""
+    coeffs = [0] * (n + 1)
+    coeffs[n % 2 :: 2] = row
+    return tuple(coeffs)
 
 
 def hermite_recurrence(n: int, cap: int = DEGREE_CAP) -> PolyZ:
     """H_n built by the three-term recurrence, with exact coefficients."""
     _check_order(n, cap)
-    return PolyZ(_hermite_coeffs(n))
+    return PolyZ(_expand(n, _nth(_hermite_rows(), n)))
 
 
 def hermite_rodrigues(n: int, cap: int = DEGREE_CAP) -> PolyZ:
@@ -123,7 +146,4 @@ def hermite_rodrigues(n: int, cap: int = DEGREE_CAP) -> PolyZ:
     the (-1)^n sign then yields H_n.
     """
     _check_order(n, cap)
-    q = ONE
-    for _ in range(n):
-        q = _poly_sub(poly_derivative(q), _poly_scale(_poly_mul_t(q), 2))
-    return q if n % 2 == 0 else _poly_scale(q, -1)
+    return PolyZ(_expand(n, _nth(_rodrigues_rows(2), n)))

@@ -6,6 +6,8 @@ import paracyl.checks as checks
 import paracyl.cli as cli
 from paracyl.checks import CheckResult, field_suite, free_suite, lj_suite
 from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from paracyl.pcf import pcf_poly
+from paracyl.polys import DEGREE_CAP
 
 
 def run(capsys, *argv):
@@ -38,6 +40,11 @@ class TestTable:
         assert len(lines) == 8
         assert lines[6].startswith("D_6(z) = (z^6 - 15z^4 + 45z^2 - 15)")
         assert lines[7].startswith("D_7(z) = (z^7 - 21z^5 + 105z^3 - 105z)")
+
+    def test_streamed_ladder_renders_like_pcf_poly(self, capsys):
+        code, out, _ = run(capsys, "table", "--n", str(DEGREE_CAP))
+        assert code == EXIT_OK
+        assert out.splitlines() == [cli._table_line(n, pcf_poly(n).poly.coeffs) for n in range(DEGREE_CAP + 1)]
 
     def test_cap_exceeded_is_usage_error(self, capsys):
         code, _, err = run(capsys, "table", "--n", "500")
@@ -307,7 +314,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "free")
         assert code == EXIT_OK
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         assert "orthonormality" in out
 
     def test_lj_suite_passes(self, capsys):
