@@ -11,7 +11,6 @@ from .field import (
     FieldSpec,
     ShiftedState,
     energy_shifted,
-    eval_psi_shifted,
     expectation_x_shifted,
     field_hamiltonian_residual,
     gamma_of,
@@ -32,7 +31,6 @@ from .ljmodel import (
 from .numerics import (
     Grid1D,
     QuadratureRule,
-    fd_second_derivative,
     gauss_hermite_rule,
     golden_section_minimize,
     overlap,
@@ -47,7 +45,7 @@ from .oscillator import (
     hamiltonian_residual,
     norm_const,
 )
-from .pcf import PcfPolyPart, eval_D, ode_residual, pcf_poly, pcf_rodrigues_poly
+from .pcf import PcfPolyPart, eval_D, pcf_poly, pcf_rodrigues_poly
 from .polys import (
     DEGREE_CAP,
     PolyZ,
@@ -78,10 +76,8 @@ __all__ = [
     "estimate_gamma_sq",
     "eval_D",
     "eval_psi",
-    "eval_psi_shifted",
     "expectation_x",
     "expectation_x_shifted",
-    "fd_second_derivative",
     "field_hamiltonian_residual",
     "fit_oscillator",
     "gamma_of",
@@ -95,7 +91,6 @@ __all__ = [
     "lj_minimum",
     "lj_potential",
     "norm_const",
-    "ode_residual",
     "overlap",
     "pcf_poly",
     "pcf_rodrigues_poly",

@@ -54,6 +54,8 @@ def _check_rows(what: str, count: int) -> None:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError("grid bounds and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
@@ -221,8 +223,8 @@ def _cmd_figure2(args) -> int:
         k = osc.mu * osc.omega**2
     else:
         k = args.k
-    if not k > 0:
-        raise ValueError("--k must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError("--k must be positive and finite")
     r_grid = _grid(0.95 * spec.sigma, 2.0 * spec.sigma, 0.005 * spec.sigma).tolist()
     r_min = R_MIN_FACTOR * spec.sigma
     if min(abs(r - r_min) for r in r_grid) > 1e-12 * spec.sigma:

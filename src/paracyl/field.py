@@ -87,7 +87,9 @@ class ShiftedState:
         return cls(m=m, gamma=math.sqrt(gamma_sq), spec=spec, pcf_index=m + gamma_sq)
 
     def __call__(self, x: float) -> float:
-        return eval_psi_shifted(self, x)
+        """N_k D_k(sqrt(2 mu omega / hbar) x + 2 gamma) with k = pcf_index."""
+        s, k = self.spec, self.pcf_index
+        return norm_const(k, s) * eval_D(k, s.z_scale * x + 2.0 * self.gamma)
 
     @property
     def charge_field_product(self) -> float:
@@ -100,13 +102,6 @@ class ShiftedState:
         """Displaced well center, -q E / (mu omega^2)."""
         s = self.spec
         return -self.charge_field_product / (s.mu * s.omega**2)
-
-
-def eval_psi_shifted(state: ShiftedState, x: float) -> float:
-    """N_k D_k(sqrt(2 mu omega / hbar) x + 2 gamma) with k = pcf_index."""
-    s = state.spec
-    z = s.z_scale * x + 2.0 * state.gamma
-    return norm_const(state.pcf_index, s) * eval_D(state.pcf_index, z)
 
 
 def expectation_x_shifted(state: ShiftedState, rule: QuadratureRule | None = None) -> float:

@@ -99,8 +99,8 @@ def estimate_gamma_sq(epsilon: float, delta_e: float) -> tuple[int, float]:
 
 def harmonic_curve(r: float, spec: LJSpec, k: float) -> float:
     """Parabola -epsilon + k (r - 2^{1/6} sigma)^2 / 2 approximating the well."""
-    if not k > 0:
-        raise ValueError("force constant k must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError("force constant k must be positive and finite")
     d = r - R_MIN_FACTOR * spec.sigma
     return -spec.epsilon + 0.5 * k * d * d
 

@@ -1,9 +1,10 @@
-"""Quadrature against the Gaussian weight and finite-difference machinery.
+"""Quadrature against the Gaussian weight, uniform grids and a minimizer.
 
 This is the verification engine for the analytic claims made elsewhere in
-the package: Gauss-Hermite rules evaluate the weighted inner products, a
-central stencil applies the kinetic operator on grids, and a golden-section
-search provides an independent minimizer for potential curves.
+the package: Gauss-Hermite rules evaluate the weighted inner products,
+``Grid1D`` spans the grids on which the kinetic operator is applied by a
+central stencil, and a golden-section search provides an independent
+minimizer for potential curves.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: Largest supported rule size.  A resource guard: the dense Jacobi
-#: eigensolve costs O(n^3) and every built rule stays cached.
+#: Largest supported rule size.  A resource guard: ``hermgauss`` runs a dense
+#: O(n^3) eigensolve and every built rule stays cached.  numpy documents the
+#: rules as tested to 100 points; the tests check every size up to this one
+#: against scipy.
 MAX_RULE_POINTS = 256
 
 
@@ -85,55 +88,15 @@ class Grid1D:
         return self.lo + self.h * np.arange(self.npoints)
 
 
-def _orthonormal_hermite(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the orthonormal Hermite polynomials (h_k, h_{k-1}) at t.
-
-    The orthonormal recurrence keeps intermediate values bounded far better
-    than the raw 2^n-leading-coefficient polynomials, which overflow doubles
-    near n ~ 190.
-    """
-    below = np.zeros_like(t)
-    cur = np.full_like(t, math.pi ** -0.25)
-    for j in range(k):
-        cur, below = (
-            t * math.sqrt(2.0 / (j + 1)) * cur - math.sqrt(j / (j + 1)) * below,
-            cur,
-        )
-    return cur, below
-
-
-def _refine_roots(k: int, guesses: np.ndarray) -> np.ndarray:
-    """Newton-polish sorted guesses into the k roots of H_k."""
-    dcoef = math.sqrt(2.0 * k)
-    x = guesses.astype(float)
-    for _ in range(100):
-        val, below = _orthonormal_hermite(k, x)
-        step = val / (dcoef * below)
-        x = x - step
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(x))):
-            val, below = _orthonormal_hermite(k, x)
-            x = x - val / (dcoef * below)
-            break
-    else:
-        raise RuntimeError(
-            f"Newton refinement for the {k}-point rule did not converge in 100 iterations"
-        )
-    # Enforce the exact +/- symmetry of the root set (middle root -> 0).
-    x = 0.5 * (x - x[::-1])
-    if np.any(np.diff(x) <= 0):
-        raise RuntimeError(f"root refinement for the {k}-point rule lost the interlacing order")
-    return x
-
-
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """N-point Gauss-Hermite rule, exact for polynomial degree <= 2N - 1.
 
-    Nodes are the roots of H_n, found as in Golub & Welsch (Math. Comp. 23,
-    1969): they are the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix of the orthonormal recurrence (zero diagonal, off-diagonal
-    sqrt(k / 2) for k = 1..n-1), then Newton-polished on that recurrence and
-    symmetrized.  Weights come from the standard derivative formula,
-    w_i = 1 / (n * h_{n-1}(x_i)^2) in orthonormal form.
+    The rule is numpy's ``hermgauss``, which follows Golub & Welsch (Math.
+    Comp. 23, 1969): the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Hermite recurrence, polished by one Newton step on the
+    normalized recurrence; nodes and weights are then symmetrized and the
+    weights rescaled to sum to sqrt(pi).  Every rule is validated once as a
+    ``QuadratureRule`` and cached.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("rule size must be an int")
@@ -144,12 +107,8 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _build_rule(n: int) -> QuadratureRule:
-    # eigvalsh reads only the lower triangle of the symmetric Jacobi matrix.
-    jacobi_lower = np.diag(np.sqrt(0.5 * np.arange(1, n)), -1)
-    roots = _refine_roots(n, np.linalg.eigvalsh(jacobi_lower))
-    values, _ = _orthonormal_hermite(n - 1, roots)
-    weights = 1.0 / (n * values**2)
-    return QuadratureRule(tuple(float(x) for x in roots), tuple(float(w) for w in weights))
+    nodes, weights = np.polynomial.hermite.hermgauss(n)
+    return QuadratureRule(tuple(nodes.tolist()), tuple(weights.tolist()))
 
 
 def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
@@ -167,13 +126,6 @@ def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
     if bad.any():
         raise ValueError(f"non-finite integrand value at node {rule.nodes[int(np.argmax(bad))]!r}")
     return math.fsum((rule.weight_array * fv * gv).tolist())
-
-
-def fd_second_derivative(f, x: float, h: float) -> float:
-    """Central second-difference (f(x-h) - 2 f(x) + f(x+h)) / h^2, O(h^2)."""
-    if not h > 0:
-        raise ValueError("step h must be positive")
-    return (f(x - h) - 2.0 * f(x) + f(x + h)) / (h * h)
 
 
 def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:

@@ -94,10 +94,6 @@ class Eigenstate:
     def __call__(self, x: float) -> float:
         return eval_psi(self.n, self.spec, x)
 
-    @property
-    def energy(self) -> float:
-        return energy(self.n, self.spec)
-
 
 def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = None) -> float:
     """<psi_n | x | psi_n> by quadrature; zero by parity."""

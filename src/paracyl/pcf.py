@@ -27,7 +27,6 @@ this down against the n = 0..5 closed forms.
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 from collections import OrderedDict
@@ -237,30 +236,18 @@ def _pcf_derivatives(n: int) -> tuple[PolyZ, PolyZ, PolyZ]:
     return p, poly_derivative(p), poly_derivative(poly_derivative(p))
 
 
-def _ode_residual(n: int, z):
-    """``ode_residual`` at a float, or elementwise at an ndarray of floats."""
-    p, p1, p2 = _pcf_derivatives(n)
-    quarter = z * z / 4.0
-    pz = poly_eval(p, z)
-    bracket = poly_eval(p2, z) - z * poly_eval(p1, z) + (quarter - 0.5) * pz
-    gauss = np.exp(-quarter) if isinstance(z, np.ndarray) else math.exp(-quarter)
-    return (bracket + (n + 0.5 - quarter) * pz) * gauss
-
-
-def ode_residual(n: int, z: float, cap: int = DEGREE_CAP) -> float:
-    """Residual D_n'' + (n + 1/2 - z^2/4) D_n at z, derivatives analytic.
+def _ode_residual(n: int, z: np.ndarray) -> np.ndarray:
+    """Residual D_n'' + (n + 1/2 - z^2/4) D_n at an ndarray of floats.
 
     For D = P e^{-z^2/4} the second derivative is
     D'' = (P'' - z P' + (z^2/4 - 1/2) P) e^{-z^2/4}; evaluating that bracket
     from the exact polynomial factor keeps the check independent of any
-    finite-difference stencil.
-
-    The bracket is summed in floats on the monomial form, so past n ~ 40
-    the value is rounding noise that grows with n (about 6e11 at n = 40 and
-    z = 1.3, 2.8e180 at n = 200), not a measure of D_n.  The exact identity
-    P_n'' - z P_n' + n P_n = 0 behind it is proved on the integer
-    coefficients for every n <= DEGREE_CAP by the ``ode-identity`` gate of
-    ``paracyl.checks``.
+    finite-difference stencil.  The bracket is summed in floats on the
+    monomial form, so past n ~ 40 the value is rounding noise that grows
+    with n; the exact identity behind it is the ``ode-identity`` gate.
     """
-    _check_order(n, cap)
-    return _ode_residual(n, z)
+    p, p1, p2 = _pcf_derivatives(n)
+    quarter = z * z / 4.0
+    pz = poly_eval(p, z)
+    bracket = poly_eval(p2, z) - z * poly_eval(p1, z) + (quarter - 0.5) * pz
+    return (bracket + (n + 0.5 - quarter) * pz) * np.exp(-quarter)

@@ -97,6 +97,9 @@ class TestGridLimits:
             ["eval", "--lo", "0", "--hi", "1", "--step", "1e-12"],
             ["eval", "--lo", "0", "--hi", "1", "--step", "1e-320"],  # count overflows a float
             ["figure1", "--lo", "0", "--hi", "1", "--step", "1e-12"],
+            ["eval", "--lo", "0", "--hi", "1", "--step", "inf"],  # one row at lo + inf * 0 = nan
+            ["figure1", "--lo", "0", "--hi", "1", "--step", "inf"],
+            ["eval", "--lo", "nan", "--hi", "1", "--step", "0.5"],
         ],
     )
     def test_oversized_grid_fails_on_the_count_before_allocating(self, capsys, monkeypatch, tmp_path, argv):
@@ -307,6 +310,13 @@ class TestFigure2:
         v = float(row.split(",")[2])
         d = float(row.split(",")[0]) - r_min
         assert v == pytest.approx(-1.0 + 0.5 * d * d, abs=1e-12)
+
+    def test_infinite_force_constant_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "figure2", "--k", "inf", "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --k must be positive and finite\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

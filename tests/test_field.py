@@ -7,7 +7,6 @@ from paracyl.field import (
     FieldSpec,
     ShiftedState,
     energy_shifted,
-    eval_psi_shifted,
     expectation_x_shifted,
     field_hamiltonian_residual,
     gamma_of,
@@ -79,16 +78,16 @@ class TestEvalPsiShifted:
         for n in range(5):
             state = ShiftedState.continuous(n, 0.0, ONES)
             for x in (-2.1, -0.3, 0.0, 1.7):
-                assert eval_psi_shifted(state, x) == eval_psi(n, ONES, x)
+                assert state(x) == eval_psi(n, ONES, x)
 
     def test_displaced_ground_state_peak(self):
         # z = sqrt(2) x + 2 vanishes at x = -sqrt(2)
         state = ShiftedState.continuous(0, 1.0, ONES)
-        assert eval_psi_shifted(state, -math.sqrt(2.0)) == pytest.approx(PI_QUARTER, rel=1e-12)
+        assert state(-math.sqrt(2.0)) == pytest.approx(PI_QUARTER, rel=1e-12)
 
     def test_displaced_node(self):
         state = ShiftedState.continuous(1, 1.0, ONES)
-        assert eval_psi_shifted(state, -math.sqrt(2.0)) == pytest.approx(0.0, abs=1e-12)
+        assert state(-math.sqrt(2.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestExpectationXShifted:

@@ -9,14 +9,12 @@ compressed steps are checked against arithmetic they do not share.
 
 from itertools import islice
 
-import numpy as np
 import pytest
 
 from paracyl import checks, pcf, polys
 from paracyl.checks import exact_claims, free_suite
 from paracyl.cli import EXIT_VERIFY_FAIL, main
-from paracyl.numerics import Grid1D
-from paracyl.pcf import _ode_identity, _ode_residual, _pcf_rows, ode_residual, pcf_poly, pcf_rodrigues_poly
+from paracyl.pcf import _ode_identity, _pcf_rows, pcf_poly, pcf_rodrigues_poly
 from paracyl.polys import DEGREE_CAP, _expand, _hermite_rows, _rodrigues_rows, hermite_recurrence, hermite_rodrigues
 
 ORDERS = DEGREE_CAP + 1
@@ -151,19 +149,3 @@ class TestExactGates:
         assert main(["verify", "--suite", "free"]) == EXIT_VERIFY_FAIL
         failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert failed == ["FAIL  [free] route-equivalence", "FAIL  [free] ode-identity"]
-
-
-class TestOdeResidualGate:
-    zs = np.linspace(-6.0, 6.0, 241)
-
-    @pytest.mark.parametrize("n", [0, 3, 10, 40])
-    def test_array_and_scalar_share_one_helper(self, n):
-        scalars = np.array([ode_residual(n, z) for z in self.zs.tolist()])
-        # Only the Gaussian differs: np.exp and math.exp may round apart by an ulp.
-        np.testing.assert_allclose(_ode_residual(n, self.zs), scalars, rtol=2 * np.finfo(float).eps, atol=0)
-
-    def test_gate_reports_the_scalar_worst_case(self):
-        zs = Grid1D(-6.0, 6.0, 0.05).points().tolist()
-        worst = max(abs(ode_residual(n, z)) for n in range(11) for z in zs)
-        record = next(r for r in free_suite() if r.name == "ode-residual")
-        assert record.detail == f"max residual {worst:.3e} (tol 1e-08)"

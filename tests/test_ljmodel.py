@@ -183,6 +183,11 @@ class TestHarmonicCurve:
         with pytest.raises(ValueError):
             harmonic_curve(1.0, UNIT, 0.0)
 
+    def test_rejects_infinite_force_constant(self):
+        # inf * 0 at the vertex would otherwise give nan
+        with pytest.raises(ValueError):
+            harmonic_curve(R_MIN_FACTOR, UNIT, math.inf)
+
 
 class TestCurvatureMatchedK:
     def test_value(self):

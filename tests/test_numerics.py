@@ -9,7 +9,6 @@ from paracyl.numerics import (
     MAX_RULE_POINTS,
     QuadratureRule,
     SQRT_PI,
-    fd_second_derivative,
     gauss_hermite_rule,
     golden_section_minimize,
     overlap,
@@ -75,7 +74,7 @@ class TestGaussHermiteRule:
             approx = math.fsum(w * t ** (2 * k) for t, w in zip(rule.nodes, rule.weights))
             assert approx == pytest.approx(even_moment(k), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 7, 32, 64])
+    @pytest.mark.parametrize("n", range(1, MAX_RULE_POINTS + 1))
     def test_node_symmetry_and_pairwise_weights(self, n):
         rule = gauss_hermite_rule(n)
         nodes, weights = rule.nodes, rule.weights
@@ -145,29 +144,6 @@ class TestWeightedInnerProduct:
             weighted_inner_product(f, lambda t: 1.0, rule)
         with pytest.raises(ValueError, match=repr(bad)):
             weighted_inner_product(lambda t: 1.0, f, rule)
-
-
-class TestFdSecondDerivative:
-    def test_exact_on_quadratics(self):
-        # truncation vanishes for quadratics; what remains is cancellation
-        # noise of order eps |f| / h^2
-        assert fd_second_derivative(lambda t: t * t, 1.7, 0.25) == pytest.approx(2.0, abs=1e-12)
-        assert fd_second_derivative(lambda t: t * t, -4.0, 1e-3) == pytest.approx(2.0, abs=1e-7)
-
-    def test_sine_at_origin(self):
-        assert abs(fd_second_derivative(math.sin, 0.0, 1e-3)) < 1e-9
-
-    def test_exp_at_origin(self):
-        assert fd_second_derivative(math.exp, 0.0, 1e-3) == pytest.approx(1.0, abs=1e-6)
-
-    def test_second_order_convergence(self):
-        e1 = abs(fd_second_derivative(math.exp, 0.0, 1e-2) - 1.0)
-        e2 = abs(fd_second_derivative(math.exp, 0.0, 5e-3) - 1.0)
-        assert 3.8 <= e1 / e2 <= 4.2
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            fd_second_derivative(math.exp, 0.0, 0.0)
 
 
 class TestOverlap:

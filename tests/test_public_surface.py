@@ -28,10 +28,8 @@ PUBLIC = [
     "estimate_gamma_sq",
     "eval_D",
     "eval_psi",
-    "eval_psi_shifted",
     "expectation_x",
     "expectation_x_shifted",
-    "fd_second_derivative",
     "field_hamiltonian_residual",
     "fit_oscillator",
     "gamma_of",
@@ -45,7 +43,6 @@ PUBLIC = [
     "lj_minimum",
     "lj_potential",
     "norm_const",
-    "ode_residual",
     "overlap",
     "pcf_poly",
     "pcf_rodrigues_poly",
