@@ -10,6 +10,7 @@ Exit statuses: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -42,9 +43,33 @@ EXIT_IO = 3
 #: ``lj``, ``figure2``, ``verify --gamma-sq``) that are built in memory.
 MAX_GRID_ROWS = 10**6
 
+#: Rows formatted and written per ``write`` call by ``_emit``: enough to make the
+#: call cost vanish, few enough that a chunk's text stays small next to the table.
+_CHUNK_ROWS = 4096
+
+
 def _fmt(v) -> str:
     """12 significant digits, '.' separator; integers render compactly."""
     return format(float(v), ".12g")
+
+
+def _emit(fh, rows, width: int) -> None:
+    """Write ``rows`` (tuples of ``width`` numbers) to ``fh`` as CSV lines, one chunk per write.
+
+    Each value renders as ``_fmt`` renders it: ``'%.12g' % v`` and
+    ``format(float(v), '.12g')`` make the same string, and an integer of
+    magnitude below 10**12 renders as ``str``.
+    """
+    line = ",".join(["%.12g"] * width) + "\n"
+    rows = iter(rows)
+    while chunk := [line % row for row in itertools.islice(rows, _CHUNK_ROWS)]:
+        fh.write("".join(chunk))
+
+
+def _array_rows(*columns: np.ndarray):
+    """Rows of equal-length arrays, converted to Python floats one chunk at a time."""
+    for i in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield from zip(*(c[i : i + _CHUNK_ROWS].tolist() for c in columns))
 
 
 def _check_rows(what: str, count: int) -> None:
@@ -58,6 +83,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError("grid bounds and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
+    if step < sys.float_info.min:
+        raise ValueError(f"grid step {step!r} is subnormal (below {sys.float_info.min!r})")
     if hi < lo:
         raise ValueError("range needs hi >= lo")
     count = grid_count(lo, hi, step)
@@ -92,10 +119,10 @@ def _spec_from_args(args) -> OscillatorSpec:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    """Write ``header`` and ``rows``, whose width is the header's column count."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        _emit(fh, rows, header.count(",") + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +151,8 @@ def _cmd_table(args) -> int:
 def _cmd_eval(args) -> int:
     spec = _spec_from_args(args)
     x = _grid(args.lo, args.hi, args.step)
+    if spec.z_scale * args.step < sys.float_info.min:
+        raise ValueError(f"z step z_scale * step = {spec.z_scale * args.step!r} is subnormal")
     z = spec.z_scale * x
     d = eval_D(args.n, z)  # also rejects --n outside 0..DEGREE_CAP
     print(
@@ -131,8 +160,7 @@ def _cmd_eval(args) -> int:
         f"hbar={_fmt(spec.hbar)} E_n={_fmt(energy(args.n, spec))}"
     )
     print("x,z,D_n,psi_n")
-    for row in zip(x.tolist(), z.tolist(), d.tolist(), (norm_const(args.n, spec) * d).tolist()):
-        print(",".join(_fmt(v) for v in row))
+    _emit(sys.stdout, _array_rows(x, z, d, norm_const(args.n, spec) * d), 4)
     return EXIT_OK
 
 
@@ -142,8 +170,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("--n must be non-negative")
     _check_rows("ladder", args.n + 1)
     print("n,E_n")
-    for n in range(args.n + 1):
-        print(f"{n},{_fmt(energy(n, spec))}")
+    _emit(sys.stdout, ((n, energy(n, spec)) for n in range(args.n + 1)), 2)
     return EXIT_OK
 
 
@@ -171,12 +198,10 @@ def _cmd_field(args) -> int:
     print(f"e_min = {_fmt(e_min)}")
     if args.gamma_sq is not None:
         print("m,E_m,pcf_index")
-        for m, e, idx in integer_branch_spectrum(args.gamma_sq, m_max, spec):
-            print(f"{m},{_fmt(e)},{idx}")
+        _emit(sys.stdout, integer_branch_spectrum(args.gamma_sq, m_max, spec), 3)
     else:
         print("n,E_n")
-        for n in range(n_max + 1):
-            print(f"{n},{_fmt(energy_shifted(n, gamma, spec))}")
+        _emit(sys.stdout, ((n, energy_shifted(n, gamma, spec)) for n in range(n_max + 1)), 2)
     return EXIT_OK
 
 
@@ -191,8 +216,7 @@ def _cmd_lj(args) -> int:
     print(f"omega = {_fmt(osc.omega)}")
     print(f"level_spacing = {_fmt(spec.epsilon / spec.gamma_sq)}")
     print("m,E_m")
-    for m, e in bound_levels(spec):
-        print(f"{m},{_fmt(e)}")
+    _emit(sys.stdout, bound_levels(spec), 2)
     if estimate is not None:
         g, residual = estimate
         print(f"estimated_gamma_sq = {g}")
@@ -204,9 +228,9 @@ def _cmd_figure1(args) -> int:
     if not args.lo < args.hi:
         raise ValueError("needs --lo < --hi")
     z = _grid(args.lo, args.hi, args.step)
-    rows = list(zip(z.tolist(), *(eval_D(n, z).tolist() for n in range(4))))
-    _write_csv(args.out, "z,D0,D1,D2,D3", rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    columns = [eval_D(n, z) for n in range(4)]
+    _write_csv(args.out, "z,D0,D1,D2,D3", _array_rows(z, *columns))
+    print(f"wrote {args.out} ({len(z)} rows)")
     return EXIT_OK
 
 

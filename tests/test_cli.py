@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -100,6 +101,8 @@ class TestGridLimits:
             ["eval", "--lo", "0", "--hi", "1", "--step", "inf"],  # one row at lo + inf * 0 = nan
             ["figure1", "--lo", "0", "--hi", "1", "--step", "inf"],
             ["eval", "--lo", "nan", "--hi", "1", "--step", "0.5"],
+            ["eval", "--lo", "0", "--hi", "5e-323", "--step", "5e-324"],  # subnormal step
+            ["figure2", "--sigma", "1e-320"],  # subnormal r step 0.005 sigma
         ],
     )
     def test_oversized_grid_fails_on_the_count_before_allocating(self, capsys, monkeypatch, tmp_path, argv):
@@ -107,13 +110,28 @@ class TestGridLimits:
             raise AssertionError("grid allocated before its row count was checked")
 
         monkeypatch.setattr(cli.np, "arange", no_allocation)
-        if argv[0] == "figure1":
+        if argv[0].startswith("figure"):
             argv = [*argv, "--out", str(tmp_path / "x.csv")]
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ")
-        assert not (tmp_path / "x.csv").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_subnormal_z_step_is_usage_error(self, capsys):
+        # x step 1e-300 is normal; z_scale = sqrt(2e-20) takes the z step to 1.4e-310
+        code, out, err = run(
+            capsys, "eval", "--mu", "1e-10", "--omega", "1e-10", "--lo", "0", "--hi", "1e-299", "--step", "1e-300"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: z step")
+
+    def test_smallest_normal_step_is_allowed(self, capsys):
+        step = repr(sys.float_info.min)
+        code, out, _ = run(capsys, "eval", "--lo", "0", "--hi", step, "--step", step)
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 4
 
     def test_grid_at_the_row_limit_is_allowed(self):
         assert len(cli._grid(0.0, 0.999999, 1e-6)) == cli.MAX_GRID_ROWS
