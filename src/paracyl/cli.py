@@ -13,6 +13,7 @@ import argparse
 import itertools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +210,15 @@ def _cmd_lj(args) -> int:
     spec = LJSpec(epsilon=args.epsilon, sigma=args.sigma, gamma_sq=args.gamma_sq)
     _check_rows("ladder", spec.gamma_sq)
     osc = fit_oscillator(spec, mu=args.mu, hbar=args.hbar)
-    estimate = None if args.delta_e is None else estimate_gamma_sq(args.epsilon, args.delta_e)
+    estimate = None
+    if args.delta_e is not None:
+        # The clamp warning becomes one plain stderr line; the block holds only
+        # this call, so warnings raised anywhere else keep their filters.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            estimate = estimate_gamma_sq(args.epsilon, args.delta_e)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
     r_min, u_min = lj_minimum(spec)
     print(f"r_min = {_fmt(r_min)}")
     print(f"u_min = {_fmt(u_min)}")

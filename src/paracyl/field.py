@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import Grid1D, QuadratureRule, overlap
+from .numerics import Grid1D, QuadratureRule, _sized_rule, overlap
 from .oscillator import OscillatorSpec, _grid_residual, norm_const
 from .pcf import eval_D
 
@@ -109,8 +109,10 @@ def expectation_x_shifted(state: ShiftedState, rule: QuadratureRule | None = Non
 
     The integral runs over u = x - x_center, where the state is a polynomial
     times the Gaussian of the rule, so a rule of pcf_index + 1 points or
-    more is exact.
+    more is exact: ``rule=None`` picks ``gauss_hermite_rule(max(64,
+    pcf_index + 1))`` and a smaller rule is a ``ValueError``.
     """
+    rule = _sized_rule(state.pcf_index + 1, rule)
     center = state.x_center
 
     def centred(u):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, QuadratureRule, overlap
+from .numerics import Grid1D, QuadratureRule, _sized_rule, overlap
 from .pcf import eval_D
 
 
@@ -96,8 +96,13 @@ class Eigenstate:
 
 
 def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = None) -> float:
-    """<psi_n | x | psi_n> by quadrature; zero by parity."""
+    """<psi_n | x | psi_n> by quadrature; exactly 0.0 by parity.
+
+    The rule must hold at least n + 1 points; ``rule=None`` picks
+    ``gauss_hermite_rule(max(64, n + 1))`` and a smaller rule is a ``ValueError``.
+    """
     psi = Eigenstate(n, spec)
+    rule = _sized_rule(n + 1, rule)
     return overlap(psi, lambda x: x * psi(x), spec.gaussian_scale, rule)
 
 
@@ -112,9 +117,23 @@ def _grid_residual(state, e: float, qe: float, center: float, grid: Grid1D, cove
     if x[0] > center - span + slack or x[-1] < center + span - slack:
         raise ValueError(coverage)
     psi = state(x)
-    potential = 0.5 * spec.mu * spec.omega**2 * x * x + qe * x
-    kinetic = -(spec.hbar**2 / (2.0 * spec.mu)) * (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
-    return float(np.max(np.abs(kinetic + (potential[1:-1] - e) * psi[1:-1])))
+    inner, xi = psi[1:-1], x[1:-1]
+    # In place, in the operation order of
+    #   -(hbar^2 / 2 mu) (psi[:-2] - 2 psi[1:-1] + psi[2:]) / h^2
+    #   + (0.5 mu omega^2 x x + qe x - e) psi[1:-1]
+    # so the values are those of that expression bit for bit.
+    r = np.multiply(inner, 2.0)
+    np.subtract(psi[:-2], r, out=r)
+    r += psi[2:]
+    r *= -(spec.hbar**2 / (2.0 * spec.mu))
+    r /= h * h
+    v = np.multiply(xi, 0.5 * spec.mu * spec.omega**2)
+    v *= xi
+    v += qe * xi
+    v -= e
+    v *= inner
+    r += v
+    return float(np.abs(r, out=r).max())
 
 
 def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:

@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,9 @@ from paracyl.checks import CheckResult, field_suite, free_suite, lj_suite
 from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from paracyl.pcf import pcf_poly
 from paracyl.polys import DEGREE_CAP
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -243,6 +249,26 @@ class TestLj:
         assert lines[idx + 1 : idx + 3] == ["-2,-0.75", "-1,-0.25"]
         assert "estimated_gamma_sq = 2" in lines
         assert "estimate_residual = 0" in lines
+
+    def test_spacing_above_depth_prints_one_plain_warning(self, capsys):
+        code, out, err = run(capsys, "lj", "--gamma-sq", "5000", "--delta-e", "0.3", "--epsilon", "7e-21")
+        assert code == EXIT_OK
+        assert err == "warning: level spacing 0.3 exceeds well depth 7e-21; clamping gamma_sq to 1\n"
+        for raw in ("UserWarning", ".py:", "Traceback"):
+            assert raw not in err
+        lines = out.splitlines()
+        assert lines[-2:] == ["estimated_gamma_sq = 1", f"estimate_residual = {format(1.0 - 7e-21 / 0.3, '.12g')}"]
+        assert len(lines) == 5 + 5000 + 2
+
+    def test_spacing_warning_is_plain_through_the_console(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "paracyl.cli", "lj", "--delta-e", "2", "--epsilon", "1"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))),
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == "warning: level spacing 2.0 exceeds well depth 1.0; clamping gamma_sq to 1\n"
 
     @pytest.mark.parametrize("epsilon,delta_e", [("1", "1e-320"), ("1e308", "1e-300")])
     def test_overflowing_estimate_fails_before_any_output(self, capsys, epsilon, delta_e):

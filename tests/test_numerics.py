@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from paracyl.numerics import (
@@ -14,7 +16,8 @@ from paracyl.numerics import (
     overlap,
     weighted_inner_product,
 )
-from paracyl.oscillator import Eigenstate, OscillatorSpec
+from paracyl.field import ShiftedState, expectation_x_shifted
+from paracyl.oscillator import Eigenstate, OscillatorSpec, expectation_x
 from paracyl.polys import hermite_recurrence, poly_eval
 
 
@@ -47,6 +50,16 @@ class TestQuadratureRuleType:
             assert tuple(array.tolist()) == values
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    def test_fold_array_is_read_only_and_bit_identical_to_the_per_call_factor(self):
+        for n in range(1, MAX_RULE_POINTS + 1):
+            rule = gauss_hermite_rule(n)
+            t = rule.node_array
+            assert rule.fold_array.dtype == np.float64
+            assert rule.fold_array.tobytes() == np.exp(0.5 * t * t).tobytes()
+            with pytest.raises(ValueError):
+                rule.fold_array[0] = 1.0
+        assert gauss_hermite_rule(8).fold_array is gauss_hermite_rule(8).fold_array
 
     def test_arrays_are_built_once(self):
         rule = gauss_hermite_rule(8)
@@ -146,6 +159,54 @@ class TestWeightedInnerProduct:
             weighted_inner_product(lambda t: 1.0, f, rule)
 
 
+#: Mirror-pair sum against math.fsum: |error| <= len(rule) * 2**-52 * sum|v|.
+FSUM_BOUND_PER_POINT = 2.0**-52
+
+UNIT = OscillatorSpec()
+
+
+def folded(state, rule):
+    """state(t) e^{t^2/2} at the nodes: one factor of ``overlap`` at scale 1."""
+    return lambda t: state(t) * rule.fold_array
+
+
+class TestMirrorPairSum:
+    @pytest.mark.parametrize("k", range(1, MAX_RULE_POINTS + 1))
+    def test_odd_integrands_are_exactly_zero(self, k):
+        rule = gauss_hermite_rule(k)
+        n = min(k - 1, 200)
+        psi = folded(Eigenstate(n, UNIT), rule)
+        assert weighted_inner_product(lambda t: t * psi(t), psi, rule) == 0.0
+        for i in {0, n // 2, n}:
+            j = i + 1 if i < 200 else i - 1
+            a, b = folded(Eigenstate(i, UNIT), rule), folded(Eigenstate(j, UNIT), rule)
+            assert weighted_inner_product(a, b, rule) == 0.0
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_matches_fsum_within_the_pairwise_bound(self, data):
+        k = data.draw(st.integers(1, MAX_RULE_POINTS))
+        rule = gauss_hermite_rule(k)
+        finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+        fv = np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
+        gv = np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
+        v = (rule.weight_array * fv * gv).tolist()
+        value = weighted_inner_product(lambda t: fv, lambda t: gv, rule)
+        assert abs(value - math.fsum(v)) <= k * FSUM_BOUND_PER_POINT * math.fsum(map(abs, v))
+
+    def test_non_symmetric_rule(self):
+        half = SQRT_PI / 2
+        rule = QuadratureRule((-1.0, 2.0), (half, half))
+        assert weighted_inner_product(lambda t: 1.0, lambda t: 1.0, rule) == math.fsum([half, half])
+        assert weighted_inner_product(lambda t: t, lambda t: 1.0, rule) == math.fsum([-half, 2.0 * half])
+        assert weighted_inner_product(lambda t: t, lambda t: t, rule) == math.fsum([half, 4.0 * half])
+        third = SQRT_PI / 3
+        rule = QuadratureRule((-1.0, 0.5, 3.0), (third, third, third))
+        assert weighted_inner_product(lambda t: t, lambda t: t * t, rule) == pytest.approx(
+            third * (-1.0 + 0.125 + 27.0), rel=1e-15
+        )
+
+
 class TestOverlap:
     def test_ground_state_normalization(self):
         spec = OscillatorSpec()
@@ -195,6 +256,53 @@ class TestOverlap:
             overlap(Eigenstate(0, spec), Eigenstate(0, spec), 0.0)
 
 
+class TestRuleSizedByOrder:
+    @pytest.mark.parametrize("n", [64, 80, 150, 200])
+    def test_default_rule_is_exact_past_64_points(self, n):
+        psi = Eigenstate(n, UNIT)
+        assert overlap(psi, psi, UNIT.gaussian_scale) == pytest.approx(1.0, abs=1e-10)
+
+    def test_default_rule_is_sized_from_both_orders(self):
+        a, b = Eigenstate(120, UNIT), Eigenstate(140, UNIT)
+        assert overlap(a, b, 1.0) == overlap(a, b, 1.0, gauss_hermite_rule(131))
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (3, 5), (10, 10), (60, 67)])
+    def test_orders_within_64_points_keep_the_64_point_rule(self, i, j):
+        a, b = Eigenstate(i, UNIT), Eigenstate(j, UNIT)
+        assert overlap(a, b, 1.0) == overlap(a, b, 1.0, gauss_hermite_rule(64))
+
+    def test_too_small_explicit_rule_is_rejected(self):
+        psi = Eigenstate(80, UNIT)
+        with pytest.raises(ValueError, match="at least 81 points"):
+            overlap(psi, psi, 1.0, gauss_hermite_rule(64))
+        assert overlap(psi, psi, 1.0, gauss_hermite_rule(81)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_callables_without_an_order_keep_the_64_point_rule(self):
+        psi = Eigenstate(80, UNIT)
+        plain = lambda x: psi(x)
+        rule = gauss_hermite_rule(64)
+        assert overlap(plain, psi, 1.0) == overlap(plain, psi, 1.0, rule)
+        shifted = ShiftedState.continuous(80, 0.5, UNIT)
+        assert overlap(shifted, shifted, 1.0) == overlap(shifted, shifted, 1.0, rule)
+        # An explicit rule is taken as given when the orders are unknown.
+        assert math.isfinite(overlap(plain, plain, 1.0, gauss_hermite_rule(2)))
+
+    def test_expectation_x_sizes_its_rule(self):
+        assert expectation_x(80, UNIT) == 0.0
+        assert expectation_x(10, UNIT) == expectation_x(10, UNIT, gauss_hermite_rule(64))
+        with pytest.raises(ValueError, match="at least 81 points"):
+            expectation_x(80, UNIT, gauss_hermite_rule(80))
+
+    @pytest.mark.parametrize("gamma", [-0.9, 0.5])
+    def test_expectation_x_shifted_sizes_its_rule(self, gamma):
+        state = ShiftedState.continuous(80, gamma, UNIT)
+        assert expectation_x_shifted(state) == pytest.approx(-gamma * math.sqrt(2.0), abs=1e-9)
+        with pytest.raises(ValueError, match="at least 81 points"):
+            expectation_x_shifted(state, gauss_hermite_rule(64))
+        low = ShiftedState.continuous(5, gamma, UNIT)
+        assert expectation_x_shifted(low) == expectation_x_shifted(low, gauss_hermite_rule(64))
+
+
 class TestGrid1D:
     def test_point_count_and_endpoints(self):
         grid = Grid1D(-6.0, 6.0, 1e-3)
@@ -202,6 +310,11 @@ class TestGrid1D:
         assert grid.npoints == 12001
         assert pts[0] == -6.0
         assert pts[-1] == pytest.approx(6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lo,hi,h", [(-6.0, 6.0, 1e-3), (-7.3, 2.9, 0.0137), (1e3, 1e3 + 1.0, 1e-4)])
+    def test_points_equal_the_integer_arange_expression(self, lo, hi, h):
+        grid = Grid1D(lo, hi, h)
+        assert grid.points().tobytes() == (lo + h * np.arange(grid.npoints)).tobytes()
 
     def test_non_divisible_span_truncates_inside(self):
         grid = Grid1D(0.0, 1.0, 0.15)

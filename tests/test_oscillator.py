@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paracyl.field import ShiftedState, field_hamiltonian_residual
+from paracyl.field import ShiftedState, energy_shifted, field_hamiltonian_residual
 from paracyl.numerics import Grid1D, gauss_hermite_rule, overlap
 from paracyl.oscillator import (
     Eigenstate,
@@ -16,6 +16,15 @@ from paracyl.oscillator import (
 )
 
 PI_QUARTER = math.pi ** -0.25
+
+
+def stencil_residual(state, e, qe, grid):
+    """max |(H - e) psi| over the grid interior, as one plain array expression."""
+    spec, x, h = state.spec, grid.points(), grid.h
+    psi = state(x)
+    potential = 0.5 * spec.mu * spec.omega**2 * x * x + qe * x
+    kinetic = -(spec.hbar**2 / (2.0 * spec.mu)) * (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
+    return float(np.max(np.abs(kinetic + (potential[1:-1] - e) * psi[1:-1])))
 
 
 class TestSpec:
@@ -171,6 +180,30 @@ class TestHamiltonianResidual:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             hamiltonian_residual(0, OscillatorSpec(), Grid1D(-6.0, 6.0, 0.5))
+
+    @pytest.mark.parametrize("n", range(0, 201, 7))
+    def test_free_residual_is_bit_identical_to_the_plain_expression(self, n):
+        spec = OscillatorSpec()
+        grid = Grid1D(-6.0, 6.0, 1e-3)
+        expected = stencil_residual(Eigenstate(n, spec), energy(n, spec), 0.0, grid)
+        assert hamiltonian_residual(n, spec, grid) == expected
+
+    @pytest.mark.parametrize("spec", [OscillatorSpec(), OscillatorSpec(mu=0.7, omega=1.3, hbar=0.9)])
+    def test_field_residual_is_bit_identical_to_the_plain_expression(self, spec):
+        cases = [
+            (ShiftedState.integer_branch(m, g2, spec), spec.hbar * spec.omega * (m + 0.5))
+            for g2 in (1, 2, 5)
+            for m in (-g2, 0, 3)
+        ]
+        cases += [
+            (ShiftedState.continuous(4, gamma, spec), energy_shifted(4, gamma, spec))
+            for gamma in (-0.8, 0.0, 0.3)
+        ]
+        for state, e in cases:
+            length = spec.length_scale
+            grid = Grid1D(state.x_center - 7 * length, state.x_center + 7 * length, 2e-3 * length)
+            expected = stencil_residual(state, e, state.charge_field_product, grid)
+            assert field_hamiltonian_residual(state, e, grid) == expected
 
     def test_rejects_short_grid(self):
         with pytest.raises(ValueError):
