@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import field_suite, free_suite, lj_suite
-from .field import FieldSpec, energy_shifted, gamma_of, integer_branch_spectrum, potential_minimum
+from .field import FieldSpec, _field_unit, energy_shifted, gamma_of, integer_branch_spectrum, potential_minimum
 from .ljmodel import (
     LJSpec,
     R_MIN_FACTOR,
@@ -183,7 +183,7 @@ def _cmd_field(args) -> int:
         m_max = args.n if args.n is not None else args.gamma_sq
         _check_rows("ladder", m_max + args.gamma_sq + 1)
         gamma = math.sqrt(args.gamma_sq)
-        qe = gamma * math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
+        qe = gamma * _field_unit(spec)
         fld = FieldSpec(q=qe, efield=1.0)
     else:
         fld = FieldSpec(q=args.q, efield=args.efield)
@@ -253,10 +253,15 @@ def _cmd_figure2(args) -> int:
     _check_rows("ladder", spec.gamma_sq)
     if args.fit_k:
         osc = fit_oscillator(spec, mu=args.mu, hbar=args.hbar)
-        k = osc.mu * osc.omega**2
+        try:
+            k = osc.mu * osc.omega**2
+        except OverflowError:
+            k = math.inf
     else:
         k = args.k
     if not (math.isfinite(k) and k > 0):
+        if args.fit_k:
+            raise ValueError(f"derived force constant k = mu omega^2 = {k!r} is out of the double range")
         raise ValueError("--k must be positive and finite")
     r_grid = _grid(0.95 * spec.sigma, 2.0 * spec.sigma, 0.005 * spec.sigma).tolist()
     r_min = R_MIN_FACTOR * spec.sigma

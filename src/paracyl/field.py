@@ -39,9 +39,20 @@ class FieldSpec:
             raise ValueError("the product q E of charge and field overflows")
 
 
+def _field_unit(spec: OscillatorSpec) -> float:
+    """sqrt(2 mu hbar omega^3), the q E at which gamma = 1; a ValueError if it overflows or underflows to 0."""
+    try:
+        unit = math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
+    except OverflowError:
+        unit = math.inf
+    if not (math.isfinite(unit) and unit > 0):
+        raise ValueError(f"derived field unit sqrt(2 mu hbar omega^3) = {unit!r} is out of the double range")
+    return unit
+
+
 def gamma_of(field: FieldSpec, spec: OscillatorSpec) -> float:
     """Dimensionless coupling gamma = q E / sqrt(2 mu hbar omega^3)."""
-    gamma = field.q * field.efield / math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
+    gamma = field.q * field.efield / _field_unit(spec)
     if not math.isfinite(gamma * gamma):
         raise ValueError("the coupling gamma^2 overflows for this field and oscillator")
     return gamma
@@ -94,8 +105,7 @@ class ShiftedState:
     @property
     def charge_field_product(self) -> float:
         """q E consistent with this state's gamma."""
-        s = self.spec
-        return self.gamma * math.sqrt(2.0 * s.mu * s.hbar * s.omega**3)
+        return self.gamma * _field_unit(self.spec)
 
     @property
     def x_center(self) -> float:

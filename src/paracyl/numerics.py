@@ -9,7 +9,11 @@ minimizer for potential curves.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,7 +30,13 @@ MAX_RULE_POINTS = 256
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for integrals against the weight e^{-t^2}."""
+    """Nodes and weights for integrals against the weight e^{-t^2}.
+
+    ``_id`` names the rule in ``_COLUMNS``, where ``overlap`` keeps the
+    folded columns of the eigenstates it evaluates on the rule (which
+    arguments, and the bound, are in ``overlap``); a pickled or copied rule
+    gets a new id.
+    """
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
@@ -35,6 +45,7 @@ class QuadratureRule:
     node_array: np.ndarray = field(init=False, repr=False, compare=False)
     weight_array: np.ndarray = field(init=False, repr=False, compare=False)
     fold_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.weights) or not self.nodes:
@@ -54,9 +65,57 @@ class QuadratureRule:
         ):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "_id", next(_RULE_IDS))
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def __reduce__(self):
+        # Pickle and copy the nodes and weights; the arrays and the id are new.
+        return type(self), (self.nodes, self.weights)
+
+
+class _ColumnStore:
+    """LRU of folded overlap columns of all rules, within one byte budget.
+
+    A column is state(node_array / s) * fold_array on one rule, read-only,
+    keyed by (rule id, state, s), so equal states share it.  Sizes are
+    counted with ``sys.getsizeof``, as ``pcf._LADDERS`` counts its ladders,
+    and the least recent columns are dropped first.  The lock guards the
+    bookkeeping only: a state is evaluated outside it, so two threads that
+    miss on one key may both evaluate it, with equal results.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self.lock = threading.Lock()
+        self._columns: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def column(self, rule: QuadratureRule, state, s: float) -> np.ndarray:
+        key = (rule._id, state, s)
+        with self.lock:
+            values = self._columns.get(key)
+            if values is not None:
+                self._columns.move_to_end(key)
+                return values
+        values = state(rule.node_array / s) * rule.fold_array
+        values.flags.writeable = False
+        nbytes = sys.getsizeof(values)
+        with self.lock:
+            if key not in self._columns and nbytes <= self.budget:
+                while self._columns and self.nbytes + nbytes > self.budget:
+                    self.nbytes -= sys.getsizeof(self._columns.popitem(last=False)[1])
+                self._columns[key] = values
+                self.nbytes += nbytes
+        return values
+
+
+#: Bytes of stored overlap columns, all rules together: the 201 columns of a
+#: pairwise Gram block of psi_0..psi_200 on the 256-point rule fit.
+_COLUMN_BUDGET = 2**19
+_COLUMNS = _ColumnStore(_COLUMN_BUDGET)
+_RULE_IDS = itertools.count()
 
 
 def grid_count(lo: float, hi: float, step: float) -> int:
@@ -168,8 +227,8 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     weight into each factor (the rule's ``fold_array``, e^{t^2/2} at its
     nodes), so each mapped factor stays O(1) over the node range.  ``scale``
     is mu*omega/hbar for oscillator eigenstates.  ``a`` and ``b`` are each
-    called once, with the ndarray of mapped nodes x = t / sqrt(scale), and
-    must return their values there.
+    called at most once, with the ndarray of mapped nodes x = t /
+    sqrt(scale), and must return their values there.
 
     When both arguments carry an integer order ``n`` (as ``Eigenstate``
     does), the rule must hold at least (i + j)//2 + 1 points, which makes the
@@ -180,6 +239,18 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     integrates the product exactly.  Mirror-pair summation (see
     ``weighted_inner_product``) makes overlaps of opposite parity exactly
     0.0 on a symmetric rule.
+
+    An argument with an integer ``n`` whose class defines its own
+    ``__hash__`` (``Eigenstate``, a frozen dataclass hashed by value) is
+    evaluated once per rule and scale while its folded column stays in
+    ``_COLUMNS``: a later overlap of an equal state on the same rule reads
+    it, so a Gram block of M eigenstates costs M evaluations, not M(M + 1).
+    The store holds ``_COLUMN_BUDGET`` bytes over all rules (512 KiB: 242
+    columns of a 256-point rule), least recent dropped first, and takes such
+    a state to be a pure function of the fields it is hashed on.  Every other
+    argument (plain callables, ``ShiftedState``, objects hashed by identity
+    or not hashable) is called once per overlap.  The values are the same
+    either way, bit for bit.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
@@ -191,10 +262,17 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     s = math.sqrt(scale)
     fold_array = rule.fold_array
 
-    def fold(state):
+    def fold(state, order):
+        if order is not None and type(state).__hash__ is not object.__hash__:
+            try:
+                hash(state)
+            except TypeError:
+                pass
+            else:
+                return lambda t: _COLUMNS.column(rule, state, s)
         return lambda t: state(t / s) * fold_array
 
-    return weighted_inner_product(fold(a), fold(b), rule) / s
+    return weighted_inner_product(fold(a, i), fold(b, j), rule) / s
 
 
 def golden_section_minimize(f, lo: float, hi: float, xtol: float = 1e-6, polish: bool = True):

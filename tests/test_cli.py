@@ -195,6 +195,16 @@ class TestField:
         assert out == ""
         assert err.startswith("error: ") and "q E" in err
 
+    @pytest.mark.parametrize("omega", ["1e120", "1e-120"])
+    @pytest.mark.parametrize("branch", [["--q", "1", "--efield", "1"], ["--gamma-sq", "2"]])
+    def test_field_unit_out_of_range_is_usage_error(self, capsys, omega, branch):
+        # omega^3 overflows (1e120) or underflows to 0 (1e-120).
+        code, out, err = run(capsys, "field", "--omega", omega, *branch)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: derived field unit sqrt(2 mu hbar omega^3) = ")
+        assert err.count("\n") == 1
+
 
 class TestLadderLimits:
     @pytest.mark.parametrize(
@@ -354,6 +364,18 @@ class TestFigure2:
         v = float(row.split(",")[2])
         d = float(row.split(",")[0]) - r_min
         assert v == pytest.approx(-1.0 + 0.5 * d * d, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags,k",
+        [(["--epsilon", "1e300", "--sigma", "1e-300"], "inf"), (["--epsilon", "1e-300"], "0.0")],
+    )
+    def test_fitted_force_constant_out_of_range_is_usage_error(self, capsys, tmp_path, flags, k):
+        # omega = epsilon / gamma_sq, so omega^2 overflows (1e300) or underflows to 0 (1e-300).
+        code, out, err = run(capsys, "figure2", "--fit-k", *flags, "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: derived force constant k = mu omega^2 = {k} is out of the double range\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_infinite_force_constant_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "figure2", "--k", "inf", "--out", str(tmp_path / "x.csv"))

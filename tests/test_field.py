@@ -43,6 +43,30 @@ class TestGamma:
         with pytest.raises(ValueError, match="gamma"):
             gamma_of(FieldSpec(1e200, 1e100), ONES)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OscillatorSpec(omega=1e120),  # omega^3 overflows
+            OscillatorSpec(omega=1e-120),  # omega^3 underflows to 0
+            OscillatorSpec(mu=1e300, hbar=1e10, omega=1e-2),  # the product overflows
+        ],
+    )
+    def test_field_unit_out_of_range_is_rejected(self, spec):
+        with pytest.raises(ValueError, match=r"sqrt\(2 mu hbar omega\^3\)"):
+            gamma_of(FieldSpec(1.0, 1.0), spec)
+        state = ShiftedState.continuous(0, 0.5, spec)
+        with pytest.raises(ValueError, match=r"sqrt\(2 mu hbar omega\^3\)"):
+            state.charge_field_product
+        with pytest.raises(ValueError, match=r"sqrt\(2 mu hbar omega\^3\)"):
+            state.x_center
+
+    @pytest.mark.parametrize("omega", [1e100, 1e-100, 0.37, 2.5])
+    def test_in_range_coupling_keeps_its_bits(self, omega):
+        spec = OscillatorSpec(mu=1.3, omega=omega, hbar=0.7)
+        unit = math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
+        assert gamma_of(FieldSpec(0.4, 1.1), spec) == 0.4 * 1.1 / unit
+        assert ShiftedState.continuous(2, 0.8, spec).charge_field_product == 0.8 * unit
+
 
 class TestEnergyShifted:
     def test_zero_field_reduces_to_free_ladder(self):

@@ -1,4 +1,10 @@
+import copy
 import math
+import pickle
+import random
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
+from paracyl import numerics
 from paracyl.numerics import (
     Grid1D,
     MAX_RULE_POINTS,
@@ -65,6 +72,15 @@ class TestQuadratureRuleType:
         rule = gauss_hermite_rule(8)
         assert rule.node_array is gauss_hermite_rule(8).node_array
         assert rule == QuadratureRule(rule.nodes, rule.weights)
+
+    def test_pickle_and_copy_rebuild_the_rule(self):
+        rule = gauss_hermite_rule(8)
+        psi = Eigenstate(3, OscillatorSpec())
+        for twin in (pickle.loads(pickle.dumps(rule)), copy.copy(rule), copy.deepcopy(rule)):
+            assert twin == rule and twin is not rule
+            assert twin.fold_array.tobytes() == rule.fold_array.tobytes()
+            assert overlap(psi, psi, 1.0, twin) == overlap(psi, psi, 1.0, rule)
+            assert twin._id != rule._id
 
 
 class TestGaussHermiteRule:
@@ -301,6 +317,236 @@ class TestRuleSizedByOrder:
             expectation_x_shifted(state, gauss_hermite_rule(64))
         low = ShiftedState.continuous(5, gamma, UNIT)
         assert expectation_x_shifted(low) == expectation_x_shifted(low, gauss_hermite_rule(64))
+
+
+def uncached_overlap(a, b, scale, rule):
+    """``overlap`` as the plain per-call fold: each factor evaluated afresh."""
+    s = math.sqrt(scale)
+    return weighted_inner_product(
+        lambda t: a(t / s) * rule.fold_array, lambda t: b(t / s) * rule.fold_array, rule
+    ) / s
+
+
+def fresh_rule(k):
+    """A k-point rule with nothing stored yet (``gauss_hermite_rule`` shares one per k)."""
+    rule = gauss_hermite_rule(k)
+    return QuadratureRule(rule.nodes, rule.weights)
+
+
+class Counting:
+    """An order-carrying state, hashed by value on (n, tag), that counts its calls."""
+
+    def __init__(self, n, tag=0, spec=UNIT):
+        self.n, self.tag, self.psi, self.calls = n, tag, Eigenstate(n, spec), 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.psi(x)
+
+    def __eq__(self, other):
+        return isinstance(other, Counting) and (self.n, self.tag) == (other.n, other.tag)
+
+    def __hash__(self):
+        return hash((self.n, self.tag))
+
+
+#: Specs for the stored-column tests; the first two are equal but built from an int and a float.
+SPECS = (
+    OscillatorSpec(mu=2),
+    OscillatorSpec(mu=2.0),
+    OscillatorSpec(),
+    OscillatorSpec(mu=0.37, omega=2.5, hbar=0.3),
+)
+
+
+def stored(store, rule):
+    """The states stored for ``rule``, least recent first."""
+    return [key[1] for key in store._columns if key[0] == rule._id]
+
+
+def check_budget(store):
+    assert store.nbytes == sum(sys.getsizeof(column) for column in store._columns.values())
+    assert store.nbytes <= store.budget
+
+
+class TestStoredColumns:
+    @pytest.fixture(autouse=True)
+    def store(self, monkeypatch):
+        """A new, empty store of the default budget for each test."""
+        fresh = numerics._ColumnStore(numerics._COLUMN_BUDGET)
+        monkeypatch.setattr(numerics, "_COLUMNS", fresh)
+        return fresh
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_sequences_of_overlaps_equal_the_uncached_reference(self, data):
+        rules = [fresh_rule(k) for k in (3, 8, 20)] + [gauss_hermite_rule(64)]
+        # A small budget, so sequences also run through evictions.
+        store = numerics._ColumnStore(data.draw(st.sampled_from([2**19, 4096, 1024])))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_COLUMNS", store)
+            for _ in range(data.draw(st.integers(1, 40))):
+                rule = data.draw(st.sampled_from(rules))
+                k = len(rule)
+                i = data.draw(st.integers(0, min(2 * k - 2, 200)))
+                j = data.draw(st.integers(0, min(2 * k - 2 - i, 200)))
+                si, sj = data.draw(st.sampled_from(SPECS)), data.draw(st.sampled_from(SPECS))
+                scale = data.draw(st.sampled_from([si.gaussian_scale, 0.5, 2.0]))
+                # New objects per call: equal states share a column by equality, not identity.
+                a, b = Eigenstate(i, replace(si)), Eigenstate(j, replace(sj))
+                assert overlap(a, b, scale, rule) == uncached_overlap(a, b, scale, rule)
+                check_budget(store)
+
+    def test_one_budget_holds_the_columns_of_all_rules_and_drops_the_least_recent(self, monkeypatch):
+        small, large = fresh_rule(4), fresh_rule(16)
+        size = {rule: sys.getsizeof(np.ones(len(rule))) for rule in (small, large)}
+        store = numerics._ColumnStore(3 * size[small] + size[large])
+        monkeypatch.setattr(numerics, "_COLUMNS", store)
+        states = [Counting(n, tag=n) for n in range(4)]
+        for psi in states:
+            overlap(psi, psi, 1.0, small)
+        assert stored(store, small) == states
+        assert store.nbytes == 4 * size[small]
+        overlap(states[1], states[1], 1.0, small)  # a hit makes states[1] the most recent
+        wide = Counting(7, tag=9)
+        overlap(wide, wide, 1.0, large)  # drops states[0], the least recent, for a larger column
+        assert stored(store, small) == [states[2], states[3], states[1]]
+        assert stored(store, large) == [wide]
+        check_budget(store)
+        overlap(states[3], states[3], 1.0, small)
+        overlap(states[1], states[1], 1.0, small)
+        overlap(states[0], states[0], 1.0, small)  # evaluated again; drops states[2]
+        assert [psi.calls for psi in states] == [2, 1, 1, 1]
+        assert stored(store, small) == [states[3], states[1], states[0]]
+        assert stored(store, large) == [wide] and wide.calls == 1
+        check_budget(store)
+
+    def test_a_column_over_the_budget_is_not_stored(self, monkeypatch):
+        store = numerics._ColumnStore(100)
+        monkeypatch.setattr(numerics, "_COLUMNS", store)
+        rule, psi = fresh_rule(64), Counting(5)
+        for _ in range(2):
+            assert overlap(psi, psi, 1.0, rule) == uncached_overlap(psi.psi, psi.psi, 1.0, rule)
+        assert psi.calls == 4
+        assert (store.nbytes, len(store._columns)) == (0, 0)
+
+    def test_a_default_rule_gram_block_stays_within_the_budget(self, store):
+        # Default rules for overlaps up to order 200 span 64..201 points; the store
+        # bounds their columns together.
+        states = [Eigenstate(n, UNIT) for n in range(0, 201, 4)] + [Eigenstate(200, UNIT)]
+        for a in states:
+            for b in states:
+                overlap(a, b, 1.0)
+                assert store.nbytes <= store.budget
+        check_budget(store)
+        assert len({key[0] for key in store._columns}) > 1
+
+    def test_a_stored_column_is_read_only_and_shared(self, store):
+        rule = fresh_rule(8)
+        psi = Eigenstate(5, UNIT)
+        overlap(psi, psi, 1.0, rule)
+        column = store.column(rule, Eigenstate(5, OscillatorSpec()), 1.0)
+        assert column is store.column(rule, psi, 1.0)
+        assert column.tobytes() == (psi(rule.node_array) * rule.fold_array).tobytes()
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+        assert stored(store, rule) == [psi]
+
+    def test_plain_callables_and_shifted_states_are_never_stored(self, store):
+        rule = fresh_rule(16)
+        psi = Eigenstate(3, UNIT)
+        calls = []
+
+        def plain(x):
+            calls.append(1)
+            return psi(x)
+
+        shifted = ShiftedState.continuous(3, 0.5, UNIT)
+        for _ in range(3):
+            overlap(plain, plain, 1.0, rule)
+            overlap(shifted, shifted, 1.0, rule)
+            expectation_x_shifted(shifted, rule)
+        assert len(calls) == 6
+        assert stored(store, rule) == []
+        # expectation_x stores psi_n, not its x psi_n factor.
+        assert expectation_x(3, UNIT, rule) == 0.0
+        assert stored(store, rule) == [psi]
+
+    def test_an_identity_hashed_state_is_evaluated_afresh_after_a_mutation(self, store):
+        class Trial:
+            """A mutable variational state with an order, hashed by identity."""
+
+            def __init__(self, n):
+                self.n, self.width = n, 1.0
+
+            def __call__(self, x):
+                return np.exp(-0.5 * (x / self.width) ** 2) * x**self.n
+
+        def plain(x):
+            return np.exp(-0.5 * x * x)
+
+        plain.n = 0
+        rule, trial = fresh_rule(32), Trial(2)
+        values = []
+        for width in (1.0, 1.7, 0.6):
+            trial.width = width
+            values.append(overlap(trial, plain, 1.0, rule))
+            assert values[-1] == uncached_overlap(trial, plain, 1.0, rule)
+        assert len(set(values)) == 3
+        assert store.nbytes == 0 and stored(store, rule) == []
+
+    def test_an_unhashable_state_with_an_order_is_evaluated_per_call(self, store):
+        class Unhashable(Counting):
+            __hash__ = None
+
+        rule = fresh_rule(16)
+        a, b = Unhashable(4), Unhashable(6)
+        for _ in range(2):
+            assert overlap(a, b, 1.0, rule) == uncached_overlap(a.psi, b.psi, 1.0, rule)
+        assert (a.calls, b.calls) == (2, 2)
+        assert overlap(a, a, 1.0, rule) == pytest.approx(1.0, abs=1e-13)
+        assert stored(store, rule) == []
+
+    def test_threads_sharing_rules_agree_with_a_serial_run(self, store):
+        rules = [fresh_rule(12), fresh_rule(32)]
+        tasks = [
+            (r, i, j, s)
+            for r, rule in enumerate(rules)
+            for i in range(0, len(rule), 3)
+            for j in range(i % 2, len(rule), 4)
+            for s in range(len(SPECS))
+        ]
+        want = {
+            (r, i, j, s): uncached_overlap(Eigenstate(i, SPECS[s]), Eigenstate(j, SPECS[s]), 1.0, rules[r])
+            for r, i, j, s in tasks
+        }
+        barrier = threading.Barrier(4)
+        bad = []
+
+        def worker(seed):
+            order = random.Random(seed).sample(tasks, len(tasks))
+            barrier.wait(timeout=60)
+            for r, i, j, s in order:
+                got = overlap(Eigenstate(i, SPECS[s]), Eigenstate(j, SPECS[s]), 1.0, rules[r])
+                if got != want[r, i, j, s]:
+                    bad.append((seed, r, i, j, s))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+        check_budget(store)
+        for r, rule in enumerate(rules):
+            want_states = {Eigenstate(n, SPECS[s]) for r2, i, j, s in tasks if r2 == r for n in (i, j)}
+            assert set(stored(store, rule)) == want_states
 
 
 class TestGrid1D:
