@@ -18,6 +18,7 @@ by m = n - gamma^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .numerics import Grid1D, QuadratureRule, _sized_rule, overlap
@@ -40,13 +41,23 @@ class FieldSpec:
 
 
 def _field_unit(spec: OscillatorSpec) -> float:
-    """sqrt(2 mu hbar omega^3), the q E at which gamma = 1; a ValueError if it overflows or underflows to 0."""
+    """sqrt(2 mu hbar omega^3), the q E at which gamma = 1.
+
+    A ValueError if it overflows or underflows to 0, or if the radicand or
+    either of its factors 2 mu hbar and omega^3 is subnormal, where the
+    result would silently lose digits.
+    """
+    scale = 2.0 * spec.mu * spec.hbar
     try:
-        unit = math.sqrt(2.0 * spec.mu * spec.hbar * spec.omega**3)
+        cube = spec.omega**3
     except OverflowError:
-        unit = math.inf
+        cube = math.inf
+    unit = math.sqrt(scale * cube)
+    message = f"derived field unit sqrt(2 mu hbar omega^3) = {unit!r}"
     if not (math.isfinite(unit) and unit > 0):
-        raise ValueError(f"derived field unit sqrt(2 mu hbar omega^3) = {unit!r} is out of the double range")
+        raise ValueError(f"{message} is out of the double range")
+    if min(scale, cube, scale * cube) < sys.float_info.min:
+        raise ValueError(f"{message} loses digits: 2 mu hbar omega^3 or a factor of it is subnormal")
     return unit
 
 
@@ -157,7 +168,10 @@ def potential_minimum(field: FieldSpec, spec: OscillatorSpec) -> tuple[float, fl
     """
     qe = field.q * field.efield
     x_min = -qe / (spec.mu * spec.omega**2)
-    e_min = -(qe * qe) / (2.0 * spec.mu * spec.omega**2)
+    if qe * qe < sys.float_info.min:  # (q E)^2 is subnormal or 0: e_min = q E x_min / 2 keeps its digits
+        e_min = 0.5 * qe * x_min
+    else:
+        e_min = -(qe * qe) / (2.0 * spec.mu * spec.omega**2)
     if not (math.isfinite(x_min) and math.isfinite(e_min)):
         raise ValueError("the potential minimum overflows for this field and oscillator")
     return x_min, e_min

@@ -80,10 +80,10 @@ class _ColumnStore:
 
     A column is state(node_array / s) * fold_array on one rule, read-only,
     keyed by (rule id, state, s), so equal states share it.  Sizes are
-    counted with ``sys.getsizeof``, as ``pcf._LADDERS`` counts its ladders,
-    and the least recent columns are dropped first.  The lock guards the
-    bookkeeping only: a state is evaluated outside it, so two threads that
-    miss on one key may both evaluate it, with equal results.
+    counted with ``sys.getsizeof`` of each column, and the least recent
+    columns are dropped first.  The lock guards the bookkeeping only: a
+    state is evaluated outside it, so two threads that miss on one key may
+    both evaluate it, with equal results.
     """
 
     def __init__(self, budget: int) -> None:

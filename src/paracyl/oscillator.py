@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,18 +107,35 @@ def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = No
     return overlap(psi, lambda x: x * psi(x), spec.gaussian_scale, rule)
 
 
+@lru_cache(maxsize=2)
+def _grid_arrays(grid: Grid1D, stiffness: float, qe: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grid points, and (x stiffness) x + qe x on the grid interior.
+
+    Keyed by ``stiffness`` = mu omega^2 / 2, the only part of the spec they
+    depend on, so equal keys give equal bits.
+    """
+    x = grid.points()
+    xi = x[1:-1]
+    v = np.multiply(xi, stiffness)
+    v *= xi
+    v += qe * xi
+    x.flags.writeable = v.flags.writeable = False
+    return x, v
+
+
 def _grid_residual(state, e: float, qe: float, center: float, grid: Grid1D, coverage: str) -> float:
     """Max |(H - e) psi| on the grid interior for V = mu omega^2 x^2 / 2 + qe x, well at ``center``."""
     spec = state.spec
     if grid.npoints < 50:
         raise ValueError("grid too coarse: at least 50 points required")
-    x, h = grid.points(), grid.h
+    x, vx = _grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe)
+    h = grid.h
     span = 6.0 * spec.length_scale
     slack = 1e-9 * spec.length_scale
     if x[0] > center - span + slack or x[-1] < center + span - slack:
         raise ValueError(coverage)
     psi = state(x)
-    inner, xi = psi[1:-1], x[1:-1]
+    inner = psi[1:-1]
     # In place, in the operation order of
     #   -(hbar^2 / 2 mu) (psi[:-2] - 2 psi[1:-1] + psi[2:]) / h^2
     #   + (0.5 mu omega^2 x x + qe x - e) psi[1:-1]
@@ -127,10 +145,7 @@ def _grid_residual(state, e: float, qe: float, center: float, grid: Grid1D, cove
     r += psi[2:]
     r *= -(spec.hbar**2 / (2.0 * spec.mu))
     r /= h * h
-    v = np.multiply(xi, 0.5 * spec.mu * spec.omega**2)
-    v *= xi
-    v += qe * xi
-    v -= e
+    v = np.subtract(vx, e)
     v *= inner
     r += v
     return float(np.abs(r, out=r).max())
@@ -141,7 +156,8 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
 
     The kinetic term uses the central second difference, so the residual
     decays as O(h^2).  The grid must span [-6 l, 6 l] with l the oscillator
-    length and carry at least 50 points.
+    length and carry at least 50 points.  The grid points and the x part of
+    the potential are kept, read-only, for the two most recent grids.
     """
     coverage = "grid must cover [-6, 6] oscillator lengths"
     return _grid_residual(Eigenstate(n, spec), energy(n, spec), 0.0, 0.0, grid, coverage)

@@ -115,21 +115,24 @@ def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
 
 
 #: Bytes (``sys.getsizeof``) that the ladders ``eval_D`` keeps may hold in all.
-_LADDER_BUDGET = 2**19
+#: The 12 001-point residual grid needs its argument plus 9 pairs, about 1.8 MB.
+_LADDER_BUDGET = 2**21
+
+#: Orders between the checkpoint pairs of a kept argument.
+_STRIDE = 25
 
 
 @dataclass
 class _Ladder:
-    """Recurrence rows D_lo..D_top at one clipped argument, owned privately."""
+    """Pairs (D_{m-1}, D_m) of the recurrence at one clipped argument, owned privately.
+
+    ``pairs`` maps each order m to its pair: the cursor at the order of the
+    last call, and checkpoints at positive multiples of ``_STRIDE``.
+    """
 
     arg: np.ndarray
-    lo: int  # 0 while every row fits the budget, else top - 1 (only a pair is kept)
-    rows: list
+    pairs: dict
     nbytes: int
-
-    @property
-    def top(self) -> int:
-        return self.lo + len(self.rows) - 1
 
 
 class _LadderCache:
@@ -151,60 +154,51 @@ class _LadderCache:
         bits = t.view(np.uint64)
         key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
         ladder = self._ladders.get(key)
-        if ladder is not None and ladder.arg.tobytes() != t.tobytes():
-            ladder = None
-        if ladder is not None:
+        pairs, room = {}, 0
+        if ladder is not None and (ladder.arg.view(np.uint64) == bits).all():
             self._ladders.move_to_end(key)
-            if ladder.lo <= n <= ladder.top:
-                return ladder.rows[n - ladder.lo]
-        if ladder is not None and n > ladder.top:
-            t, lo, rows = ladder.arg, ladder.lo, ladder.rows
-        else:  # no stored pair at or below n: start again from D_0
-            lo, rows = 0, [np.exp(-(t * t) / 4.0)]
-        # The whole ladder while it fits the budget, else the top pair only
-        # (n >= 2 then, so the pair is D_{n-1}, D_n), else nothing.
-        size = sys.getsizeof(t)
-        keep_all = lo == 0 and (n + 2) * size <= self.budget
-        nbytes = (n + 2) * size if keep_all else 3 * size
-        store = nbytes <= self.budget
-        if store:
-            self._evict(key, nbytes)
-        prev = rows[-2] if len(rows) > 1 else 0.0
-        prev, cur, new = _climb(t, prev, rows[-1], lo + len(rows) - 1, n, keep_all)
-        if store:
-            kept = (0, rows + new) if keep_all else (n - 1, [prev, cur])
-            self._ladders[key] = _Ladder(t, *kept, nbytes)
-            self.nbytes += nbytes
+            t, pairs = ladder.arg, ladder.pairs
+            for m in (n, n + 1):
+                if m in pairs:
+                    return pairs[m][n + 1 - m]
+            # A repeat: record checkpoints while the whole ladder fits the budget.
+            room = (self.budget // sys.getsizeof(t) - 3) // 2 - len(pairs)
+        k = max((m for m in pairs if m <= n), default=0)  # the highest kept pair at or below n
+        prev, cur = pairs.get(k) or (0.0, np.exp(-(t * t) / 4.0))
+        prev, cur, marks = _climb(t, prev, cur, k, n, room)
+        pairs = {m: pair for m, pair in pairs.items() if m and m % _STRIDE == 0} | marks | {n: (prev, cur)}
+        rows = {id(d): d for pair in pairs.values() for d in pair}
+        nbytes = sys.getsizeof(t) + sum(map(sys.getsizeof, rows.values()))
+        if nbytes <= self.budget:  # replace the ladder under key, dropping the least recent others
+            old = self._ladders.pop(key, None)
+            self.nbytes += nbytes - (old.nbytes if old else 0)
+            while self._ladders and self.nbytes > self.budget:
+                self.nbytes -= self._ladders.popitem(last=False)[1].nbytes
+            self._ladders[key] = _Ladder(t, pairs, nbytes)
         return cur
 
-    def _evict(self, key: tuple, nbytes: int) -> None:
-        """Drop the ladder under ``key``, then the least recent, until ``nbytes`` more fit."""
-        if key in self._ladders:
-            self.nbytes -= self._ladders.pop(key).nbytes
-        while self._ladders and self.nbytes + nbytes > self.budget:
-            self.nbytes -= self._ladders.popitem(last=False)[1].nbytes
 
-
-def _climb(t, prev, cur, k: int, n: int, keep: bool):
+def _climb(t, prev, cur, k: int, n: int, room: int):
     """Run D_{j+1} = t D_j - j D_{j-1} from (D_{k-1}, D_k) up to D_n.
 
-    Returns (D_{n-1}, D_n, rows), where rows lists D_{k+1}..D_n when ``keep``
-    is set and is empty otherwise.  The step is the same, in the same order,
-    whichever pair it starts from, so resumed ladders are bit-identical.
+    Returns (D_{n-1}, D_n, marks), where marks maps the lowest ``room``
+    multiples m of ``_STRIDE`` in (k, n] to their pairs (D_{m-1}, D_m).  The
+    step is the same, in the same order, whichever pair it starts from, so
+    resumed ladders are bit-identical.
     """
-    new = []
+    marks = {}
     with np.errstate(over="raise"):
         for j in range(k, n):
             nxt = t * cur
-            if keep or j < k + 2:  # D_{j-1} is kept, or is the caller's
+            if j < k + 2 or j in marks or j - 1 in marks:  # D_{j-1} is the caller's, or in a pair
                 nxt -= j * prev
             else:  # D_{j-1} is not needed after this step: scale it in place
                 prev *= j
                 nxt -= prev
             prev, cur = cur, nxt
-            if keep:
-                new.append(nxt)
-    return prev, cur, new
+            if (j + 1) % _STRIDE == 0 and len(marks) < room:
+                marks[j + 1] = (prev, cur)
+    return prev, cur, marks
 
 
 _LADDERS = _LadderCache(_LADDER_BUDGET)
@@ -217,9 +211,10 @@ def eval_D(n: int, z, cap: int = DEGREE_CAP):
     giving 0.0 where that Gaussian underflows.  Orders above about 340, past
     a raised ``cap``, overflow doubles and raise FloatingPointError.
 
-    The rows of the recurrence are kept for a few recent arguments, within
-    ``_LADDER_BUDGET`` bytes, so a later call on an equal argument returns a
-    stored row or resumes from the highest stored pair below n.  Values are
+    Within ``_LADDER_BUDGET`` bytes, each recent argument keeps its cursor
+    pair (D_{n-1}, D_n), and a repeated one also the checkpoint pair at each
+    multiple of 25 its climbs pass.  A call on an equal argument returns a
+    kept row or climbs from the highest kept pair at or below n.  Values are
     bit-identical to a fresh run, and every call returns a new array.
     """
     _check_order(n, cap)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import paracyl.checks as checks
@@ -204,6 +205,26 @@ class TestField:
         assert out == ""
         assert err.startswith("error: derived field unit sqrt(2 mu hbar omega^3) = ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("branch", [["--q", "1e-200", "--efield", "1"], ["--gamma-sq", "2"]])
+    def test_subnormal_field_unit_radicand_is_usage_error(self, capsys, branch):
+        # 2 mu hbar omega^3 = 2e-315 is subnormal: gamma would read 2.2360679792e-43, not ...775e-43.
+        code, out, err = run(capsys, "field", "--omega", "1e-105", *branch)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: derived field unit sqrt(2 mu hbar omega^3) = ")
+        assert "subnormal" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", ["1e-170", "1e-160"])
+    def test_depth_of_a_tiny_coupling_matches_mpmath(self, capsys, q):
+        # (q E)^2 underflows: e_min read -0 and -4.99994433591e-121.
+        code, out, _ = run(capsys, "field", "--omega", "1e-100", "--q", q, "--efield", "1")
+        assert code == EXIT_OK
+        label, value = out.splitlines()[3].split(" = ")
+        with mpmath.workdps(40):
+            want = -(mpmath.mpf(float(q)) ** 2) / (2 * mpmath.mpf(1e-100) ** 2)
+        assert label == "e_min"
+        assert float(value) == pytest.approx(float(want), rel=1e-11, abs=0.0)
 
 
 class TestLadderLimits:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from paracyl.field import (
@@ -49,6 +50,8 @@ class TestGamma:
             OscillatorSpec(omega=1e120),  # omega^3 overflows
             OscillatorSpec(omega=1e-120),  # omega^3 underflows to 0
             OscillatorSpec(mu=1e300, hbar=1e10, omega=1e-2),  # the product overflows
+            OscillatorSpec(omega=1e-105),  # omega^3 and the radicand are subnormal
+            OscillatorSpec(mu=1e-160, hbar=1e-160, omega=1e100),  # 2 mu hbar is subnormal
         ],
     )
     def test_field_unit_out_of_range_is_rejected(self, spec):
@@ -186,6 +189,21 @@ class TestPotentialMinimum:
 
     def test_zero_charge(self):
         assert potential_minimum(FieldSpec(0.0, 1.0), ONES) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("q", [1e-170, 1e-160])
+    def test_subnormal_square_of_the_coupling_keeps_the_depth_digits(self, q):
+        # (q E)^2 underflows to 0 (1e-170) or to a subnormal (1e-160).
+        spec = OscillatorSpec(omega=1e-100)
+        _, e_min = potential_minimum(FieldSpec(q, 1.0), spec)
+        with mpmath.workdps(40):
+            want = -(mpmath.mpf(q) ** 2) / (2 * mpmath.mpf(spec.omega) ** 2)
+        assert e_min == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("q, efield, omega", [(1.0, 1.0, 1.0), (-0.3, 1.7, 2.9), (1e-150, 1.0, 1e-100)])
+    def test_normal_depth_keeps_its_bits(self, q, efield, omega):
+        spec = OscillatorSpec(mu=1.3, omega=omega, hbar=0.7)
+        qe = q * efield
+        assert potential_minimum(FieldSpec(q, efield), spec)[1] == -(qe * qe) / (2.0 * spec.mu * spec.omega**2)
 
     def test_overflowing_depth_is_rejected(self):
         with pytest.raises(ValueError, match="minimum"):

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from scipy.special import pbdv
 
 from paracyl import pcf
+from paracyl.field import ShiftedState, energy_shifted, field_hamiltonian_residual
+from paracyl.numerics import Grid1D
+from paracyl.oscillator import OscillatorSpec, energy, hamiltonian_residual, norm_const
 from paracyl.pcf import PcfPolyPart, _ode_residual, eval_D, pcf_poly, pcf_rodrigues_poly
 from paracyl.polys import DEGREE_CAP, PolyZ
 
@@ -192,6 +195,36 @@ def assert_bit_equal(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def held_bytes(cache):
+    """sys.getsizeof of each ladder's argument and of each distinct row its pairs hold."""
+    total = 0
+    for ladder in cache._ladders.values():
+        rows = {id(d): d for pair in ladder.pairs.values() for d in pair}
+        total += sys.getsizeof(ladder.arg) + sum(sys.getsizeof(d) for d in rows.values())
+    return total
+
+
+@pytest.fixture
+def fresh_ladders(monkeypatch):
+    """An empty ladder cache with the default budget, for tests that read its contents."""
+    cache = pcf._LadderCache(pcf._LADDER_BUDGET)
+    monkeypatch.setattr(pcf, "_LADDERS", cache)
+    return cache
+
+
+def counting_climbs(monkeypatch):
+    """Record (k, n) of every climb from D_k up to D_n."""
+    climbs = []
+    climb = pcf._climb
+
+    def recording(t, prev, cur, k, n, room):
+        climbs.append((k, n))
+        return climb(t, prev, cur, k, n, room)
+
+    monkeypatch.setattr(pcf, "_climb", recording)
+    return climbs
+
+
 class TestLadderCache:
     """eval_D keeps recurrence rows between calls; none of that may show in its values."""
 
@@ -201,8 +234,9 @@ class TestLadderCache:
         return [
             nodes,
             nodes.copy(),  # an equal-valued copy
-            np.linspace(-30.0, 30.0, 5000),  # pair-only above about n = 11
-            np.linspace(-40.0, 40.0, 22000),  # over the budget: never kept
+            np.linspace(-30.0, 30.0, 5000),
+            np.linspace(-40.0, 40.0, 22000),  # the budget holds only 4 checkpoints
+            math.sqrt(2.0) * Grid1D(-6.0, 6.0, 1e-3).points(),  # the residual grid's argument
             np.array(1.25),
             np.array([-0.0, 0.0, 1e300, -math.inf, math.nan]),
             0.75,
@@ -210,7 +244,7 @@ class TestLadderCache:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 200), st.integers(0, 6), st.booleans()),
+            st.tuples(st.integers(0, 200), st.integers(0, 7), st.booleans()),
             min_size=1,
             max_size=12,
         )
@@ -241,26 +275,53 @@ class TestLadderCache:
 
     def test_consecutive_orders_resume_instead_of_restarting(self, monkeypatch):
         z = np.linspace(-3.0, 3.0, 64) + 1e-3  # an argument no other test uses
-        climbs = []
-        climb = pcf._climb
-
-        def recording(t, prev, cur, k, n, keep):
-            climbs.append((k, n))
-            return climb(t, prev, cur, k, n, keep)
-
-        monkeypatch.setattr(pcf, "_climb", recording)
-        for n in (40, 41, 42, 40, 39):
+        climbs = counting_climbs(monkeypatch)
+        for n in (40, 41, 42, 41, 30, 39, 26, 24):
             assert_bit_equal(eval_D(n, z.copy()), uncached_D(n, z))
-        assert climbs == [(0, 40), (40, 41), (41, 42)]
+        # 41 and 24 are rows of kept pairs; 30 restarts from D_0 (no pair at or
+        # below it) and passes checkpoint 25, from which 26 climbs one step.
+        assert climbs == [(0, 40), (40, 41), (41, 42), (0, 30), (30, 39), (25, 26)]
 
-    def test_byte_total_stays_within_the_budget(self):
+    def test_a_one_shot_call_records_no_checkpoint(self, fresh_ladders):
+        z = np.linspace(-6.0, 6.0, 12001)
+        eval_D(120, z)
+        (ladder,) = fresh_ladders._ladders.values()
+        assert list(ladder.pairs) == [120]
+        eval_D(160, z)  # a repeat records the checkpoints its climb passes
+        (ladder,) = fresh_ladders._ladders.values()
+        assert sorted(ladder.pairs) == [125, 150, 160]
+
+    def test_a_window_sweep_on_a_kept_grid_climbs_less_than_a_stride(self, fresh_ladders, monkeypatch):
+        spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
+        hamiltonian_residual(0, spec, grid)  # the grid's argument is kept from here on
+        hamiltonian_residual(200, spec, grid)  # and this climb records every checkpoint
+        climbs = counting_climbs(monkeypatch)
+        for i in range(40):
+            start = round(195 * (0.6180339887 * i % 1.0))  # windows in golden-ratio order
+            climbs.clear()
+            for n in range(start, start + 6):
+                hamiltonian_residual(n, spec, grid)
+            assert sum(n - k for k, n in climbs) <= pcf._STRIDE - 1 + 5, start
+
+    def test_byte_total_matches_the_rows_held_and_the_budget(self, fresh_ladders):
         grid = np.linspace(-6.0, 6.0, 12001)
         for i in range(30):
-            eval_D(20 + i, grid + 1e-3 * i)
-            eval_D(3, grid - 1e-3 * i)
-        ladders = list(pcf._LADDERS._ladders.values())
-        held = sum(sys.getsizeof(x.arg) + sum(sys.getsizeof(r) for r in x.rows) for x in ladders)
-        assert held == pcf._LADDERS.nbytes <= pcf._LADDER_BUDGET
+            eval_D(20 + 6 * i, grid + 1e-3 * (i % 3))  # three repeated arguments
+            eval_D(3, grid - 1e-3 * i)  # and a new one-shot argument each time
+            assert held_bytes(fresh_ladders) == fresh_ladders.nbytes <= pcf._LADDER_BUDGET
+        low = eval_D(250, grid, cap=400)
+        for _ in range(2):
+            with pytest.raises(FloatingPointError):
+                eval_D(400, grid, cap=400)
+            assert held_bytes(fresh_ladders) == fresh_ladders.nbytes <= pcf._LADDER_BUDGET
+        assert_bit_equal(eval_D(250, grid, cap=400), low)
+        assert_bit_equal(low, uncached_D(250, grid))
+
+    def test_an_argument_over_the_budget_is_not_kept(self, fresh_ladders):
+        z = np.linspace(-40.0, 40.0, pcf._LADDER_BUDGET // 24 + 1)  # the argument and a pair overflow it
+        for n in (30, 31):
+            assert_bit_equal(eval_D(n, z), uncached_D(n, z))
+        assert fresh_ladders.nbytes == 0 and not fresh_ladders._ladders
 
     def test_raised_cap_overflow_is_an_error_on_a_hit(self):
         z = np.linspace(-1.0, 1.0, 9)
@@ -308,6 +369,42 @@ class TestLadderCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
-        ladders = pcf._LADDERS._ladders.values()
-        held = sum(sys.getsizeof(x.arg) + sum(sys.getsizeof(r) for r in x.rows) for x in ladders)
-        assert held == pcf._LADDERS.nbytes <= pcf._LADDER_BUDGET
+        assert held_bytes(pcf._LADDERS) == pcf._LADDERS.nbytes <= pcf._LADDER_BUDGET
+
+
+def plain_residual(psi, x, h, e, qe, spec):
+    """Max |(H - e) psi| on the interior, as one plain stencil expression."""
+    kinetic = -(spec.hbar**2 / (2.0 * spec.mu)) * (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
+    xi = x[1:-1]
+    potential = (xi * (0.5 * spec.mu * spec.omega**2) * xi + qe * xi - e) * psi[1:-1]
+    return float(np.max(np.abs(kinetic + potential)))
+
+
+class TestResidualBits:
+    """Both residuals equal the plain stencil on uncached_D bit for bit, with kept grids and ladders."""
+
+    @pytest.mark.parametrize("spec", [OscillatorSpec(), OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1)])
+    def test_hamiltonian_residual(self, spec):
+        grid = Grid1D(-6.5 * spec.length_scale, 6.5 * spec.length_scale, 1e-3)
+        x = grid.points()
+        for n in (0, 1, 24, 25, 26, 60, 3, 199, 200, 61):  # crosses checkpoints, up and down
+            psi = norm_const(n, spec) * uncached_D(n, spec.z_scale * x)
+            want = plain_residual(psi, x, grid.h, energy(n, spec), 0.0, spec)
+            assert_bit_equal(hamiltonian_residual(n, spec, grid), want)
+
+    def test_field_hamiltonian_residual(self):
+        spec = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1)
+        for state in (
+            ShiftedState.continuous(0, 0.4, spec),
+            ShiftedState.continuous(30, -0.9, spec),
+            ShiftedState.integer_branch(-2, 3, spec),
+            ShiftedState.continuous(0, 0.4, spec),
+        ):
+            span = 6.5 * spec.length_scale
+            grid = Grid1D(state.x_center - span, state.x_center + span, 2e-3)
+            x = grid.points()
+            k = state.pcf_index
+            psi = norm_const(k, spec) * uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
+            e = energy_shifted(k, state.gamma, spec)
+            want = plain_residual(psi, x, grid.h, e, state.charge_field_product, spec)
+            assert_bit_equal(field_hamiltonian_residual(state, e, grid), want)
