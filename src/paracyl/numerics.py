@@ -79,7 +79,10 @@ class _ColumnStore:
     """LRU of folded overlap columns of all rules, within one byte budget.
 
     A column is state(node_array / s) * fold_array on one rule, read-only,
-    keyed by (rule id, state, s), so equal states share it.  Sizes are
+    keyed by (rule id, state, s), so equal states share it.  Its finiteness
+    is checked once, when it is made: a finite column is made read-only and
+    stored, and one with a non-finite value is returned writeable and never
+    stored, so a hit needs no check.  Sizes are
     counted with ``sys.getsizeof`` of each column, and the least recent
     columns are dropped first.  The lock guards the bookkeeping only: a
     state is evaluated outside it, so two threads that miss on one key may
@@ -92,14 +95,23 @@ class _ColumnStore:
         self.lock = threading.Lock()
         self._columns: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
-    def column(self, rule: QuadratureRule, state, s: float) -> np.ndarray:
+    def column(self, rule: QuadratureRule, state, s: float) -> np.ndarray | None:
+        """The folded column of ``state``, read-only exactly when it is finite.
+
+        None, and the state is not called, if the state is not hashable.
+        """
         key = (rule._id, state, s)
         with self.lock:
-            values = self._columns.get(key)
+            try:
+                values = self._columns.get(key)
+            except TypeError:
+                return None
             if values is not None:
                 self._columns.move_to_end(key)
                 return values
         values = state(rule.node_array / s) * rule.fold_array
+        if not np.isfinite(values).all():
+            return values
         values.flags.writeable = False
         nbytes = sys.getsizeof(values)
         with self.lock:
@@ -182,7 +194,8 @@ def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
     ``f`` and ``g`` are each called once, with the rule's read-only
     ndarray of nodes, and return an array of values at them (a scalar is
     broadcast to every node).  The caller must already have folded the
-    Gaussian weight out of the product f*g.
+    Gaussian weight out of the product f*g.  A non-finite value is a
+    ``ValueError`` naming the first node where either factor has one.
 
     The terms v_i are summed in mirror pairs: numpy's pairwise sum of
     v_i + v_{n-1-i}, halved.  On a symmetric rule every pair of an exactly
@@ -194,11 +207,24 @@ def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
     Comput. 14, 1993).
     """
     fv, gv = f(rule.node_array), g(rule.node_array)
+    _check_finite(fv, gv, rule)
+    return _mirror_sum(fv, gv, rule)
+
+
+def _check_finite(fv, gv, rule: QuadratureRule) -> None:
     bad = ~(np.isfinite(fv) & np.isfinite(gv))
     if bad.any():
         raise ValueError(f"non-finite integrand value at node {rule.nodes[int(np.argmax(bad))]!r}")
+
+
+def _mirror_sum(fv, gv, rule: QuadratureRule) -> float:
+    """The mirror-pair sum of w_i fv_i gv_i (see ``weighted_inner_product``).
+
+    ``np.add.reduce`` with ``axis=None`` is the reduction ``np.sum`` runs, in
+    the same pairwise order, without its Python-level argument handling.
+    """
     v = rule.weight_array * fv * gv
-    return float(np.sum(v + v[::-1])) / 2.0
+    return float(np.add.reduce(v + v[::-1], axis=None)) / 2.0
 
 
 def _order(state) -> int | None:
@@ -251,6 +277,12 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     argument (plain callables, ``ShiftedState``, objects hashed by identity
     or not hashable) is called once per overlap.  The values are the same
     either way, bit for bit.
+
+    A stored column was checked finite when it was made, so an overlap of
+    two stored columns runs no check and only forms and sums the products.
+    When a factor did not come from the store, both are checked, and a
+    non-finite value is a ``ValueError`` naming the first node where either
+    factor has one.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
@@ -260,19 +292,25 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     elif rule is None:
         rule = gauss_hermite_rule(64)
     s = math.sqrt(scale)
-    fold_array = rule.fold_array
+    fv, f_finite = _folded(a, i, rule, s)
+    gv, g_finite = _folded(b, j, rule, s)
+    if not (f_finite and g_finite):
+        _check_finite(fv, gv, rule)
+    return _mirror_sum(fv, gv, rule) / s
 
-    def fold(state, order):
-        if order is not None and type(state).__hash__ is not object.__hash__:
-            try:
-                hash(state)
-            except TypeError:
-                pass
-            else:
-                return lambda t: _COLUMNS.column(rule, state, s)
-        return lambda t: state(t / s) * fold_array
 
-    return weighted_inner_product(fold(a, i), fold(b, j), rule) / s
+def _folded(state, order: int | None, rule: QuadratureRule, s: float) -> tuple[np.ndarray, bool]:
+    """state(node_array / s) * fold_array, and whether it is known to be finite.
+
+    The column comes from ``_COLUMNS`` for an argument with an integer order
+    whose class defines its own ``__hash__``, else from one direct call,
+    whose finiteness is left to the caller to check.
+    """
+    if order is not None and type(state).__hash__ is not object.__hash__:
+        values = _COLUMNS.column(rule, state, s)
+        if values is not None:
+            return values, not values.flags.writeable
+    return state(rule.node_array / s) * rule.fold_array, False
 
 
 def golden_section_minimize(f, lo: float, hi: float, xtol: float = 1e-6, polish: bool = True):

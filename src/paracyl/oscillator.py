@@ -8,6 +8,7 @@ N_n = (mu omega / (hbar pi))^{1/4} / sqrt(n!).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +39,11 @@ class OscillatorSpec:
         spacing = self.hbar * self.omega
         if not (math.isfinite(spacing) and spacing > 0):
             raise ValueError(f"level spacing hbar omega = {spacing!r} is out of the double range")
+        # A subnormal value has fewer digits than a double: the energies would lose them silently.
+        values = (("mu", self.mu), ("omega", self.omega), ("hbar", self.hbar), ("level spacing hbar omega", spacing))
+        for name, v in values:
+            if v < sys.float_info.min:
+                raise ValueError(f"{name} = {v!r} is subnormal (below {sys.float_info.min!r})")
 
     @property
     def z_scale(self) -> float:

@@ -126,21 +126,33 @@ _STRIDE = 25
 class _Ladder:
     """Pairs (D_{m-1}, D_m) of the recurrence at one clipped argument, owned privately.
 
-    ``pairs`` maps each order m to its pair: the cursor at the order of the
-    last call, and checkpoints at positive multiples of ``_STRIDE``.
+    ``pairs`` maps each order m to its pair: the cursor at order ``cursor``,
+    the order of the last climb, and checkpoints at positive multiples of
+    ``_STRIDE``.  ``size`` is ``sys.getsizeof`` of the argument and of each
+    row but one: the rows of an ndarray argument are ndarrays of its shape,
+    those of a 0-d argument numpy scalars like the clipped argument, and only
+    the pair at order 0 holds another, the float 0.0.
     """
 
     arg: np.ndarray
     pairs: dict
+    cursor: int
+    size: int
     nbytes: int
 
 
 class _LadderCache:
-    """LRU of recurrence ladders keyed by the exact bits of the argument.
+    """LRU of recurrence ladders keyed by the exact bits of the clipped argument.
 
     A prefilter on shape and end values finds the one candidate ladder, and
-    a bitwise comparison confirms it, so a miss costs no more than the clip
-    that already copied the argument.  Calls are serialized by one lock.
+    a bitwise comparison confirms it.  The argument is looked up on its own
+    bits first: a hit proves it equal, bit for bit, to a kept clipped
+    argument, which clipping leaves unchanged, so only a miss clips (making
+    the private copy a new ladder keeps) and looks up again.  A hit on a kept
+    row takes a few dict lookups; a climb adds the steps and updates the
+    ladder in place.  Byte counts are kept by arithmetic on ``_Ladder.size``,
+    equal to ``sys.getsizeof`` of the argument and of each distinct row held.
+    Calls are serialized by one lock.
     """
 
     def __init__(self, budget: int) -> None:
@@ -149,32 +161,66 @@ class _LadderCache:
         self.lock = threading.Lock()
         self._ladders: OrderedDict[tuple, _Ladder] = OrderedDict()
 
-    def row(self, n: int, t) -> np.ndarray:
-        """D_n at the clipped argument ``t``; the result is shared, not copied."""
+    def _find(self, t) -> tuple[tuple, _Ladder | None]:
+        """The key of ``t``, and the ladder kept under it if its argument has t's bits."""
         bits = t.view(np.uint64)
         key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
         ladder = self._ladders.get(key)
-        pairs, room = {}, 0
         if ladder is not None and (ladder.arg.view(np.uint64) == bits).all():
+            return key, ladder
+        return key, None
+
+    def row(self, n: int, z: np.ndarray) -> np.ndarray:
+        """D_n at the float argument ``z``, which is not kept; the result is shared, not copied."""
+        key, ladder = self._find(z)
+        if ladder is None:
+            # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
+            t = np.clip(z, -100.0, 100.0)
+            key, ladder = self._find(t)
+        if ladder is None:
+            pairs, cursor, size, room, k = {}, None, sys.getsizeof(t), 0, 0
+        else:
             self._ladders.move_to_end(key)
-            t, pairs = ladder.arg, ladder.pairs
+            t, pairs, cursor, size = ladder.arg, ladder.pairs, ladder.cursor, ladder.size
             for m in (n, n + 1):
                 if m in pairs:
                     return pairs[m][n + 1 - m]
             # A repeat: record checkpoints while the whole ladder fits the budget.
-            room = (self.budget // sys.getsizeof(t) - 3) // 2 - len(pairs)
-        k = max((m for m in pairs if m <= n), default=0)  # the highest kept pair at or below n
-        prev, cur = pairs.get(k) or (0.0, np.exp(-(t * t) / 4.0))
+            room = (self.budget // size - 3) // 2 - len(pairs)
+            # Start from the highest kept pair at or below n: the cursor, or a
+            # checkpoint above it, probed one stride at a time down from n.
+            k = cursor if cursor <= n else 0
+            m = n - n % _STRIDE
+            while m > k and m not in pairs:
+                m -= _STRIDE
+            k = max(k, m)
+        prev, cur = pairs[k] if k in pairs else (0.0, np.exp(-(t * t) / 4.0))
         prev, cur, marks = _climb(t, prev, cur, k, n, room)
-        pairs = {m: pair for m, pair in pairs.items() if m and m % _STRIDE == 0} | marks | {n: (prev, cur)}
-        rows = {id(d): d for pair in pairs.values() for d in pair}
-        nbytes = sys.getsizeof(t) + sum(map(sys.getsizeof, rows.values()))
-        if nbytes <= self.budget:  # replace the ladder under key, dropping the least recent others
-            old = self._ladders.pop(key, None)
-            self.nbytes += nbytes - (old.nbytes if old else 0)
-            while self._ladders and self.nbytes > self.budget:
+        marks[n] = (prev, cur)
+        # The new cursor and marks come in; the old cursor stays only as a
+        # checkpoint.  Checkpoints sit _STRIDE orders apart, so two kept pairs
+        # share a row only when a pair at n - 1 is kept beside the new cursor:
+        # both hold the climb's D_{n-1}.
+        drop = cursor is not None and (cursor == 0 or cursor % _STRIDE != 0)
+        held = len(pairs) + len(marks) - drop
+        shared = n - 1 in marks or (n - 1 in pairs and not (drop and cursor == n - 1))
+        nbytes = size * (1 + 2 * held - shared)
+        if n == 0:
+            nbytes += sys.getsizeof(prev) - size
+        if nbytes <= self.budget:  # update or add the ladder, dropping the least recent others
+            if ladder is None:
+                old = self._ladders.pop(key, None)
+                self.nbytes -= old.nbytes if old else 0
+                ladder = self._ladders[key] = _Ladder(t, marks, n, size, 0)
+            else:
+                if drop:
+                    del pairs[cursor]
+                pairs.update(marks)
+                ladder.cursor = n
+            self.nbytes += nbytes - ladder.nbytes
+            ladder.nbytes = nbytes
+            while self.nbytes > self.budget:
                 self.nbytes -= self._ladders.popitem(last=False)[1].nbytes
-            self._ladders[key] = _Ladder(t, pairs, nbytes)
         return cur
 
 
@@ -214,14 +260,16 @@ def eval_D(n: int, z, cap: int = DEGREE_CAP):
     Within ``_LADDER_BUDGET`` bytes, each recent argument keeps its cursor
     pair (D_{n-1}, D_n), and a repeated one also the checkpoint pair at each
     multiple of 25 its climbs pass.  A call on an equal argument returns a
-    kept row or climbs from the highest kept pair at or below n.  Values are
-    bit-identical to a fresh run, and every call returns a new array.
+    kept row or climbs from the highest kept pair at or below n.  The argument
+    is clipped to [-100, 100] only when its own bits match no kept argument,
+    and the bytes held are counted by arithmetic, not summed again on each
+    call (see ``_LadderCache``).  Values are bit-identical to a fresh run,
+    and every call returns a new array.
     """
     _check_order(n, cap)
-    # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
-    t = np.clip(np.asarray(z, dtype=float), -100.0, 100.0)
+    a = np.asarray(z, dtype=float)
     with _LADDERS.lock:
-        d = _LADDERS.row(n, t)
+        d = _LADDERS.row(n, a)
     return d + 0.0 if isinstance(z, np.ndarray) else float(d) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 

@@ -154,6 +154,21 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert out.splitlines() == ["n,E_n", "0,1", "1,3", "2,5", "3,7"]
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["--omega", "1e-320", "--mu", "1e16"], "omega"),  # printed 4.99994433591e-321 for 5e-321
+            (["--omega", "1e-318", "--mu", "1e14"], "omega"),
+            (["--omega", "1e-300", "--mu", "1e14", "--hbar", "1e-10"], "level spacing hbar omega"),
+        ],
+    )
+    def test_subnormal_parameter_or_spacing_is_usage_error(self, capsys, argv, name):
+        code, out, err = run(capsys, "spectrum", "--n", "1", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {name} = ") and "is subnormal" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestField:
     def test_continuous_branch(self, capsys):

@@ -23,13 +23,13 @@ ONES = OscillatorSpec()
 
 class TestGamma:
     def test_all_ones(self):
-        assert gamma_of(FieldSpec(1.0, 1.0), ONES) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert gamma_of(FieldSpec(1.0, 1.0), ONES) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15, abs=0.0)
 
     def test_zero_charge(self):
         assert gamma_of(FieldSpec(0.0, 5.0), ONES) == 0.0
 
     def test_linear_in_field(self):
-        assert gamma_of(FieldSpec(1.0, 2.0), ONES) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert gamma_of(FieldSpec(1.0, 2.0), ONES) == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0.0)
 
     def test_sign_follows_charge(self):
         assert gamma_of(FieldSpec(-1.0, 1.0), ONES) < 0
@@ -80,7 +80,7 @@ class TestEnergyShifted:
         assert energy_shifted(0, 1.0, ONES) == -0.5
 
     def test_half_shift(self):
-        assert energy_shifted(2, 1.0 / math.sqrt(2.0), ONES) == pytest.approx(2.0, rel=1e-15)
+        assert energy_shifted(2, 1.0 / math.sqrt(2.0), ONES) == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
 
 class TestShiftedStateType:
@@ -110,7 +110,7 @@ class TestEvalPsiShifted:
     def test_displaced_ground_state_peak(self):
         # z = sqrt(2) x + 2 vanishes at x = -sqrt(2)
         state = ShiftedState.continuous(0, 1.0, ONES)
-        assert state(-math.sqrt(2.0)) == pytest.approx(PI_QUARTER, rel=1e-12)
+        assert state(-math.sqrt(2.0)) == pytest.approx(PI_QUARTER, rel=1e-12, abs=0.0)
 
     def test_displaced_node(self):
         state = ShiftedState.continuous(1, 1.0, ONES)

@@ -35,10 +35,10 @@ class TestPotential:
         assert lj_potential(1.0, UNIT) == 0.0
 
     def test_depth_at_minimum(self):
-        assert lj_potential(R_MIN_FACTOR, UNIT) == pytest.approx(-1.0, rel=1e-14)
+        assert lj_potential(R_MIN_FACTOR, UNIT) == pytest.approx(-1.0, rel=1e-14, abs=0.0)
 
     def test_at_twice_sigma(self):
-        assert lj_potential(2.0, UNIT) == pytest.approx(4.0 * (2.0**-12 - 2.0**-6), rel=1e-15)
+        assert lj_potential(2.0, UNIT) == pytest.approx(4.0 * (2.0**-12 - 2.0**-6), rel=1e-15, abs=0.0)
 
     def test_rejects_nonpositive_separation(self):
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ class TestPotential:
 class TestMinimum:
     def test_position(self):
         r_min, _ = lj_minimum(LJSpec(2.0, 1.0, 3))
-        assert r_min == pytest.approx(1.122462048309373, rel=1e-15)
+        assert r_min == pytest.approx(1.122462048309373, rel=1e-15, abs=0.0)
 
     def test_depth(self):
         assert lj_minimum(LJSpec(3.5, 0.8, 2))[1] == -3.5
@@ -87,7 +87,7 @@ class TestFitOscillator:
         for _ in range(8):
             spec = LJSpec(rng.uniform(0.1, 5.0), rng.uniform(0.1, 3.0), rng.randint(1, 50))
             osc = fit_oscillator(spec, hbar=rng.uniform(0.5, 2.0))
-            assert osc.hbar * osc.omega * spec.gamma_sq == pytest.approx(spec.epsilon, rel=1e-14)
+            assert osc.hbar * osc.omega * spec.gamma_sq == pytest.approx(spec.epsilon, rel=1e-14, abs=0.0)
 
 
 class TestBoundLevels:
@@ -111,12 +111,12 @@ class TestBoundLevels:
         if g > 1:
             spacing = 1.0 / g
             for a, b in zip(energies, energies[1:]):
-                assert b - a == pytest.approx(spacing, rel=1e-13)
+                assert b - a == pytest.approx(spacing, rel=1e-13, abs=0.0)
 
     def test_edges(self):
         levels = bound_levels(LJSpec(2.0, 1.0, 4))
-        assert levels[0][1] == pytest.approx(-2.0 + 2.0 / 8.0, rel=1e-15)
-        assert levels[-1][1] == pytest.approx(-2.0 / 8.0, rel=1e-15)
+        assert levels[0][1] == pytest.approx(-2.0 + 2.0 / 8.0, rel=1e-15, abs=0.0)
+        assert levels[-1][1] == pytest.approx(-2.0 / 8.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 9])
     def test_matches_integer_branch_negative_subset(self, g):
@@ -140,7 +140,7 @@ class TestEstimateGammaSq:
     def test_nearest_integer_rounding(self):
         g, residual = estimate_gamma_sq(1.0, 0.3)
         assert g == 3
-        assert residual == pytest.approx(abs(10.0 / 3.0 - 3.0), rel=1e-12)
+        assert residual == pytest.approx(abs(10.0 / 3.0 - 3.0), rel=1e-12, abs=0.0)
 
     def test_round_trip_recovers_all_counts(self):
         assert all(estimate_gamma_sq(1.0, 1.0 / g)[0] == g for g in range(1, 1001))
@@ -149,7 +149,7 @@ class TestEstimateGammaSq:
         with pytest.warns(UserWarning):
             g, residual = estimate_gamma_sq(1.0, 1.5)
         assert g == 1
-        assert residual == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert residual == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ class TestHarmonicCurve:
         spec = LJSpec(1.0, 1.0, 4)
         for d in (0.01, 0.1, 0.3):
             assert harmonic_curve(R_MIN_FACTOR + d, spec, 70.0) == pytest.approx(
-                harmonic_curve(R_MIN_FACTOR - d, spec, 70.0), rel=1e-12
+                harmonic_curve(R_MIN_FACTOR - d, spec, 70.0), rel=1e-12, abs=0.0
             )
 
     def test_rejects_nonpositive_force_constant(self):
@@ -192,7 +192,7 @@ class TestHarmonicCurve:
 class TestCurvatureMatchedK:
     def test_value(self):
         assert curvature_matched_k(LJSpec(1.0, 1.0, 4)) == pytest.approx(
-            72.0 / 2.0 ** (1.0 / 3.0), rel=1e-15
+            72.0 / 2.0 ** (1.0 / 3.0), rel=1e-15, abs=0.0
         )
 
     def test_matches_numeric_second_derivative(self):
@@ -202,4 +202,4 @@ class TestCurvatureMatchedK:
         num = (
             lj_potential(r_min + h, spec) - 2.0 * lj_potential(r_min, spec) + lj_potential(r_min - h, spec)
         ) / h**2
-        assert curvature_matched_k(spec) == pytest.approx(num, rel=1e-5)
+        assert curvature_matched_k(spec) == pytest.approx(num, rel=1e-5, abs=0.0)

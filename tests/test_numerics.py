@@ -87,13 +87,13 @@ class TestGaussHermiteRule:
     def test_one_point_rule(self):
         rule = gauss_hermite_rule(1)
         assert rule.nodes == (0.0,)
-        assert rule.weights[0] == pytest.approx(SQRT_PI, rel=1e-15)
+        assert rule.weights[0] == pytest.approx(SQRT_PI, rel=1e-15, abs=0.0)
 
     def test_two_point_rule(self):
         rule = gauss_hermite_rule(2)
-        assert rule.nodes[0] == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
-        assert rule.nodes[1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert rule.weights[0] == pytest.approx(SQRT_PI / 2.0, rel=1e-15)
+        assert rule.nodes[0] == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15, abs=0.0)
+        assert rule.nodes[1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15, abs=0.0)
+        assert rule.weights[0] == pytest.approx(SQRT_PI / 2.0, rel=1e-15, abs=0.0)
         assert rule.weights[1] == rule.weights[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
@@ -101,7 +101,7 @@ class TestGaussHermiteRule:
         rule = gauss_hermite_rule(n)
         for k in range(n):  # even moments t^{2k} with 2k <= 2n - 1
             approx = math.fsum(w * t ** (2 * k) for t, w in zip(rule.nodes, rule.weights))
-            assert approx == pytest.approx(even_moment(k), rel=1e-12)
+            assert approx == pytest.approx(even_moment(k), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", range(1, MAX_RULE_POINTS + 1))
     def test_node_symmetry_and_pairwise_weights(self, n):
@@ -134,18 +134,18 @@ class TestWeightedInnerProduct:
         for n in (1, 4, 9):
             rule = gauss_hermite_rule(n)
             assert weighted_inner_product(lambda t: 1.0, lambda t: 1.0, rule) == pytest.approx(
-                SQRT_PI, rel=1e-14
+                SQRT_PI, rel=1e-14, abs=0.0
             )
 
     def test_h1_squared_norm(self):
         rule = gauss_hermite_rule(8)
         h1 = lambda t: poly_eval(hermite_recurrence(1), t)
-        assert weighted_inner_product(h1, h1, rule) == pytest.approx(2.0 * SQRT_PI, rel=1e-13)
+        assert weighted_inner_product(h1, h1, rule) == pytest.approx(2.0 * SQRT_PI, rel=1e-13, abs=0.0)
 
     def test_h2_squared_norm(self):
         rule = gauss_hermite_rule(8)
         h2 = lambda t: poly_eval(hermite_recurrence(2), t)
-        assert weighted_inner_product(h2, h2, rule) == pytest.approx(8.0 * SQRT_PI, rel=1e-13)
+        assert weighted_inner_product(h2, h2, rule) == pytest.approx(8.0 * SQRT_PI, rel=1e-13, abs=0.0)
 
     def test_rejects_non_finite_values(self):
         rule = gauss_hermite_rule(4)
@@ -163,7 +163,7 @@ class TestWeightedInnerProduct:
     def test_scalar_factor_broadcasts(self):
         # 2 * integral of t^2 e^{-t^2} = sqrt(pi)
         rule = gauss_hermite_rule(5)
-        assert weighted_inner_product(lambda t: 2.0, lambda t: t * t, rule) == pytest.approx(SQRT_PI, rel=1e-14)
+        assert weighted_inner_product(lambda t: 2.0, lambda t: t * t, rule) == pytest.approx(SQRT_PI, rel=1e-14, abs=0.0)
 
     def test_non_finite_value_at_one_node_is_named(self):
         rule = gauss_hermite_rule(5)
@@ -219,7 +219,7 @@ class TestMirrorPairSum:
         third = SQRT_PI / 3
         rule = QuadratureRule((-1.0, 0.5, 3.0), (third, third, third))
         assert weighted_inner_product(lambda t: t, lambda t: t * t, rule) == pytest.approx(
-            third * (-1.0 + 0.125 + 27.0), rel=1e-15
+            third * (-1.0 + 0.125 + 27.0), rel=1e-15, abs=0.0
         )
 
 
@@ -451,6 +451,58 @@ class TestStoredColumns:
         with pytest.raises(ValueError):
             column[0] = 0.0
         assert stored(store, rule) == [psi]
+
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    def test_two_stored_columns_give_the_inner_product_of_the_columns(self, store, monkeypatch, k):
+        rule = gauss_hermite_rule(k)
+        spec = SPECS[3]
+        s = math.sqrt(spec.gaussian_scale)
+        top = min(k - 1, 200)  # the highest order the rule and the order cap allow
+        states = [Eigenstate(n, spec) for n in (0, 1, top - 1, top)]
+        for a in states:
+            overlap(a, a, spec.gaussian_scale, rule)  # stores each column
+        checks = []
+        check = numerics._check_finite
+        monkeypatch.setattr(numerics, "_check_finite", lambda *args: checks.append(1) or check(*args))
+        pairs = [(a, b) for a in states for b in states]  # the rule is exact for all of them
+        for a, b in pairs:
+            fv, gv = store.column(rule, a, s), store.column(rule, b, s)
+            want = weighted_inner_product(lambda t: fv, lambda t: gv, rule) / s
+            assert overlap(a, b, spec.gaussian_scale, rule).hex() == want.hex()
+        assert len(checks) == len(pairs)  # weighted_inner_product's own: overlap checked no stored column
+        overlap(states[1], lambda x: x * states[1](x), spec.gaussian_scale, rule)
+        assert len(checks) == len(pairs) + 1  # a factor from a direct call is checked
+
+    @pytest.mark.parametrize("bad_a,bad_b", [(5, None), (None, 2), (5, 2), (2, 5)])
+    def test_a_non_finite_factor_names_its_first_node_and_is_never_stored(self, store, bad_a, bad_b):
+        rule = fresh_rule(16)
+
+        class Spiked(Counting):
+            """Counting, but NaN at the node ``bad`` (if any) of every call."""
+
+            def __init__(self, n, bad):
+                super().__init__(n, tag=("spiked", bad))
+                self.bad = bad
+
+            def __call__(self, x):
+                values = super().__call__(x)
+                if self.bad is not None:
+                    values[self.bad] = math.nan
+                return values
+
+        a, b = Spiked(3, bad_a), Spiked(5, bad_b)
+        first = min(i for i in (bad_a, bad_b) if i is not None)
+        good = [psi for psi in (a, b) if psi.bad is None]
+        for psi in good:
+            overlap(psi, psi, 1.0, rule)  # a stored column on one side
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
+                overlap(a, b, 1.0, rule)
+        assert stored(store, rule) == good
+        assert [psi.calls for psi in good] == [1] * len(good)
+        check_budget(store)
+        with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
+            uncached_overlap(a, b, 1.0, rule)
 
     def test_plain_callables_and_shifted_states_are_never_stored(self, store):
         rule = fresh_rule(16)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,10 +49,30 @@ class TestSpec:
         with pytest.raises(ValueError, match=name):
             OscillatorSpec(**params)
 
+    @pytest.mark.parametrize(
+        "params,name",
+        [
+            (dict(omega=1e-320, mu=1e16), "omega"),
+            (dict(omega=1e-318, mu=1e14), "omega"),
+            (dict(mu=1e-310, omega=1e10), "mu"),
+            (dict(hbar=1e-310, mu=1e-10), "hbar"),
+            (dict(omega=1e-300, mu=1e14, hbar=1e-10), "level spacing hbar omega"),  # 1e-310
+            (dict(omega=3e-154, hbar=5e-155, mu=1e150), "level spacing hbar omega"),  # 1.5e-308
+        ],
+    )
+    def test_subnormal_parameters_and_spacing_are_rejected(self, params, name):
+        with pytest.raises(ValueError, match=f"^{name} = .* is subnormal"):
+            OscillatorSpec(**params)
+
+    def test_smallest_normal_spacing_is_accepted(self):
+        spec = OscillatorSpec(omega=sys.float_info.min, mu=1e300)
+        assert energy(0, spec) == 0.5 * sys.float_info.min
+        assert energy(1, spec) == 1.5 * sys.float_info.min
+
     def test_derived_scales(self):
         spec = OscillatorSpec(mu=2.0, omega=8.0, hbar=1.0)
-        assert spec.z_scale == pytest.approx(math.sqrt(32.0), rel=1e-15)
-        assert spec.length_scale == pytest.approx(0.25, rel=1e-15)
+        assert spec.z_scale == pytest.approx(math.sqrt(32.0), rel=1e-15, abs=0.0)
+        assert spec.length_scale == pytest.approx(0.25, rel=1e-15, abs=0.0)
 
 
 class TestEnergy:
@@ -65,16 +86,16 @@ class TestEnergy:
         spec = OscillatorSpec(mu=1.3, omega=0.7, hbar=2.0)
         for n in range(12):
             assert energy(n + 1, spec) - energy(n, spec) == pytest.approx(
-                spec.hbar * spec.omega, rel=1e-14
+                spec.hbar * spec.omega, rel=1e-14, abs=0.0
             )
 
 
 class TestNormConst:
     def test_ground_state(self):
-        assert norm_const(0, OscillatorSpec()) == pytest.approx(PI_QUARTER, rel=1e-15)
+        assert norm_const(0, OscillatorSpec()) == pytest.approx(PI_QUARTER, rel=1e-15, abs=0.0)
 
     def test_n2(self):
-        assert norm_const(2, OscillatorSpec()) == pytest.approx(PI_QUARTER / math.sqrt(2.0), rel=1e-15)
+        assert norm_const(2, OscillatorSpec()) == pytest.approx(PI_QUARTER / math.sqrt(2.0), rel=1e-15, abs=0.0)
 
     def test_n1_equals_n0(self):
         spec = OscillatorSpec(mu=3.0, omega=0.2, hbar=1.5)
@@ -83,7 +104,7 @@ class TestNormConst:
     @pytest.mark.parametrize("n", [21, 25, 40])
     def test_lgamma_branch_matches_exact_factorial(self, n):
         exact = PI_QUARTER / math.sqrt(math.factorial(n))
-        assert norm_const(n, OscillatorSpec()) == pytest.approx(exact, rel=1e-12)
+        assert norm_const(n, OscillatorSpec()) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestEvalPsi:
@@ -91,11 +112,11 @@ class TestEvalPsi:
         assert eval_psi(1, OscillatorSpec(mu=2.0, omega=3.0), 0.0) == 0.0
 
     def test_ground_state_at_origin(self):
-        assert eval_psi(0, OscillatorSpec(), 0.0) == pytest.approx(PI_QUARTER, rel=1e-15)
+        assert eval_psi(0, OscillatorSpec(), 0.0) == pytest.approx(PI_QUARTER, rel=1e-15, abs=0.0)
 
     def test_n2_at_origin(self):
         assert eval_psi(2, OscillatorSpec(), 0.0) == pytest.approx(
-            -PI_QUARTER / math.sqrt(2.0), rel=1e-15
+            -PI_QUARTER / math.sqrt(2.0), rel=1e-15, abs=0.0
         )
 
     def test_scale_covariance(self):

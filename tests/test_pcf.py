@@ -108,7 +108,7 @@ class TestEvalD:
         assert eval_D(2, 0.0) == -1.0
 
     def test_d0_decay(self):
-        assert eval_D(0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert eval_D(0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0.0)
 
     def test_underflows_to_zero(self):
         assert eval_D(3, 80.0) == 0.0
@@ -240,11 +240,16 @@ class TestLadderCache:
             np.array(1.25),
             np.array([-0.0, 0.0, 1e300, -math.inf, math.nan]),
             0.75,
+            np.linspace(-250.0, 250.0, 101),  # clipped at both ends
+            np.array(-0.0),
+            np.array(300.0),
+            -0.0,
+            math.nan,
         ]
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 200), st.integers(0, 7), st.booleans()),
+            st.tuples(st.integers(0, 200), st.integers(0, 12), st.booleans()),
             min_size=1,
             max_size=12,
         )
@@ -316,6 +321,55 @@ class TestLadderCache:
             assert held_bytes(fresh_ladders) == fresh_ladders.nbytes <= pcf._LADDER_BUDGET
         assert_bit_equal(eval_D(250, grid, cap=400), low)
         assert_bit_equal(low, uncached_D(250, grid))
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 400), st.integers(0, 12)), min_size=1, max_size=10),
+        st.sampled_from(["order 0", "0-d argument", "overflow"]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_byte_total_matches_the_rows_held_after_any_sequence(self, calls, ending):
+        pool = self.pool()
+        last = {"order 0": (0, 2), "0-d argument": (33, 9), "overflow": (400, 4)}[ending]
+        with pytest.MonkeyPatch.context() as patch:
+            cache = pcf._LadderCache(pcf._LADDER_BUDGET)
+            patch.setattr(pcf, "_LADDERS", cache)
+            for n, i in [*calls, last]:
+                z = pool[i]
+                try:
+                    want = uncached_D(n, z)
+                except FloatingPointError:
+                    with pytest.raises(FloatingPointError):
+                        eval_D(n, z, cap=400)
+                else:
+                    assert_bit_equal(eval_D(n, z, cap=400), want)
+                assert held_bytes(cache) == cache.nbytes <= pcf._LADDER_BUDGET
+
+    def test_byte_total_matches_the_rows_held_along_consecutive_orders(self, fresh_ladders):
+        # Pairs one order apart share a row: a step from a kept pair, the old
+        # cursor dropped or kept as a checkpoint, and restarts at order 0.
+        orders = (5, 6, 7, 24, 25, 26, 27, 50, 49, 51, 0, 1, 2, 75, 76, 74, 0)
+        for z in (np.linspace(-6.0, 6.0, 12001), np.array(0.3), 0.3, np.linspace(-300.0, 300.0, 61)):
+            for n in orders:
+                assert_bit_equal(eval_D(n, z), uncached_D(n, z))
+                assert held_bytes(fresh_ladders) == fresh_ladders.nbytes <= pcf._LADDER_BUDGET
+
+    def test_only_a_miss_on_the_arguments_own_bits_clips(self, fresh_ladders, monkeypatch):
+        z = np.linspace(-5.0, 5.0, 101)
+        wide = np.linspace(-300.0, 300.0, 61)  # its own bits never match a clipped argument
+        calls = [(n, z) for n in (7, 8, 7, 30, 2)] + [(n, wide) for n in (7, 8, 7)]
+        want = [uncached_D(n, arg) for n, arg in calls]
+        clips = []
+        clip = np.clip
+
+        def counting_clip(*args, **kwargs):
+            clips.append(args[0].shape)
+            return clip(*args, **kwargs)
+
+        monkeypatch.setattr(np, "clip", counting_clip)
+        for (n, arg), values in zip(calls, want):
+            assert_bit_equal(eval_D(n, arg.copy()), values)
+        assert clips == [z.shape] + [wide.shape] * 3
+        assert len(fresh_ladders._ladders) == 2
 
     def test_an_argument_over_the_budget_is_not_kept(self, fresh_ladders):
         z = np.linspace(-40.0, 40.0, pcf._LADDER_BUDGET // 24 + 1)  # the argument and a pair overflow it
