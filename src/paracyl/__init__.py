@@ -34,13 +34,11 @@ from .numerics import (
     gauss_hermite_rule,
     golden_section_minimize,
     overlap,
-    weighted_inner_product,
 )
 from .oscillator import (
     Eigenstate,
     OscillatorSpec,
     energy,
-    eval_psi,
     expectation_x,
     hamiltonian_residual,
     norm_const,
@@ -75,7 +73,6 @@ __all__ = [
     "energy_shifted",
     "estimate_gamma_sq",
     "eval_D",
-    "eval_psi",
     "expectation_x",
     "expectation_x_shifted",
     "field_hamiltonian_residual",
@@ -97,5 +94,4 @@ __all__ = [
     "poly_derivative",
     "poly_eval",
     "potential_minimum",
-    "weighted_inner_product",
 ]

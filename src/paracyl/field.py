@@ -21,8 +21,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .numerics import Grid1D, QuadratureRule, _sized_rule, overlap
-from .oscillator import OscillatorSpec, _grid_residual, norm_const
+from .numerics import Grid1D, QuadratureRule
+from .oscillator import OscillatorSpec, _grid_residual, _x_mean, norm_const
 from .pcf import eval_D
 
 
@@ -59,6 +59,12 @@ def _field_unit(spec: OscillatorSpec) -> float:
     if min(scale, cube, scale * cube) < sys.float_info.min:
         raise ValueError(f"{message} loses digits: 2 mu hbar omega^3 or a factor of it is subnormal")
     return unit
+
+
+def _check_gamma_sq(gamma_sq) -> None:
+    """A ValueError unless ``gamma_sq`` is a positive int (a bool is not one)."""
+    if not isinstance(gamma_sq, int) or isinstance(gamma_sq, bool) or gamma_sq < 1:
+        raise ValueError("gamma_sq must be a positive integer")
 
 
 def gamma_of(field: FieldSpec, spec: OscillatorSpec) -> float:
@@ -102,8 +108,7 @@ class ShiftedState:
 
     @classmethod
     def integer_branch(cls, m: int, gamma_sq: int, spec: OscillatorSpec) -> "ShiftedState":
-        if not isinstance(gamma_sq, int) or isinstance(gamma_sq, bool) or gamma_sq < 1:
-            raise ValueError("gamma_sq must be a positive integer")
+        _check_gamma_sq(gamma_sq)
         if m + gamma_sq < 0:
             raise ValueError("integer branch requires m + gamma_sq >= 0")
         return cls(m=m, gamma=math.sqrt(gamma_sq), spec=spec, pcf_index=m + gamma_sq)
@@ -133,13 +138,7 @@ def expectation_x_shifted(state: ShiftedState, rule: QuadratureRule | None = Non
     more is exact: ``rule=None`` picks ``gauss_hermite_rule(max(64,
     pcf_index + 1))`` and a smaller rule is a ``ValueError``.
     """
-    rule = _sized_rule(state.pcf_index + 1, rule)
-    center = state.x_center
-
-    def centred(u):
-        return state(center + u)
-
-    return overlap(centred, lambda u: (center + u) * centred(u), state.spec.gaussian_scale, rule)
+    return _x_mean(state, state.x_center, state.pcf_index, rule)
 
 
 def integer_branch_spectrum(
@@ -149,8 +148,7 @@ def integer_branch_spectrum(
 
     E_m = hbar omega (m + 1/2) and pcf_index = m + gamma_sq runs 0, 1, 2...
     """
-    if not isinstance(gamma_sq, int) or isinstance(gamma_sq, bool) or gamma_sq < 1:
-        raise ValueError("gamma_sq must be a positive integer")
+    _check_gamma_sq(gamma_sq)
     if m_max < -gamma_sq:
         raise ValueError("empty range: m_max must be at least -gamma_sq")
     return [

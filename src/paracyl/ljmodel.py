@@ -10,10 +10,12 @@ estimate of gamma^2 from an observed vibrational spacing.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import _check_gamma_sq
 from .oscillator import OscillatorSpec
 
 #: Position of the L-J minimum in units of sigma.
@@ -29,12 +31,14 @@ class LJSpec:
     gamma_sq: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be positive and finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if not isinstance(self.gamma_sq, int) or isinstance(self.gamma_sq, bool) or self.gamma_sq < 1:
-            raise ValueError("gamma_sq must be a positive integer")
+        for name in ("epsilon", "sigma"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite")
+            # A subnormal value has fewer digits than a double: r_min and the levels would lose them silently.
+            if v < sys.float_info.min:
+                raise ValueError(f"{name} = {v!r} is subnormal (below {sys.float_info.min!r})")
+        _check_gamma_sq(self.gamma_sq)
 
 
 def lj_potential(r: float, spec: LJSpec) -> float:

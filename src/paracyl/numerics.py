@@ -188,14 +188,15 @@ def _build_rule(n: int) -> QuadratureRule:
     return QuadratureRule(tuple(nodes.tolist()), tuple(weights.tolist()))
 
 
-def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
-    """Sum_i w_i f(t_i) g(t_i); the e^{-t^2} weight is the rule's.
+def _check_finite(fv, gv, rule: QuadratureRule) -> None:
+    """A ``ValueError`` naming the first node where ``fv`` or ``gv`` is not finite."""
+    bad = ~(np.isfinite(fv) & np.isfinite(gv))
+    if bad.any():
+        raise ValueError(f"non-finite integrand value at node {rule.nodes[int(np.argmax(bad))]!r}")
 
-    ``f`` and ``g`` are each called once, with the rule's read-only
-    ndarray of nodes, and return an array of values at them (a scalar is
-    broadcast to every node).  The caller must already have folded the
-    Gaussian weight out of the product f*g.  A non-finite value is a
-    ``ValueError`` naming the first node where either factor has one.
+
+def _mirror_sum(fv, gv, rule: QuadratureRule) -> float:
+    """Sum_i w_i fv_i gv_i over the rule's nodes; a scalar factor is broadcast.
 
     The terms v_i are summed in mirror pairs: numpy's pairwise sum of
     v_i + v_{n-1-i}, halved.  On a symmetric rule every pair of an exactly
@@ -204,24 +205,10 @@ def weighted_inner_product(f, g, rule: QuadratureRule) -> float:
     any rule it is the same sum in another order, at O(n) numpy cost and
     within a few times (n/8 + log2 n) eps sum |v_i| of the exact sum, the
     bound of numpy's blocked pairwise summation (Higham, SIAM J. Sci.
-    Comput. 14, 1993).
-    """
-    fv, gv = f(rule.node_array), g(rule.node_array)
-    _check_finite(fv, gv, rule)
-    return _mirror_sum(fv, gv, rule)
-
-
-def _check_finite(fv, gv, rule: QuadratureRule) -> None:
-    bad = ~(np.isfinite(fv) & np.isfinite(gv))
-    if bad.any():
-        raise ValueError(f"non-finite integrand value at node {rule.nodes[int(np.argmax(bad))]!r}")
-
-
-def _mirror_sum(fv, gv, rule: QuadratureRule) -> float:
-    """The mirror-pair sum of w_i fv_i gv_i (see ``weighted_inner_product``).
-
-    ``np.add.reduce`` with ``axis=None`` is the reduction ``np.sum`` runs, in
-    the same pairwise order, without its Python-level argument handling.
+    Comput. 14, 1993).  ``np.add.reduce`` with ``axis=None`` is the
+    reduction ``np.sum`` runs, in the same pairwise order, without its
+    Python-level argument handling.  The values are not checked here (see
+    ``_check_finite``).
     """
     v = rule.weight_array * fv * gv
     return float(np.add.reduce(v + v[::-1], axis=None)) / 2.0
@@ -263,8 +250,8 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     callable, ``ShiftedState`` included, the order is unknown, ``rule=None``
     means the 64-point rule, and the result is exact only if that rule
     integrates the product exactly.  Mirror-pair summation (see
-    ``weighted_inner_product``) makes overlaps of opposite parity exactly
-    0.0 on a symmetric rule.
+    ``_mirror_sum``, which also gives its error bound) makes overlaps of
+    opposite parity exactly 0.0 on a symmetric rule.
 
     An argument with an integer ``n`` whose class defines its own
     ``__hash__`` (``Eigenstate``, a frozen dataclass hashed by value) is
@@ -313,14 +300,18 @@ def _folded(state, order: int | None, rule: QuadratureRule, s: float) -> tuple[n
     return state(rule.node_array / s) * rule.fold_array, False
 
 
-def golden_section_minimize(f, lo: float, hi: float, xtol: float = 1e-6, polish: bool = True):
-    """Minimize a unimodal f on [lo, hi]; returns (x_min, f(x_min)).
+def golden_section_minimize(f, lo: float, hi: float):
+    """Minimize a unimodal f on the finite bracket [lo, hi]; returns (x_min, f(x_min)).
 
-    Golden-section narrows the bracket to width ``xtol``; by default a final
-    parabolic interpolation through the bracket triple then refines the
-    minimizer well below the noise-flattened region that limits pure
-    section search in double precision.
+    Golden-section narrows the bracket to width 1e-6, or until its state
+    (a, b, c, d) repeats, from which it would cycle without narrowing (near
+    1e11 adjacent doubles are 1.5e-5 apart); a final parabolic
+    interpolation through the bracket triple then refines the minimizer
+    well below the noise-flattened region that limits pure section search
+    in double precision.
     """
+    if not math.isfinite(hi - lo):
+        raise ValueError("needs finite lo, hi and hi - lo")
     if not hi > lo:
         raise ValueError("needs hi > lo")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -328,7 +319,9 @@ def golden_section_minimize(f, lo: float, hi: float, xtol: float = 1e-6, polish:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > xtol:
+    seen = set()
+    while b - a > 1e-6 and (a, b, c, d) not in seen:
+        seen.add((a, b, c, d))
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -343,8 +336,6 @@ def golden_section_minimize(f, lo: float, hi: float, xtol: float = 1e-6, polish:
     else:
         x0, x1, x2 = c, d, b
         f1 = fd
-    if not polish:
-        return x1, f1
     f0, f2 = f(x0), f(x2)
     num = (x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)
     den = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)

@@ -82,11 +82,6 @@ def norm_const(n: int, spec: OscillatorSpec) -> float:
     return base * math.exp(-0.5 * math.lgamma(n + 1.0))
 
 
-def eval_psi(n: int, spec: OscillatorSpec, x: float) -> float:
-    """psi_n(x) = N_n D_n(sqrt(2 mu omega / hbar) x)."""
-    return norm_const(n, spec) * eval_D(n, spec.z_scale * x)
-
-
 @dataclass(frozen=True)
 class Eigenstate:
     """Callable eigenstate psi_n; takes a float or an ndarray of x values."""
@@ -99,7 +94,8 @@ class Eigenstate:
             raise ValueError("quantum number must be non-negative")
 
     def __call__(self, x: float) -> float:
-        return eval_psi(self.n, self.spec, x)
+        """psi_n(x) = N_n D_n(sqrt(2 mu omega / hbar) x)."""
+        return norm_const(self.n, self.spec) * eval_D(self.n, self.spec.z_scale * x)
 
 
 def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = None) -> float:
@@ -108,9 +104,7 @@ def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = No
     The rule must hold at least n + 1 points; ``rule=None`` picks
     ``gauss_hermite_rule(max(64, n + 1))`` and a smaller rule is a ``ValueError``.
     """
-    psi = Eigenstate(n, spec)
-    rule = _sized_rule(n + 1, rule)
-    return overlap(psi, lambda x: x * psi(x), spec.gaussian_scale, rule)
+    return _x_mean(Eigenstate(n, spec), 0.0, n, rule)
 
 
 @lru_cache(maxsize=2)
@@ -155,6 +149,16 @@ def _grid_residual(state, e: float, qe: float, center: float, grid: Grid1D, cove
     v *= inner
     r += v
     return float(np.abs(r, out=r).max())
+
+
+def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
+    """<x> over u = x - ``center``, where ``state`` is a degree-k polynomial times the rule's Gaussian."""
+    rule = _sized_rule(k + 1, rule)
+
+    def centred(u):
+        return state(center + u)
+
+    return overlap(centred, lambda u: (center + u) * centred(u), state.spec.gaussian_scale, rule)
 
 
 def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:

@@ -324,6 +324,27 @@ class TestLj:
         assert err.startswith("error: epsilon / delta_e overflows")
 
 
+class TestSubnormalLjParameters:
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["lj", "--gamma-sq", "3", "--sigma", "1e-320"], "sigma"),  # printed r_min = 1.12251714735e-320
+            (["figure2", "--epsilon", "1e-320"], "epsilon"),  # wrote the level -8.74990258785e-321
+            (["verify", "--suite", "lj", "--sigma", "1e-320"], "sigma"),  # reported FAIL minimum-search
+            (["verify", "--suite", "all", "--epsilon", "1e-320"], "epsilon"),
+        ],
+    )
+    def test_is_usage_error_before_any_output(self, capsys, tmp_path, argv, name):
+        if argv[0] == "figure2":
+            argv = [*argv, "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {name} = ") and "is subnormal" in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFigure1:
     def test_default_grid(self, capsys, tmp_path):
         out_path = tmp_path / "fig1.csv"

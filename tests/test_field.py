@@ -2,6 +2,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from paracyl.field import (
@@ -15,7 +16,7 @@ from paracyl.field import (
     potential_minimum,
 )
 from paracyl.numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, overlap
-from paracyl.oscillator import OscillatorSpec, energy, eval_psi, hamiltonian_residual
+from paracyl.oscillator import Eigenstate, OscillatorSpec, energy, expectation_x, hamiltonian_residual
 
 PI_QUARTER = math.pi ** -0.25
 ONES = OscillatorSpec()
@@ -102,10 +103,12 @@ class TestShiftedStateType:
 
 class TestEvalPsiShifted:
     def test_zero_shift_matches_free_state(self):
+        xs = np.array([-2.1, -0.3, -0.0, 0.0, 1.7])
         for n in range(5):
-            state = ShiftedState.continuous(n, 0.0, ONES)
-            for x in (-2.1, -0.3, 0.0, 1.7):
-                assert state(x) == eval_psi(n, ONES, x)
+            state, free = ShiftedState.continuous(n, 0.0, ONES), Eigenstate(n, ONES)
+            for x in xs.tolist():
+                assert state(x) == free(x)
+            assert state(xs).tobytes() == free(xs).tobytes()
 
     def test_displaced_ground_state_peak(self):
         # z = sqrt(2) x + 2 vanishes at x = -sqrt(2)
@@ -121,6 +124,21 @@ class TestExpectationXShifted:
     def test_zero_field(self):
         state = ShiftedState.continuous(0, 0.0, ONES)
         assert expectation_x_shifted(state) == 0.0
+
+    @pytest.mark.parametrize("points", [64, 128, 256])
+    @pytest.mark.parametrize("n", [0, 5, 63])
+    def test_zero_shift_matches_the_free_expectation_bit_for_bit(self, n, points):
+        rule = gauss_hermite_rule(points)
+        shifted = expectation_x_shifted(ShiftedState.continuous(n, 0.0, ONES), rule)
+        assert expectation_x(n, ONES, rule).hex() == shifted.hex()
+
+    def test_free_expectation_needs_no_field_unit(self):
+        # 2 mu hbar omega^3 underflows, so the field unit, and with it a zero-shift
+        # state's x_center, is a ValueError; the free <x> never asks for it.
+        spec = OscillatorSpec(1, 1e-110, 1)
+        with pytest.raises(ValueError, match="field unit"):
+            ShiftedState.continuous(3, 0.0, spec).x_center
+        assert expectation_x(3, spec) == 0.0
 
     def test_ground_state_displacement(self):
         gamma = gamma_of(FieldSpec(1.0, 1.0), ONES)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,17 @@ class TestSpec:
             LJSpec(1.0, -1.0, 1)
         with pytest.raises(ValueError):
             LJSpec(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "epsilon,sigma,name", [(1e-320, 1.0, "epsilon"), (1.0, 1e-320, "sigma"), (1.0, 5e-324, "sigma")]
+    )
+    def test_rejects_subnormal_parameters(self, epsilon, sigma, name):
+        with pytest.raises(ValueError, match=f"^{name} = .* is subnormal"):
+            LJSpec(epsilon, sigma, 3)
+
+    def test_smallest_normal_parameters_are_allowed(self):
+        tiny = sys.float_info.min
+        assert lj_minimum(LJSpec(tiny, tiny, 1)) == (R_MIN_FACTOR * tiny, -tiny)
 
 
 class TestPotential:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -21,7 +22,6 @@ from paracyl.numerics import (
     gauss_hermite_rule,
     golden_section_minimize,
     overlap,
-    weighted_inner_product,
 )
 from paracyl.field import ShiftedState, expectation_x_shifted
 from paracyl.oscillator import Eigenstate, OscillatorSpec, expectation_x
@@ -129,33 +129,32 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(2.0)
 
 
-class TestWeightedInnerProduct:
+class TestMirrorSumAndFiniteCheck:
     def test_constant_gives_total_mass(self):
         for n in (1, 4, 9):
             rule = gauss_hermite_rule(n)
-            assert weighted_inner_product(lambda t: 1.0, lambda t: 1.0, rule) == pytest.approx(
-                SQRT_PI, rel=1e-14, abs=0.0
-            )
+            assert numerics._mirror_sum(1.0, 1.0, rule) == pytest.approx(SQRT_PI, rel=1e-14, abs=0.0)
 
     def test_h1_squared_norm(self):
         rule = gauss_hermite_rule(8)
-        h1 = lambda t: poly_eval(hermite_recurrence(1), t)
-        assert weighted_inner_product(h1, h1, rule) == pytest.approx(2.0 * SQRT_PI, rel=1e-13, abs=0.0)
+        h1 = poly_eval(hermite_recurrence(1), rule.node_array)
+        assert numerics._mirror_sum(h1, h1, rule) == pytest.approx(2.0 * SQRT_PI, rel=1e-13, abs=0.0)
 
     def test_h2_squared_norm(self):
         rule = gauss_hermite_rule(8)
-        h2 = lambda t: poly_eval(hermite_recurrence(2), t)
-        assert weighted_inner_product(h2, h2, rule) == pytest.approx(8.0 * SQRT_PI, rel=1e-13, abs=0.0)
+        h2 = poly_eval(hermite_recurrence(2), rule.node_array)
+        assert numerics._mirror_sum(h2, h2, rule) == pytest.approx(8.0 * SQRT_PI, rel=1e-13, abs=0.0)
 
     def test_rejects_non_finite_values(self):
         rule = gauss_hermite_rule(4)
         with pytest.raises(ValueError):
-            weighted_inner_product(lambda t: math.inf, lambda t: 1.0, rule)
+            numerics._check_finite(math.inf, 1.0, rule)
+        numerics._check_finite(1.0, rule.node_array, rule)
 
-    def test_factors_receive_the_node_array(self):
+    def test_overlap_calls_each_factor_with_the_node_array(self):
         rule = gauss_hermite_rule(6)
         seen = []
-        weighted_inner_product(lambda t: seen.append(t) or t, lambda t: t, rule)
+        overlap(lambda t: seen.append(t) or t, lambda t: t, 1.0, rule)
         assert len(seen) == 1
         assert isinstance(seen[0], np.ndarray)
         assert tuple(seen[0]) == rule.nodes
@@ -163,16 +162,17 @@ class TestWeightedInnerProduct:
     def test_scalar_factor_broadcasts(self):
         # 2 * integral of t^2 e^{-t^2} = sqrt(pi)
         rule = gauss_hermite_rule(5)
-        assert weighted_inner_product(lambda t: 2.0, lambda t: t * t, rule) == pytest.approx(SQRT_PI, rel=1e-14, abs=0.0)
+        t = rule.node_array
+        assert numerics._mirror_sum(2.0, t * t, rule) == pytest.approx(SQRT_PI, rel=1e-14, abs=0.0)
 
     def test_non_finite_value_at_one_node_is_named(self):
         rule = gauss_hermite_rule(5)
         bad = rule.nodes[3]
-        f = lambda t: np.where(t == bad, math.nan, 1.0)
+        fv = np.where(rule.node_array == bad, math.nan, 1.0)
         with pytest.raises(ValueError, match=repr(bad)):
-            weighted_inner_product(f, lambda t: 1.0, rule)
+            numerics._check_finite(fv, 1.0, rule)
         with pytest.raises(ValueError, match=repr(bad)):
-            weighted_inner_product(lambda t: 1.0, f, rule)
+            numerics._check_finite(1.0, fv, rule)
 
 
 #: Mirror-pair sum against math.fsum: |error| <= len(rule) * 2**-52 * sum|v|.
@@ -183,7 +183,7 @@ UNIT = OscillatorSpec()
 
 def folded(state, rule):
     """state(t) e^{t^2/2} at the nodes: one factor of ``overlap`` at scale 1."""
-    return lambda t: state(t) * rule.fold_array
+    return state(rule.node_array) * rule.fold_array
 
 
 class TestMirrorPairSum:
@@ -192,11 +192,11 @@ class TestMirrorPairSum:
         rule = gauss_hermite_rule(k)
         n = min(k - 1, 200)
         psi = folded(Eigenstate(n, UNIT), rule)
-        assert weighted_inner_product(lambda t: t * psi(t), psi, rule) == 0.0
+        assert numerics._mirror_sum(rule.node_array * psi, psi, rule) == 0.0
         for i in {0, n // 2, n}:
             j = i + 1 if i < 200 else i - 1
             a, b = folded(Eigenstate(i, UNIT), rule), folded(Eigenstate(j, UNIT), rule)
-            assert weighted_inner_product(a, b, rule) == 0.0
+            assert numerics._mirror_sum(a, b, rule) == 0.0
 
     @given(st.data())
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -207,18 +207,20 @@ class TestMirrorPairSum:
         fv = np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
         gv = np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
         v = (rule.weight_array * fv * gv).tolist()
-        value = weighted_inner_product(lambda t: fv, lambda t: gv, rule)
+        value = numerics._mirror_sum(fv, gv, rule)
         assert abs(value - math.fsum(v)) <= k * FSUM_BOUND_PER_POINT * math.fsum(map(abs, v))
 
     def test_non_symmetric_rule(self):
         half = SQRT_PI / 2
         rule = QuadratureRule((-1.0, 2.0), (half, half))
-        assert weighted_inner_product(lambda t: 1.0, lambda t: 1.0, rule) == math.fsum([half, half])
-        assert weighted_inner_product(lambda t: t, lambda t: 1.0, rule) == math.fsum([-half, 2.0 * half])
-        assert weighted_inner_product(lambda t: t, lambda t: t, rule) == math.fsum([half, 4.0 * half])
+        t = rule.node_array
+        assert numerics._mirror_sum(1.0, 1.0, rule) == math.fsum([half, half])
+        assert numerics._mirror_sum(t, 1.0, rule) == math.fsum([-half, 2.0 * half])
+        assert numerics._mirror_sum(t, t, rule) == math.fsum([half, 4.0 * half])
         third = SQRT_PI / 3
         rule = QuadratureRule((-1.0, 0.5, 3.0), (third, third, third))
-        assert weighted_inner_product(lambda t: t, lambda t: t * t, rule) == pytest.approx(
+        t = rule.node_array
+        assert numerics._mirror_sum(t, t * t, rule) == pytest.approx(
             third * (-1.0 + 0.125 + 27.0), rel=1e-15, abs=0.0
         )
 
@@ -320,11 +322,11 @@ class TestRuleSizedByOrder:
 
 
 def uncached_overlap(a, b, scale, rule):
-    """``overlap`` as the plain per-call fold: each factor evaluated afresh."""
+    """``overlap`` as the plain per-call fold: each factor evaluated afresh, checked, then summed."""
     s = math.sqrt(scale)
-    return weighted_inner_product(
-        lambda t: a(t / s) * rule.fold_array, lambda t: b(t / s) * rule.fold_array, rule
-    ) / s
+    fv, gv = a(rule.node_array / s) * rule.fold_array, b(rule.node_array / s) * rule.fold_array
+    numerics._check_finite(fv, gv, rule)
+    return numerics._mirror_sum(fv, gv, rule) / s
 
 
 def fresh_rule(k):
@@ -467,11 +469,12 @@ class TestStoredColumns:
         pairs = [(a, b) for a in states for b in states]  # the rule is exact for all of them
         for a, b in pairs:
             fv, gv = store.column(rule, a, s), store.column(rule, b, s)
-            want = weighted_inner_product(lambda t: fv, lambda t: gv, rule) / s
+            check(fv, gv, rule)  # the reference's own check, not counted
+            want = numerics._mirror_sum(fv, gv, rule) / s
             assert overlap(a, b, spec.gaussian_scale, rule).hex() == want.hex()
-        assert len(checks) == len(pairs)  # weighted_inner_product's own: overlap checked no stored column
+        assert checks == []  # overlap checked no stored column
         overlap(states[1], lambda x: x * states[1](x), spec.gaussian_scale, rule)
-        assert len(checks) == len(pairs) + 1  # a factor from a direct call is checked
+        assert len(checks) == 1  # a factor from a direct call is checked
 
     @pytest.mark.parametrize("bad_a,bad_b", [(5, None), (None, 2), (5, 2), (2, 5)])
     def test_a_non_finite_factor_names_its_first_node_and_is_never_stored(self, store, bad_a, bad_b):
@@ -520,9 +523,9 @@ class TestStoredColumns:
             expectation_x_shifted(shifted, rule)
         assert len(calls) == 6
         assert stored(store, rule) == []
-        # expectation_x stores psi_n, not its x psi_n factor.
+        # expectation_x stores nothing: it integrates over u = x - 0.0 with plain callables.
         assert expectation_x(3, UNIT, rule) == 0.0
-        assert stored(store, rule) == [psi]
+        assert stored(store, rule) == []
 
     def test_an_identity_hashed_state_is_evaluated_afresh_after_a_mutation(self, store):
         class Trial:
@@ -637,10 +640,41 @@ class TestGoldenSection:
         assert x == pytest.approx(1.25, abs=1e-9)
         assert fx == pytest.approx(3.0, abs=1e-12)
 
-    def test_without_polish_still_brackets(self):
-        x, _ = golden_section_minimize(lambda t: (t - 1.25) ** 2, -4.0, 4.0, polish=False)
-        assert x == pytest.approx(1.25, abs=1e-5)
-
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             golden_section_minimize(lambda t: t * t, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)]
+    )
+    def test_rejects_non_finite_bounds_and_widths(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            golden_section_minimize(lambda t: t * t, lo, hi)
+
+    @staticmethod
+    def capped(f):
+        """``f``, raising after 10 000 calls, so a search that cannot end fails fast."""
+        calls = itertools.count(1)
+
+        def g(x):
+            if next(calls) > 10_000:
+                raise RuntimeError("golden_section_minimize did not terminate")
+            return f(x)
+
+        return g
+
+    def test_ends_where_adjacent_doubles_are_wider_than_the_tolerance(self):
+        # Near 1e11 adjacent doubles are 1.5e-5 apart: the bracket never gets below 1e-6.
+        x, fx = golden_section_minimize(self.capped(lambda t: (t - 1e11 - 3.3) ** 2), 1e11, 1e11 + 100)
+        assert x == pytest.approx(1e11 + 3.3, rel=0.0, abs=2e-5)
+        assert fx <= 1e-9
+
+    def test_a_bracket_that_stalls_then_narrows_keeps_its_result(self):
+        # One step here leaves the bracket width unchanged before later steps narrow it,
+        # so the search must not end at the first step that fails to narrow.
+        x0 = -39808062506.65094
+        f = self.capped(lambda t: abs(t - x0))
+        assert golden_section_minimize(f, -39808062608.459015, -39808062520.67001) == (
+            -39808062520.67001,
+            14.019073486328125,
+        )

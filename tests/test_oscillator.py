@@ -10,7 +10,6 @@ from paracyl.oscillator import (
     Eigenstate,
     OscillatorSpec,
     energy,
-    eval_psi,
     expectation_x,
     hamiltonian_residual,
     norm_const,
@@ -107,15 +106,15 @@ class TestNormConst:
         assert norm_const(n, OscillatorSpec()) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-class TestEvalPsi:
+class TestEigenstateValues:
     def test_odd_state_vanishes_at_origin(self):
-        assert eval_psi(1, OscillatorSpec(mu=2.0, omega=3.0), 0.0) == 0.0
+        assert Eigenstate(1, OscillatorSpec(mu=2.0, omega=3.0))(0.0) == 0.0
 
     def test_ground_state_at_origin(self):
-        assert eval_psi(0, OscillatorSpec(), 0.0) == pytest.approx(PI_QUARTER, rel=1e-15, abs=0.0)
+        assert Eigenstate(0, OscillatorSpec())(0.0) == pytest.approx(PI_QUARTER, rel=1e-15, abs=0.0)
 
     def test_n2_at_origin(self):
-        assert eval_psi(2, OscillatorSpec(), 0.0) == pytest.approx(
+        assert Eigenstate(2, OscillatorSpec())(0.0) == pytest.approx(
             -PI_QUARTER / math.sqrt(2.0), rel=1e-15, abs=0.0
         )
 
@@ -126,8 +125,8 @@ class TestEvalPsi:
         spec4 = OscillatorSpec(mu=2.0, omega=2.0)
         for n in range(6):
             for x in (-2.3, -0.7, 0.4, 1.9):
-                assert eval_psi(n, spec4, x / 2.0) == pytest.approx(
-                    math.sqrt(2.0) * eval_psi(n, spec, x), rel=1e-12, abs=1e-15
+                assert Eigenstate(n, spec4)(x / 2.0) == pytest.approx(
+                    math.sqrt(2.0) * Eigenstate(n, spec)(x), rel=1e-12, abs=1e-15
                 )
 
     @pytest.mark.parametrize("n", range(0, 9))
@@ -135,7 +134,7 @@ class TestEvalPsi:
         spec = OscillatorSpec()
         ell = spec.length_scale
         xs = np.arange(-8.0 * ell, 8.0 * ell + 1e-12, 0.01 * ell)
-        vals = np.array([eval_psi(n, spec, x) for x in xs])
+        vals = np.array([Eigenstate(n, spec)(x) for x in xs])
         assert int(np.sum(vals[:-1] * vals[1:] < 0)) == n
 
 
