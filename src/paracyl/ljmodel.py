@@ -39,6 +39,14 @@ class LJSpec:
             if v < sys.float_info.min:
                 raise ValueError(f"{name} = {v!r} is subnormal (below {sys.float_info.min!r})")
         _check_gamma_sq(self.gamma_sq)
+        # The top level, -epsilon / (2 gamma_sq), is the smallest in size; compared exactly, so a
+        # gamma_sq past the double range is no OverflowError.
+        level = Fraction(self.epsilon) / (2 * self.gamma_sq)
+        if level < Fraction(sys.float_info.min):
+            raise ValueError(
+                f"smallest level epsilon / (2 gamma_sq) = {float(level)!r} is below the smallest normal double "
+                f"{sys.float_info.min!r}: the levels would lose digits"
+            )
 
 
 def lj_potential(r: float, spec: LJSpec) -> float:

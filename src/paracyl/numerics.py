@@ -32,10 +32,10 @@ MAX_RULE_POINTS = 256
 class QuadratureRule:
     """Nodes and weights for integrals against the weight e^{-t^2}.
 
-    ``_id`` names the rule in ``_COLUMNS``, where ``overlap`` keeps the
-    folded columns of the eigenstates it evaluates on the rule (which
-    arguments, and the bound, are in ``overlap``); a pickled or copied rule
-    gets a new id.
+    ``_id`` names the rule in the keys of ``_COLUMNS``, the store of the
+    folded eigenstate columns ``overlap`` evaluates on the rule (see
+    ``_column``, and ``overlap`` for which arguments are stored); a pickled
+    or copied rule gets a new id.
     """
 
     nodes: tuple[float, ...]
@@ -75,59 +75,75 @@ class QuadratureRule:
         return type(self), (self.nodes, self.weights)
 
 
-class _ColumnStore:
-    """LRU of folded overlap columns of all rules, within one byte budget.
+class _BudgetLRU:
+    """Least recently used values within a budget of charges (bytes).
 
-    A column is state(node_array / s) * fold_array on one rule, read-only,
-    keyed by (rule id, state, s), so equal states share it.  Its finiteness
-    is checked once, when it is made: a finite column is made read-only and
-    stored, and one with a non-finite value is returned writeable and never
-    stored, so a hit needs no check.  Sizes are
-    counted with ``sys.getsizeof`` of each column, and the least recent
-    columns are dropped first.  The lock guards the bookkeeping only: a
-    state is evaluated outside it, so two threads that miss on one key may
-    both evaluate it, with equal results.
+    ``put`` keeps a value with the charge the caller gives it and drops the
+    least recent values while the charges exceed the budget; a value charged
+    more than the whole budget is not kept.  ``nbytes`` is the sum of the
+    charges kept.  Callers hold ``lock`` around every call.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.nbytes = 0
         self.lock = threading.Lock()
-        self._columns: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
 
-    def column(self, rule: QuadratureRule, state, s: float) -> np.ndarray | None:
-        """The folded column of ``state``, read-only exactly when it is finite.
+    def get(self, key):
+        """The value kept under ``key``, now the most recent, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
 
-        None, and the state is not called, if the state is not hashable.
+    def put(self, key, value, charge: int) -> None:
+        """Keep ``value`` under ``key`` as the most recent, in place of what the key held.
+
+        Nothing changes if ``charge`` alone exceeds the budget.
         """
-        key = (rule._id, state, s)
-        with self.lock:
-            try:
-                values = self._columns.get(key)
-            except TypeError:
-                return None
-            if values is not None:
-                self._columns.move_to_end(key)
-                return values
-        values = state(rule.node_array / s) * rule.fold_array
-        if not np.isfinite(values).all():
-            return values
-        values.flags.writeable = False
-        nbytes = sys.getsizeof(values)
-        with self.lock:
-            if key not in self._columns and nbytes <= self.budget:
-                while self._columns and self.nbytes + nbytes > self.budget:
-                    self.nbytes -= sys.getsizeof(self._columns.popitem(last=False)[1])
-                self._columns[key] = values
-                self.nbytes += nbytes
-        return values
+        if charge > self.budget:
+            return
+        old = self._entries.pop(key, None)
+        self.nbytes += charge - (old[1] if old else 0)
+        self._entries[key] = (value, charge)
+        while self.nbytes > self.budget:
+            self.nbytes -= self._entries.popitem(last=False)[1][1]
 
 
 #: Bytes of stored overlap columns, all rules together: the 201 columns of a
 #: pairwise Gram block of psi_0..psi_200 on the 256-point rule fit.
 _COLUMN_BUDGET = 2**19
-_COLUMNS = _ColumnStore(_COLUMN_BUDGET)
+_COLUMNS = _BudgetLRU(_COLUMN_BUDGET)
 _RULE_IDS = itertools.count()
+
+
+def _column(rule: QuadratureRule, state, s: float) -> np.ndarray | None:
+    """The folded column state(node_array / s) * fold_array, read-only exactly when it is finite.
+
+    Columns are kept in ``_COLUMNS`` under (rule id, state, s), charged
+    ``sys.getsizeof`` each, so equal states share one.  A column is checked
+    finite once, when it is made, and a non-finite one is returned writeable
+    and never kept, so a hit needs no check.  None, and the state is not
+    called, if the state is not hashable.  The state is evaluated outside the
+    lock, so two threads that miss on one key may both evaluate it, with
+    equal results.
+    """
+    key = (rule._id, state, s)
+    with _COLUMNS.lock:
+        try:
+            values = _COLUMNS.get(key)
+        except TypeError:
+            return None
+    if values is not None:
+        return values
+    values = state(rule.node_array / s) * rule.fold_array
+    if np.isfinite(values).all():
+        values.flags.writeable = False
+        with _COLUMNS.lock:
+            _COLUMNS.put(key, values, sys.getsizeof(values))
+    return values
 
 
 def grid_count(lo: float, hi: float, step: float) -> int:
@@ -258,11 +274,12 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     evaluated once per rule and scale while its folded column stays in
     ``_COLUMNS``: a later overlap of an equal state on the same rule reads
     it, so a Gram block of M eigenstates costs M evaluations, not M(M + 1).
-    The store holds ``_COLUMN_BUDGET`` bytes over all rules (512 KiB: 242
-    columns of a 256-point rule), least recent dropped first, and takes such
-    a state to be a pure function of the fields it is hashed on.  Every other
-    argument (plain callables, ``ShiftedState``, objects hashed by identity
-    or not hashable) is called once per overlap.  The values are the same
+    The store, a ``_BudgetLRU`` filled by ``_column``, charges each column
+    its ``sys.getsizeof`` within ``_COLUMN_BUDGET`` bytes over all rules
+    (512 KiB: 242 columns of a 256-point rule), least recent dropped first,
+    and takes such a state to be a pure function of the fields it is hashed
+    on.  Every other argument (plain callables, ``ShiftedState``, objects
+    hashed by identity or not hashable) is called once per overlap.  The values are the same
     either way, bit for bit.
 
     A stored column was checked finite when it was made, so an overlap of
@@ -294,7 +311,7 @@ def _folded(state, order: int | None, rule: QuadratureRule, s: float) -> tuple[n
     whose finiteness is left to the caller to check.
     """
     if order is not None and type(state).__hash__ is not object.__hash__:
-        values = _COLUMNS.column(rule, state, s)
+        values = _column(rule, state, s)
         if values is not None:
             return values, not values.flags.writeable
     return state(rule.node_array / s) * rule.fold_array, False

@@ -28,14 +28,13 @@ this down against the n = 0..5 closed forms.
 from __future__ import annotations
 
 import sys
-import threading
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .numerics import _BudgetLRU
 from .polys import (
     DEGREE_CAP,
     PolyZ,
@@ -114,140 +113,88 @@ def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
     return PcfPolyPart(PolyZ(_expand(n, _nth(_rodrigues_rows(1), n))), n)
 
 
-#: Bytes (``sys.getsizeof``) that the ladders ``eval_D`` keeps may hold in all.
-#: The 12 001-point residual grid needs its argument plus 9 pairs, about 1.8 MB.
+#: Bytes (``sys.getsizeof``) that the ladders ``eval_D`` keeps are charged in all.
+#: The 12 001-point residual grid is charged 20 rows of 96 120 bytes, about 1.92 MB.
 _LADDER_BUDGET = 2**21
 
 #: Orders between the checkpoint pairs of a kept argument.
 _STRIDE = 25
 
+#: Rows a new ladder is charged for, once: its argument, its cursor pair and a
+#: checkpoint pair at each multiple of ``_STRIDE`` up to ``DEGREE_CAP`` (19
+#: rows at most), and the copy of a row that each call returns.
+_LADDER_ROWS = 4 + 2 * (DEGREE_CAP // _STRIDE)
 
-@dataclass
+
 class _Ladder:
     """Pairs (D_{m-1}, D_m) of the recurrence at one clipped argument, owned privately.
 
-    ``pairs`` maps each order m to its pair: the cursor at order ``cursor``,
-    the order of the last climb, and checkpoints at positive multiples of
-    ``_STRIDE``.  ``size`` is ``sys.getsizeof`` of the argument and of each
-    row but one: the rows of an ndarray argument are ndarrays of its shape,
-    those of a 0-d argument numpy scalars like the clipped argument, and only
-    the pair at order 0 holds another, the float 0.0.
+    ``pairs`` maps the cursor, the order of the last call, to its pair.  From
+    the second call on it also keeps the pair at each multiple of ``_STRIDE``
+    up to ``DEGREE_CAP`` that a climb passes or the cursor leaves.  A row,
+    once made, is never changed.
     """
 
-    arg: np.ndarray
-    pairs: dict
-    cursor: int
-    size: int
-    nbytes: int
+    def __init__(self, arg) -> None:
+        self.arg = arg
+        self.pairs: dict = {}
+        self.cursor: int | None = None
 
-
-class _LadderCache:
-    """LRU of recurrence ladders keyed by the exact bits of the clipped argument.
-
-    A prefilter on shape and end values finds the one candidate ladder, and
-    a bitwise comparison confirms it.  The argument is looked up on its own
-    bits first: a hit proves it equal, bit for bit, to a kept clipped
-    argument, which clipping leaves unchanged, so only a miss clips (making
-    the private copy a new ladder keeps) and looks up again.  A hit on a kept
-    row takes a few dict lookups; a climb adds the steps and updates the
-    ladder in place.  Byte counts are kept by arithmetic on ``_Ladder.size``,
-    equal to ``sys.getsizeof`` of the argument and of each distinct row held.
-    Calls are serialized by one lock.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self.lock = threading.Lock()
-        self._ladders: OrderedDict[tuple, _Ladder] = OrderedDict()
-
-    def _find(self, t) -> tuple[tuple, _Ladder | None]:
-        """The key of ``t``, and the ladder kept under it if its argument has t's bits."""
-        bits = t.view(np.uint64)
-        key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
-        ladder = self._ladders.get(key)
-        if ladder is not None and (ladder.arg.view(np.uint64) == bits).all():
-            return key, ladder
-        return key, None
-
-    def row(self, n: int, z: np.ndarray) -> np.ndarray:
-        """D_n at the float argument ``z``, which is not kept; the result is shared, not copied."""
-        key, ladder = self._find(z)
-        if ladder is None:
-            # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
-            t = np.clip(z, -100.0, 100.0)
-            key, ladder = self._find(t)
-        if ladder is None:
-            pairs, cursor, size, room, k = {}, None, sys.getsizeof(t), 0, 0
-        else:
-            self._ladders.move_to_end(key)
-            t, pairs, cursor, size = ladder.arg, ladder.pairs, ladder.cursor, ladder.size
-            for m in (n, n + 1):
-                if m in pairs:
-                    return pairs[m][n + 1 - m]
-            # A repeat: record checkpoints while the whole ladder fits the budget.
-            room = (self.budget // size - 3) // 2 - len(pairs)
-            # Start from the highest kept pair at or below n: the cursor, or a
-            # checkpoint above it, probed one stride at a time down from n.
-            k = cursor if cursor <= n else 0
-            m = n - n % _STRIDE
-            while m > k and m not in pairs:
-                m -= _STRIDE
-            k = max(k, m)
+    def row(self, n: int):
+        """D_n: a held row, or the top of a climb from the highest pair at or below n."""
+        pairs, cursor = self.pairs, self.cursor
+        for m in (n, n + 1):
+            if m in pairs:
+                return pairs[m][n + 1 - m]
+        # Start from the cursor, or from a checkpoint above it, probed one
+        # stride at a time down from n.
+        k = cursor if cursor is not None and cursor <= n else 0
+        m = n - n % _STRIDE
+        while m > k and m not in pairs:
+            m -= _STRIDE
+        k = max(k, m)
+        t = self.arg
         prev, cur = pairs[k] if k in pairs else (0.0, np.exp(-(t * t) / 4.0))
-        prev, cur, marks = _climb(t, prev, cur, k, n, room)
-        marks[n] = (prev, cur)
-        # The new cursor and marks come in; the old cursor stays only as a
-        # checkpoint.  Checkpoints sit _STRIDE orders apart, so two kept pairs
-        # share a row only when a pair at n - 1 is kept beside the new cursor:
-        # both hold the climb's D_{n-1}.
-        drop = cursor is not None and (cursor == 0 or cursor % _STRIDE != 0)
-        held = len(pairs) + len(marks) - drop
-        shared = n - 1 in marks or (n - 1 in pairs and not (drop and cursor == n - 1))
-        nbytes = size * (1 + 2 * held - shared)
-        if n == 0:
-            nbytes += sys.getsizeof(prev) - size
-        if nbytes <= self.budget:  # update or add the ladder, dropping the least recent others
-            if ladder is None:
-                old = self._ladders.pop(key, None)
-                self.nbytes -= old.nbytes if old else 0
-                ladder = self._ladders[key] = _Ladder(t, marks, n, size, 0)
-            else:
-                if drop:
-                    del pairs[cursor]
-                pairs.update(marks)
-                ladder.cursor = n
-            self.nbytes += nbytes - ladder.nbytes
-            ladder.nbytes = nbytes
-            while self.nbytes > self.budget:
-                self.nbytes -= self._ladders.popitem(last=False)[1].nbytes
+        prev, cur, marks = _climb(t, prev, cur, k, n, 0 if cursor is None else DEGREE_CAP)
+        if cursor is not None and (cursor % _STRIDE or not 0 < cursor <= DEGREE_CAP):
+            del pairs[cursor]
+        pairs.update(marks)
+        pairs[n] = (prev, cur)
+        self.cursor = n
         return cur
 
 
-def _climb(t, prev, cur, k: int, n: int, room: int):
+def _climb(t, prev, cur, k: int, n: int, top: int):
     """Run D_{j+1} = t D_j - j D_{j-1} from (D_{k-1}, D_k) up to D_n.
 
-    Returns (D_{n-1}, D_n, marks), where marks maps the lowest ``room``
-    multiples m of ``_STRIDE`` in (k, n] to their pairs (D_{m-1}, D_m).  The
-    step is the same, in the same order, whichever pair it starts from, so
-    resumed ladders are bit-identical.
+    Returns (D_{n-1}, D_n, marks), where marks maps each multiple m of
+    ``_STRIDE`` in (k, min(n, top)] to its pair (D_{m-1}, D_m).  Each step
+    writes only into the new row it makes, with the same operations in the
+    same order whichever pair it starts from, so resumed ladders are
+    bit-identical.
     """
     marks = {}
     with np.errstate(over="raise"):
         for j in range(k, n):
             nxt = t * cur
-            if j < k + 2 or j in marks or j - 1 in marks:  # D_{j-1} is the caller's, or in a pair
-                nxt -= j * prev
-            else:  # D_{j-1} is not needed after this step: scale it in place
-                prev *= j
-                nxt -= prev
+            nxt -= j * prev
             prev, cur = cur, nxt
-            if (j + 1) % _STRIDE == 0 and len(marks) < room:
+            if (j + 1) % _STRIDE == 0 and j < top:
                 marks[j + 1] = (prev, cur)
     return prev, cur, marks
 
 
-_LADDERS = _LadderCache(_LADDER_BUDGET)
+_LADDERS = _BudgetLRU(_LADDER_BUDGET)
+
+
+def _find(t) -> tuple[tuple, _Ladder | None]:
+    """The key of ``t`` (its shape and end bits), and the ladder kept under it if its argument has t's bits."""
+    bits = t.view(np.uint64)
+    key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
+    ladder = _LADDERS.get(key)
+    if ladder is not None and (ladder.arg.view(np.uint64) == bits).all():
+        return key, ladder
+    return key, None
 
 
 def eval_D(n: int, z, cap: int = DEGREE_CAP):
@@ -257,19 +204,29 @@ def eval_D(n: int, z, cap: int = DEGREE_CAP):
     giving 0.0 where that Gaussian underflows.  Orders above about 340, past
     a raised ``cap``, overflow doubles and raise FloatingPointError.
 
-    Within ``_LADDER_BUDGET`` bytes, each recent argument keeps its cursor
-    pair (D_{n-1}, D_n), and a repeated one also the checkpoint pair at each
-    multiple of 25 its climbs pass.  A call on an equal argument returns a
-    kept row or climbs from the highest kept pair at or below n.  The argument
-    is clipped to [-100, 100] only when its own bits match no kept argument,
-    and the bytes held are counted by arithmetic, not summed again on each
-    call (see ``_LadderCache``).  Values are bit-identical to a fresh run,
-    and every call returns a new array.
+    Each recent argument keeps a ``_Ladder`` of pairs (D_{n-1}, D_n): its
+    cursor pair, and from its second call on also the checkpoint pair at
+    each multiple of 25 up to ``DEGREE_CAP`` that its climbs pass.  A call
+    on an equal argument returns a held row or climbs from the highest pair
+    at or below n.  The argument is looked up on its own bits, and clipped
+    to [-100, 100] only when that finds nothing.  A new ladder is charged
+    ``_LADDER_ROWS`` times the size of its argument once, and the ladders
+    share ``_LADDER_BUDGET``, least recent dropped first; one charged more
+    than the budget serves its call and is not kept.  Values are
+    bit-identical to a fresh run, and every call returns a new array.
     """
     _check_order(n, cap)
     a = np.asarray(z, dtype=float)
     with _LADDERS.lock:
-        d = _LADDERS.row(n, a)
+        key, ladder = _find(a)
+        if ladder is None:
+            # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
+            t = np.clip(a, -100.0, 100.0)
+            key, ladder = _find(t)
+            if ladder is None:
+                ladder = _Ladder(t)
+                _LADDERS.put(key, ladder, _LADDER_ROWS * sys.getsizeof(t))
+        d = ladder.row(n)
     return d + 0.0 if isinstance(z, np.ndarray) else float(d) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 

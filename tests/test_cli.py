@@ -345,6 +345,35 @@ class TestSubnormalLjParameters:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSubnormalLjLevel:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure2"],  # wrote the level -1,-1.14999999998e-313
+            ["lj"],
+            ["verify", "--suite", "lj"],
+            ["verify", "--suite", "all"],
+        ],
+    )
+    def test_is_usage_error_before_any_output(self, capsys, tmp_path, argv):
+        argv = [*argv, "--epsilon", "2.3e-308", "--gamma-sq", "100000"]
+        if argv[0] == "figure2":
+            argv = [*argv, "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: smallest level epsilon / (2 gamma_sq) = 1.15e-313 is below")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_smallest_normal_level_is_allowed(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        epsilon = repr(2 * sys.float_info.min)
+        code, _, _ = run(capsys, "figure2", "--epsilon", epsilon, "--gamma-sq", "1", "--out", str(out_path))
+        assert code == EXIT_OK
+        assert (tmp_path / "x_levels.csv").read_text().splitlines() == ["m,E_m", "-1,-2.22507385851e-308"]
+
+
 class TestFigure1:
     def test_default_grid(self, capsys, tmp_path):
         out_path = tmp_path / "fig1.csv"

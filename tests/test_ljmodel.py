@@ -39,7 +39,25 @@ class TestSpec:
 
     def test_smallest_normal_parameters_are_allowed(self):
         tiny = sys.float_info.min
-        assert lj_minimum(LJSpec(tiny, tiny, 1)) == (R_MIN_FACTOR * tiny, -tiny)
+        # epsilon = tiny would make the level -epsilon / 2 subnormal; 2 tiny is the least depth for gamma_sq = 1.
+        assert lj_minimum(LJSpec(2 * tiny, tiny, 1)) == (R_MIN_FACTOR * tiny, -2 * tiny)
+        assert bound_levels(LJSpec(2 * tiny, 1.0, 1)) == [(-1, -tiny)]
+
+    @pytest.mark.parametrize(
+        "epsilon,gamma_sq",
+        [(2.3e-308, 100000), (sys.float_info.min, 1), (math.nextafter(2 * sys.float_info.min, 0.0), 1), (1.0, 10**400)],
+    )
+    def test_rejects_a_subnormal_smallest_level(self, epsilon, gamma_sq):
+        with pytest.raises(ValueError, match=r"^smallest level epsilon / \(2 gamma_sq\) = .* is below"):
+            LJSpec(epsilon, 1.0, gamma_sq)
+
+    def test_the_smallest_level_is_compared_exactly(self):
+        # 2 gamma_sq tiny is exact in doubles, so the least allowed depth is that product, for any gamma_sq.
+        tiny = sys.float_info.min
+        for g in (3, 7, 100000, 2**40 + 1):
+            LJSpec(2 * g * tiny, 1.0, g)
+            with pytest.raises(ValueError):
+                LJSpec(math.nextafter(2 * g * tiny, 0.0), 1.0, g)
 
 
 class TestPotential:

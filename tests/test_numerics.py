@@ -363,19 +363,58 @@ SPECS = (
 
 def stored(store, rule):
     """The states stored for ``rule``, least recent first."""
-    return [key[1] for key in store._columns if key[0] == rule._id]
+    return [key[1] for key in store._entries if key[0] == rule._id]
 
 
 def check_budget(store):
-    assert store.nbytes == sum(sys.getsizeof(column) for column in store._columns.values())
-    assert store.nbytes <= store.budget
+    """Each column is charged its size, and nbytes is the sum of the charges, within the budget."""
+    assert all(charge == sys.getsizeof(column) for column, charge in store._entries.values())
+    assert store.nbytes == sum(charge for _, charge in store._entries.values()) <= store.budget
+
+
+class TestBudgetLRU:
+    @staticmethod
+    def contents(store):
+        return [(key, value, charge) for key, (value, charge) in store._entries.items()]
+
+    def test_drops_the_least_recent_while_the_charges_exceed_the_budget(self):
+        store = numerics._BudgetLRU(100)
+        for key, charge in (("a", 30), ("b", 30), ("c", 30)):
+            store.put(key, key.upper(), charge)
+        assert store.get("a") == "A"  # now the most recent
+        assert store.get("missing") is None
+        store.put("d", "D", 40)  # 130 > 100: drops b, the least recent
+        assert self.contents(store) == [("c", "C", 30), ("a", "A", 30), ("d", "D", 40)]
+        assert store.nbytes == 100
+        store.put("e", "E", 100)  # drops everything else
+        assert self.contents(store) == [("e", "E", 100)] and store.nbytes == 100
+
+    def test_a_re_put_replaces_the_value_and_its_charge(self):
+        store = numerics._BudgetLRU(100)
+        store.put("a", 1, 50)
+        store.put("b", 2, 20)
+        store.put("a", 3, 10)
+        assert self.contents(store) == [("b", 2, 20), ("a", 3, 10)] and store.nbytes == 30
+        store.put("b", 4, 90)  # 100 in all: nothing dropped
+        assert self.contents(store) == [("a", 3, 10), ("b", 4, 90)] and store.nbytes == 100
+
+    def test_a_value_charged_over_the_budget_is_not_kept(self):
+        store = numerics._BudgetLRU(100)
+        store.put("a", 1, 60)
+        store.put("b", 2, 101)
+        assert self.contents(store) == [("a", 1, 60)] and store.nbytes == 60
+        empty = numerics._BudgetLRU(0)
+        empty.put("a", 1, 1)
+        assert empty.get("a") is None and empty.nbytes == 0
+        empty.put("z", 0, 0)  # a charge of 0 fits any budget
+        assert empty.get("z") == 0
 
 
 class TestStoredColumns:
     @pytest.fixture(autouse=True)
     def store(self, monkeypatch):
         """A new, empty store of the default budget for each test."""
-        fresh = numerics._ColumnStore(numerics._COLUMN_BUDGET)
+        fresh = numerics._BudgetLRU(numerics._COLUMN_BUDGET)
         monkeypatch.setattr(numerics, "_COLUMNS", fresh)
         return fresh
 
@@ -384,7 +423,7 @@ class TestStoredColumns:
     def test_sequences_of_overlaps_equal_the_uncached_reference(self, data):
         rules = [fresh_rule(k) for k in (3, 8, 20)] + [gauss_hermite_rule(64)]
         # A small budget, so sequences also run through evictions.
-        store = numerics._ColumnStore(data.draw(st.sampled_from([2**19, 4096, 1024])))
+        store = numerics._BudgetLRU(data.draw(st.sampled_from([2**19, 4096, 1024])))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "_COLUMNS", store)
             for _ in range(data.draw(st.integers(1, 40))):
@@ -402,7 +441,7 @@ class TestStoredColumns:
     def test_one_budget_holds_the_columns_of_all_rules_and_drops_the_least_recent(self, monkeypatch):
         small, large = fresh_rule(4), fresh_rule(16)
         size = {rule: sys.getsizeof(np.ones(len(rule))) for rule in (small, large)}
-        store = numerics._ColumnStore(3 * size[small] + size[large])
+        store = numerics._BudgetLRU(3 * size[small] + size[large])
         monkeypatch.setattr(numerics, "_COLUMNS", store)
         states = [Counting(n, tag=n) for n in range(4)]
         for psi in states:
@@ -424,13 +463,13 @@ class TestStoredColumns:
         check_budget(store)
 
     def test_a_column_over_the_budget_is_not_stored(self, monkeypatch):
-        store = numerics._ColumnStore(100)
+        store = numerics._BudgetLRU(100)
         monkeypatch.setattr(numerics, "_COLUMNS", store)
         rule, psi = fresh_rule(64), Counting(5)
         for _ in range(2):
             assert overlap(psi, psi, 1.0, rule) == uncached_overlap(psi.psi, psi.psi, 1.0, rule)
         assert psi.calls == 4
-        assert (store.nbytes, len(store._columns)) == (0, 0)
+        assert (store.nbytes, len(store._entries)) == (0, 0)
 
     def test_a_default_rule_gram_block_stays_within_the_budget(self, store):
         # Default rules for overlaps up to order 200 span 64..201 points; the store
@@ -441,14 +480,14 @@ class TestStoredColumns:
                 overlap(a, b, 1.0)
                 assert store.nbytes <= store.budget
         check_budget(store)
-        assert len({key[0] for key in store._columns}) > 1
+        assert len({key[0] for key in store._entries}) > 1
 
     def test_a_stored_column_is_read_only_and_shared(self, store):
         rule = fresh_rule(8)
         psi = Eigenstate(5, UNIT)
         overlap(psi, psi, 1.0, rule)
-        column = store.column(rule, Eigenstate(5, OscillatorSpec()), 1.0)
-        assert column is store.column(rule, psi, 1.0)
+        column = numerics._column(rule, Eigenstate(5, OscillatorSpec()), 1.0)
+        assert column is numerics._column(rule, psi, 1.0)
         assert column.tobytes() == (psi(rule.node_array) * rule.fold_array).tobytes()
         with pytest.raises(ValueError):
             column[0] = 0.0
@@ -468,7 +507,7 @@ class TestStoredColumns:
         monkeypatch.setattr(numerics, "_check_finite", lambda *args: checks.append(1) or check(*args))
         pairs = [(a, b) for a in states for b in states]  # the rule is exact for all of them
         for a, b in pairs:
-            fv, gv = store.column(rule, a, s), store.column(rule, b, s)
+            fv, gv = numerics._column(rule, a, s), numerics._column(rule, b, s)
             check(fv, gv, rule)  # the reference's own check, not counted
             want = numerics._mirror_sum(fv, gv, rule) / s
             assert overlap(a, b, spec.gaussian_scale, rule).hex() == want.hex()

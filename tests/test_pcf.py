@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import pbdv
 
-from paracyl import pcf
-from paracyl.field import ShiftedState, energy_shifted, field_hamiltonian_residual
-from paracyl.numerics import Grid1D
-from paracyl.oscillator import OscillatorSpec, energy, hamiltonian_residual, norm_const
+from paracyl import numerics, pcf
+from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, field_hamiltonian_residual
+from paracyl.numerics import Grid1D, _BudgetLRU, gauss_hermite_rule, overlap
+from paracyl.oscillator import Eigenstate, OscillatorSpec, energy, hamiltonian_residual, norm_const
 from paracyl.pcf import PcfPolyPart, _ode_residual, eval_D, pcf_poly, pcf_rodrigues_poly
 from paracyl.polys import DEGREE_CAP, PolyZ
 
@@ -195,21 +195,31 @@ def assert_bit_equal(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def held_bytes(cache):
-    """sys.getsizeof of each ladder's argument and of each distinct row its pairs hold."""
-    total = 0
-    for ladder in cache._ladders.values():
-        rows = {id(d): d for pair in ladder.pairs.values() for d in pair}
-        total += sys.getsizeof(ladder.arg) + sum(sys.getsizeof(d) for d in rows.values())
-    return total
+def kept(store):
+    """The ladders a store keeps, least recent first."""
+    return [ladder for ladder, _ in store._entries.values()]
+
+
+def held_bytes(ladder):
+    """sys.getsizeof of a ladder's argument and of each distinct row its pairs hold."""
+    rows = {id(d): d for pair in ladder.pairs.values() for d in pair}
+    return sys.getsizeof(ladder.arg) + sum(sys.getsizeof(d) for d in rows.values())
+
+
+def check_charges(store):
+    """nbytes is the sum of the charges, within the budget; no ladder holds more than its charge."""
+    assert store.nbytes == sum(charge for _, charge in store._entries.values()) <= store.budget
+    for ladder, charge in store._entries.values():
+        assert charge == pcf._LADDER_ROWS * sys.getsizeof(ladder.arg)
+        assert held_bytes(ladder) <= charge
 
 
 @pytest.fixture
 def fresh_ladders(monkeypatch):
-    """An empty ladder cache with the default budget, for tests that read its contents."""
-    cache = pcf._LadderCache(pcf._LADDER_BUDGET)
-    monkeypatch.setattr(pcf, "_LADDERS", cache)
-    return cache
+    """An empty ladder store with the default budget, for tests that read its contents."""
+    store = _BudgetLRU(pcf._LADDER_BUDGET)
+    monkeypatch.setattr(pcf, "_LADDERS", store)
+    return store
 
 
 def counting_climbs(monkeypatch):
@@ -217,9 +227,9 @@ def counting_climbs(monkeypatch):
     climbs = []
     climb = pcf._climb
 
-    def recording(t, prev, cur, k, n, room):
+    def recording(t, prev, cur, k, n, top):
         climbs.append((k, n))
-        return climb(t, prev, cur, k, n, room)
+        return climb(t, prev, cur, k, n, top)
 
     monkeypatch.setattr(pcf, "_climb", recording)
     return climbs
@@ -235,7 +245,7 @@ class TestLadderCache:
             nodes,
             nodes.copy(),  # an equal-valued copy
             np.linspace(-30.0, 30.0, 5000),
-            np.linspace(-40.0, 40.0, 22000),  # the budget holds only 4 checkpoints
+            np.linspace(-40.0, 40.0, 22000),  # charged more than the budget: never kept
             math.sqrt(2.0) * Grid1D(-6.0, 6.0, 1e-3).points(),  # the residual grid's argument
             np.array(1.25),
             np.array([-0.0, 0.0, 1e300, -math.inf, math.nan]),
@@ -290,10 +300,10 @@ class TestLadderCache:
     def test_a_one_shot_call_records_no_checkpoint(self, fresh_ladders):
         z = np.linspace(-6.0, 6.0, 12001)
         eval_D(120, z)
-        (ladder,) = fresh_ladders._ladders.values()
+        (ladder,) = kept(fresh_ladders)
         assert list(ladder.pairs) == [120]
         eval_D(160, z)  # a repeat records the checkpoints its climb passes
-        (ladder,) = fresh_ladders._ladders.values()
+        assert kept(fresh_ladders) == [ladder]
         assert sorted(ladder.pairs) == [125, 150, 160]
 
     def test_a_window_sweep_on_a_kept_grid_climbs_less_than_a_stride(self, fresh_ladders, monkeypatch):
@@ -308,31 +318,32 @@ class TestLadderCache:
                 hamiltonian_residual(n, spec, grid)
             assert sum(n - k for k, n in climbs) <= pcf._STRIDE - 1 + 5, start
 
-    def test_byte_total_matches_the_rows_held_and_the_budget(self, fresh_ladders):
+    def test_charges_bound_the_rows_held_and_the_budget(self, fresh_ladders):
         grid = np.linspace(-6.0, 6.0, 12001)
         for i in range(30):
             eval_D(20 + 6 * i, grid + 1e-3 * (i % 3))  # three repeated arguments
             eval_D(3, grid - 1e-3 * i)  # and a new one-shot argument each time
-            assert held_bytes(fresh_ladders) == fresh_ladders.nbytes <= pcf._LADDER_BUDGET
+            check_charges(fresh_ladders)
         low = eval_D(250, grid, cap=400)
         for _ in range(2):
             with pytest.raises(FloatingPointError):
                 eval_D(400, grid, cap=400)
-            assert held_bytes(fresh_ladders) == fresh_ladders.nbytes <= pcf._LADDER_BUDGET
+            check_charges(fresh_ladders)
         assert_bit_equal(eval_D(250, grid, cap=400), low)
         assert_bit_equal(low, uncached_D(250, grid))
 
     @given(
         st.lists(st.tuples(st.integers(0, 400), st.integers(0, 12)), min_size=1, max_size=10),
         st.sampled_from(["order 0", "0-d argument", "overflow"]),
+        st.sampled_from([pcf._LADDER_BUDGET, 2**16, 0]),  # small budgets also run through evictions
     )
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    def test_byte_total_matches_the_rows_held_after_any_sequence(self, calls, ending):
+    def test_charges_bound_the_rows_held_after_any_sequence(self, calls, ending, budget):
         pool = self.pool()
         last = {"order 0": (0, 2), "0-d argument": (33, 9), "overflow": (400, 4)}[ending]
         with pytest.MonkeyPatch.context() as patch:
-            cache = pcf._LadderCache(pcf._LADDER_BUDGET)
-            patch.setattr(pcf, "_LADDERS", cache)
+            store = _BudgetLRU(budget)
+            patch.setattr(pcf, "_LADDERS", store)
             for n, i in [*calls, last]:
                 z = pool[i]
                 try:
@@ -342,16 +353,16 @@ class TestLadderCache:
                         eval_D(n, z, cap=400)
                 else:
                     assert_bit_equal(eval_D(n, z, cap=400), want)
-                assert held_bytes(cache) == cache.nbytes <= pcf._LADDER_BUDGET
+                check_charges(store)
 
-    def test_byte_total_matches_the_rows_held_along_consecutive_orders(self, fresh_ladders):
-        # Pairs one order apart share a row: a step from a kept pair, the old
-        # cursor dropped or kept as a checkpoint, and restarts at order 0.
+    def test_charges_bound_the_rows_held_along_consecutive_orders(self, fresh_ladders):
+        # Steps from a kept pair, the old cursor dropped or kept as a
+        # checkpoint, and restarts at order 0.
         orders = (5, 6, 7, 24, 25, 26, 27, 50, 49, 51, 0, 1, 2, 75, 76, 74, 0)
         for z in (np.linspace(-6.0, 6.0, 12001), np.array(0.3), 0.3, np.linspace(-300.0, 300.0, 61)):
             for n in orders:
                 assert_bit_equal(eval_D(n, z), uncached_D(n, z))
-                assert held_bytes(fresh_ladders) == fresh_ladders.nbytes <= pcf._LADDER_BUDGET
+                check_charges(fresh_ladders)
 
     def test_only_a_miss_on_the_arguments_own_bits_clips(self, fresh_ladders, monkeypatch):
         z = np.linspace(-5.0, 5.0, 101)
@@ -369,13 +380,50 @@ class TestLadderCache:
         for (n, arg), values in zip(calls, want):
             assert_bit_equal(eval_D(n, arg.copy()), values)
         assert clips == [z.shape] + [wide.shape] * 3
-        assert len(fresh_ladders._ladders) == 2
+        assert len(kept(fresh_ladders)) == 2
 
     def test_an_argument_over_the_budget_is_not_kept(self, fresh_ladders):
-        z = np.linspace(-40.0, 40.0, pcf._LADDER_BUDGET // 24 + 1)  # the argument and a pair overflow it
+        # 20 rows of 13 093 points are charged 2 097 120 bytes, within 2 MiB; one more point is not.
+        assert pcf._LADDER_ROWS == 20 and pcf._LADDER_BUDGET == 2**21
+        z = np.linspace(-40.0, 40.0, 13094)
         for n in (30, 31):
             assert_bit_equal(eval_D(n, z), uncached_D(n, z))
-        assert fresh_ladders.nbytes == 0 and not fresh_ladders._ladders
+        assert fresh_ladders.nbytes == 0 and not kept(fresh_ladders)
+        fits = z[:-1].copy()
+        for n in (30, 31):
+            assert_bit_equal(eval_D(n, fits), uncached_D(n, fits))
+        assert fresh_ladders.nbytes == 2_097_120
+        check_charges(fresh_ladders)
+
+    @pytest.mark.parametrize("points", [12001, 13001])
+    def test_the_residual_and_field_grids_are_kept(self, fresh_ladders, points):
+        z = np.linspace(-6.0, 6.0, points)
+        eval_D(5, z)
+        assert fresh_ladders.nbytes == {12001: 1_922_400, 13001: 2_082_400}[points]
+
+    def test_held_rows_are_never_changed(self, fresh_ladders):
+        z = np.linspace(-6.0, 6.0, 301)
+        eval_D(60, z)
+        eval_D(130, z)  # records the checkpoints 75..125
+        (ladder,) = kept(fresh_ladders)
+        held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
+        assert sorted(held) == [75, 100, 125, 130]
+        for n in (140, 30, 101, 200, 76, 3, 129):
+            assert_bit_equal(eval_D(n, z), uncached_D(n, z))
+        for pair, before in held.values():
+            assert [np.asarray(d).tobytes() for d in pair] == before
+
+    def test_no_checkpoint_is_recorded_above_the_degree_cap(self, fresh_ladders, monkeypatch):
+        z = np.linspace(-1.0, 1.0, 9)
+        climbs = counting_climbs(monkeypatch)
+        checkpoints = list(range(pcf._STRIDE, DEGREE_CAP + 1, pcf._STRIDE))
+        for n in (10, 300, 250, 275):
+            assert_bit_equal(eval_D(n, z, cap=400), uncached_D(n, z))
+        (ladder,) = kept(fresh_ladders)
+        # The cursor at 250 is a multiple of the stride above the cap, so it is dropped when it moves.
+        assert sorted(ladder.pairs) == [*checkpoints, 275]
+        assert climbs == [(0, 10), (10, 300), (200, 250), (250, 275)]
+        check_charges(fresh_ladders)
 
     def test_raised_cap_overflow_is_an_error_on_a_hit(self):
         z = np.linspace(-1.0, 1.0, 9)
@@ -423,7 +471,62 @@ class TestLadderCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
-        assert held_bytes(pcf._LADDERS) == pcf._LADDERS.nbytes <= pcf._LADDER_BUDGET
+        check_charges(pcf._LADDERS)
+
+
+class TestWarmTraffic:
+    """The op shape of a warm library session, replayed: the charges must keep its residual grid."""
+
+    RULES = (64, 128, 256)
+
+    def replay(self, climbs=None, ladders=None):
+        """Values of 40 windows of Gram blocks, residuals and a shifted <x>, as bytes.
+
+        With ``climbs``, the steps climbed on the residual grid's argument are
+        appended per window after it is warm; with ``ladders``, the grid's
+        ladder must stay the one kept object after every window.
+        """
+        spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
+        values = [hamiltonian_residual(0, spec, grid), hamiltonian_residual(200, spec, grid)]
+        grid_ladder = kept(ladders)[-1] if ladders is not None else None
+        gammas = iter(np.linspace(-0.95, 0.95, 40))
+        for i in range(40):
+            start = round(195 * (0.6180339887 * i % 1.0))  # windows in golden-ratio order
+            indices = range(start, start + 6)
+            states = [Eigenstate(n, spec) for n in indices]
+            exact = [gauss_hermite_rule(k) for k in self.RULES if k >= start + 6]
+            if climbs is not None:
+                climbs.clear()
+            for rule in exact:
+                pairs = [(a, b) for j, a in enumerate(states) for b in states[j:]]
+                values += [overlap(a, b, spec.gaussian_scale, rule) for a, b in pairs]
+            values += [hamiltonian_residual(n, spec, grid) for n in indices]
+            shifted = ShiftedState.continuous(start, float(next(gammas)), spec)
+            values.append(expectation_x_shifted(shifted, exact[0]))
+            if climbs is not None:
+                assert sum(n - k for t, k, n in climbs if t is grid_ladder.arg) <= pcf._STRIDE - 1 + 5, start
+            if ladders is not None:
+                assert any(ladder is grid_ladder for ladder in kept(ladders)), start
+                check_charges(ladders)
+        return [np.asarray(v).tobytes() for v in values]
+
+    def test_the_grid_ladder_survives_the_admissions_around_it(self, monkeypatch):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pcf, "_LADDERS", _BudgetLRU(0))
+            patch.setattr(numerics, "_COLUMNS", _BudgetLRU(0))
+            want = self.replay()
+        ladders = _BudgetLRU(pcf._LADDER_BUDGET)
+        monkeypatch.setattr(pcf, "_LADDERS", ladders)
+        monkeypatch.setattr(numerics, "_COLUMNS", _BudgetLRU(numerics._COLUMN_BUDGET))
+        climbs = []
+        climb = pcf._climb
+
+        def recording(t, prev, cur, k, n, top):
+            climbs.append((t, k, n))
+            return climb(t, prev, cur, k, n, top)
+
+        monkeypatch.setattr(pcf, "_climb", recording)
+        assert self.replay(climbs, ladders) == want
 
 
 def plain_residual(psi, x, h, e, qe, spec):
