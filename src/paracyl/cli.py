@@ -170,6 +170,7 @@ def _cmd_spectrum(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be non-negative")
     _check_rows("ladder", args.n + 1)
+    energy(args.n, spec)  # the top level is the largest: a ValueError here, before any output
     print("n,E_n")
     _emit(sys.stdout, ((n, energy(n, spec)) for n in range(args.n + 1)), 2)
     return EXIT_OK
@@ -193,13 +194,18 @@ def _cmd_field(args) -> int:
             raise ValueError("--n must be non-negative")
         _check_rows("ladder", n_max + 1)
     x_min, e_min = potential_minimum(fld, spec)
+    # An overflowing level is a ValueError here, before any output.
+    if args.gamma_sq is not None:
+        levels = integer_branch_spectrum(args.gamma_sq, m_max, spec)
+    else:  # E_n is monotone in n, so the end levels bound the rest
+        energy_shifted(0, gamma, spec), energy_shifted(n_max, gamma, spec)
     print(f"gamma = {_fmt(gamma)}")
     print(f"gamma^2 = {_fmt(gamma * gamma)}")
     print(f"x_min = {_fmt(x_min)}")
     print(f"e_min = {_fmt(e_min)}")
     if args.gamma_sq is not None:
         print("m,E_m,pcf_index")
-        _emit(sys.stdout, integer_branch_spectrum(args.gamma_sq, m_max, spec), 3)
+        _emit(sys.stdout, levels, 3)
     else:
         print("n,E_n")
         _emit(sys.stdout, ((n, energy_shifted(n, gamma, spec)) for n in range(n_max + 1)), 2)

@@ -76,10 +76,13 @@ def gamma_of(field: FieldSpec, spec: OscillatorSpec) -> float:
 
 
 def energy_shifted(n: int, gamma: float, spec: OscillatorSpec) -> float:
-    """Continuous-branch energy E_n = hbar omega (n + 1/2 - gamma^2)."""
+    """Continuous-branch energy E_n = hbar omega (n + 1/2 - gamma^2); a ValueError if it overflows."""
     if n < 0:
         raise ValueError("quantum number must be non-negative")
-    return spec.hbar * spec.omega * (n + 0.5 - gamma * gamma)
+    e = spec.hbar * spec.omega * (n + 0.5 - gamma * gamma)
+    if not math.isfinite(e):
+        raise ValueError(f"energy E_{n} = hbar omega (n + 1/2 - gamma^2) overflows")
+    return e
 
 
 @dataclass(frozen=True)
@@ -147,14 +150,19 @@ def integer_branch_spectrum(
     """Ladder (m, E_m, pcf_index) for m = -gamma_sq .. m_max.
 
     E_m = hbar omega (m + 1/2) and pcf_index = m + gamma_sq runs 0, 1, 2...
+    A ValueError if a level overflows.
     """
     _check_gamma_sq(gamma_sq)
     if m_max < -gamma_sq:
         raise ValueError("empty range: m_max must be at least -gamma_sq")
-    return [
+    levels = [
         (m, spec.hbar * spec.omega * (m + 0.5), m + gamma_sq)
         for m in range(-gamma_sq, m_max + 1)
     ]
+    for m, e, _ in (levels[0], levels[-1]):  # E_m is monotone in m
+        if not math.isfinite(e):
+            raise ValueError(f"energy E_{m} = hbar omega (m + 1/2) overflows")
+    return levels
 
 
 def potential_minimum(field: FieldSpec, spec: OscillatorSpec) -> tuple[float, float]:
@@ -180,7 +188,9 @@ def field_hamiltonian_residual(state: ShiftedState, e: float, grid: Grid1D) -> f
 
     H_field carries the potential mu omega^2 x^2 / 2 + q E x with q E
     reconstructed from the state's gamma.  The grid must cover the
-    displaced well center to +/- 6 oscillator lengths.
+    displaced well center to +/- 6 oscillator lengths.  The grid keeps its
+    argument of D_k as ``hamiltonian_residual`` does.
     """
     coverage = "grid must cover the displaced center to +/- 6 oscillator lengths"
-    return _grid_residual(state, e, state.charge_field_product, state.x_center, grid, coverage)
+    qe, center = state.charge_field_product, state.x_center
+    return _grid_residual(state.pcf_index, 2.0 * state.gamma, state.spec, e, qe, center, grid, coverage)

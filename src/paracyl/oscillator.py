@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .numerics import Grid1D, QuadratureRule, _sized_rule, overlap
-from .pcf import eval_D
+from .pcf import _held_row, eval_D
+from .polys import DEGREE_CAP, _check_order
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,13 @@ class OscillatorSpec:
 
 
 def energy(n: int, spec: OscillatorSpec) -> float:
-    """E_n = hbar omega (n + 1/2)."""
+    """E_n = hbar omega (n + 1/2); a ValueError if it overflows."""
     if n < 0:
         raise ValueError("quantum number must be non-negative")
-    return spec.hbar * spec.omega * (n + 0.5)
+    e = spec.hbar * spec.omega * (n + 0.5)
+    if not math.isfinite(e):
+        raise ValueError(f"energy E_{n} = hbar omega (n + 1/2) overflows")
+    return e
 
 
 def norm_const(n: int, spec: OscillatorSpec) -> float:
@@ -84,14 +88,23 @@ def norm_const(n: int, spec: OscillatorSpec) -> float:
 
 @dataclass(frozen=True)
 class Eigenstate:
-    """Callable eigenstate psi_n; takes a float or an ndarray of x values."""
+    """Callable eigenstate psi_n; takes a float or an ndarray of x values.
+
+    Equal states hash equal, to ``hash((n, spec))``, computed once: the
+    overlap store looks a state up by its hash on every read.
+    """
 
     n: int
     spec: OscillatorSpec
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("quantum number must be non-negative")
+        object.__setattr__(self, "_hash", hash((self.n, self.spec)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, x: float) -> float:
         """psi_n(x) = N_n D_n(sqrt(2 mu omega / hbar) x)."""
@@ -108,33 +121,43 @@ def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = No
 
 
 @lru_cache(maxsize=2)
-def _grid_arrays(grid: Grid1D, stiffness: float, qe: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid points, and (x stiffness) x + qe x on the grid interior.
+def _grid_arrays(grid: Grid1D, stiffness: float, qe: float, z_scale: float, shift: float):
+    """Read-only grid points x, (x stiffness) x + qe x on the grid interior, and the clipped z.
 
-    Keyed by ``stiffness`` = mu omega^2 / 2, the only part of the spec they
-    depend on, so equal keys give equal bits.
+    z = z_scale x + shift, clipped to [-100, 100] as ``eval_D`` clips, is the
+    argument of D_n on the grid and of the ladder kept for it.  Keyed by what
+    the arrays depend on, so equal keys give equal bits.
     """
     x = grid.points()
     xi = x[1:-1]
     v = np.multiply(xi, stiffness)
     v *= xi
     v += qe * xi
-    x.flags.writeable = v.flags.writeable = False
-    return x, v
+    z = np.multiply(x, z_scale)
+    z += shift
+    np.clip(z, -100.0, 100.0, out=z)
+    x.flags.writeable = v.flags.writeable = z.flags.writeable = False
+    return x, v, z
 
 
-def _grid_residual(state, e: float, qe: float, center: float, grid: Grid1D, coverage: str) -> float:
-    """Max |(H - e) psi| on the grid interior for V = mu omega^2 x^2 / 2 + qe x, well at ``center``."""
-    spec = state.spec
+def _grid_residual(
+    k: int, shift: float, spec: OscillatorSpec, e: float, qe: float, center: float, grid: Grid1D, coverage: str
+) -> float:
+    """Max |(H - e) psi| on the grid interior for V = mu omega^2 x^2 / 2 + qe x, well at ``center``.
+
+    psi = N_k D_k(z_scale x + shift) is N_k times the row the grid's ladder
+    holds, read in place (``_held_row``).
+    """
     if grid.npoints < 50:
         raise ValueError("grid too coarse: at least 50 points required")
-    x, vx = _grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe)
+    x, vx, z = _grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe, spec.z_scale, shift)
     h = grid.h
     span = 6.0 * spec.length_scale
     slack = 1e-9 * spec.length_scale
     if x[0] > center - span + slack or x[-1] < center + span - slack:
         raise ValueError(coverage)
-    psi = state(x)
+    _check_order(k, DEGREE_CAP)
+    psi = norm_const(k, spec) * _held_row(k, z)
     inner = psi[1:-1]
     # In place, in the operation order of
     #   -(hbar^2 / 2 mu) (psi[:-2] - 2 psi[1:-1] + psi[2:]) / h^2
@@ -166,8 +189,12 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
 
     The kinetic term uses the central second difference, so the residual
     decays as O(h^2).  The grid must span [-6 l, 6 l] with l the oscillator
-    length and carry at least 50 points.  The grid points and the x part of
-    the potential are kept, read-only, for the two most recent grids.
+    length and carry at least 50 points.  The grid points, the x part of
+    the potential and the clipped z argument of D_n are kept, read-only, for
+    the two most recent grids.  The argument's ladder of D_n rows stays in
+    ``pcf._LADDERS`` under its 2 MiB budget, and each call reads its row
+    there in place: on a warm grid no argument is built or compared and no
+    row is copied.
     """
     coverage = "grid must cover [-6, 6] oscillator lengths"
-    return _grid_residual(Eigenstate(n, spec), energy(n, spec), 0.0, 0.0, grid, coverage)
+    return _grid_residual(n, 0.0, spec, energy(n, spec), 0.0, 0.0, grid, coverage)

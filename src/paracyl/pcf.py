@@ -127,7 +127,11 @@ _LADDER_ROWS = 4 + 2 * (DEGREE_CAP // _STRIDE)
 
 
 class _Ladder:
-    """Pairs (D_{m-1}, D_m) of the recurrence at one clipped argument, owned privately.
+    """Pairs (D_{m-1}, D_m) of the recurrence at one clipped argument.
+
+    The argument is a copy that ``eval_D`` clipped, or the read-only
+    argument a residual grid keeps (see ``oscillator._grid_arrays``); no
+    caller writes to it.
 
     ``pairs`` maps the cursor, the order of the last call, to its pair.  From
     the second call on it also keeps the pair at each multiple of ``_STRIDE``
@@ -188,13 +192,31 @@ _LADDERS = _BudgetLRU(_LADDER_BUDGET)
 
 
 def _find(t) -> tuple[tuple, _Ladder | None]:
-    """The key of ``t`` (its shape and end bits), and the ladder kept under it if its argument has t's bits."""
+    """The key of ``t`` (its shape and end bits), and the ladder kept under it if its argument has t's bits.
+
+    A ladder whose argument is ``t`` itself needs no comparison.
+    """
     bits = t.view(np.uint64)
     key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
     ladder = _LADDERS.get(key)
-    if ladder is not None and (ladder.arg.view(np.uint64) == bits).all():
+    if ladder is not None and (ladder.arg is t or (ladder.arg.view(np.uint64) == bits).all()):
         return key, ladder
     return key, None
+
+
+def _held_row(n: int, t):
+    """D_n at the clipped argument ``t``: the row its ladder holds, not a copy.
+
+    The ladder is the one kept under t's bits, or a new ``_Ladder(t)``
+    charged ``_LADDER_ROWS`` times ``sys.getsizeof(t)``.  The row may be -0.0
+    where D_n is zero, and must not be written to.
+    """
+    with _LADDERS.lock:
+        key, ladder = _find(t)
+        if ladder is None:
+            ladder = _Ladder(t)
+            _LADDERS.put(key, ladder, _LADDER_ROWS * sys.getsizeof(t))
+        return ladder.row(n)
 
 
 def eval_D(n: int, z, cap: int = DEGREE_CAP):
@@ -209,24 +231,23 @@ def eval_D(n: int, z, cap: int = DEGREE_CAP):
     each multiple of 25 up to ``DEGREE_CAP`` that its climbs pass.  A call
     on an equal argument returns a held row or climbs from the highest pair
     at or below n.  The argument is looked up on its own bits, and clipped
-    to [-100, 100] only when that finds nothing.  A new ladder is charged
+    to [-100, 100] only when that finds nothing; ``_held_row`` then finds or
+    makes the ladder of the clipped copy.  A new ladder is charged
     ``_LADDER_ROWS`` times the size of its argument once, and the ladders
     share ``_LADDER_BUDGET``, least recent dropped first; one charged more
-    than the budget serves its call and is not kept.  Values are
-    bit-identical to a fresh run, and every call returns a new array.
+    than the budget serves its call and is not kept.  The residual grids of
+    ``oscillator`` keep their clipped argument and read their rows in place
+    through ``_held_row``, from the same ladders.  Values are bit-identical
+    to a fresh run, and every call returns a new array.
     """
     _check_order(n, cap)
     a = np.asarray(z, dtype=float)
     with _LADDERS.lock:
-        key, ladder = _find(a)
-        if ladder is None:
-            # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
-            t = np.clip(a, -100.0, 100.0)
-            key, ladder = _find(t)
-            if ladder is None:
-                ladder = _Ladder(t)
-                _LADDERS.put(key, ladder, _LADDER_ROWS * sys.getsizeof(t))
-        d = ladder.row(n)
+        ladder = _find(a)[1]
+        d = None if ladder is None else ladder.row(n)
+    if d is None:
+        # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
+        d = _held_row(n, np.clip(a, -100.0, 100.0))
     return d + 0.0 if isinstance(z, np.ndarray) else float(d) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 

@@ -96,6 +96,14 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: order")
 
+    def test_overflowing_level_fails_before_any_output(self, capsys):
+        # printed E_n=inf in its header
+        argv = ["--n", "200", "--omega", "1e306", "--lo", "0", "--hi", "1e-150", "--step", "1e-150"]
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: energy E_200 = hbar omega (n + 1/2) overflows\n"
+
 
 class TestGridLimits:
     @pytest.mark.parametrize(
@@ -169,6 +177,18 @@ class TestSpectrum:
         assert err.startswith(f"error: {name} = ") and "is subnormal" in err
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_level_fails_before_any_output(self, capsys):
+        # printed 2,inf and 3,inf after the levels 0 and 1
+        code, out, err = run(capsys, "spectrum", "--n", "3", "--omega", "1e300", "--hbar", "1e8")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: energy E_3 = hbar omega (n + 1/2) overflows\n"
+
+    def test_largest_finite_level_is_printed(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--n", "1", "--omega", "1e300", "--hbar", "1e8")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["n,E_n", "0,5e+307", "1,1.5e+308"]
+
 
 class TestField:
     def test_continuous_branch(self, capsys):
@@ -240,6 +260,19 @@ class TestField:
             want = -(mpmath.mpf(float(q)) ** 2) / (2 * mpmath.mpf(1e-100) ** 2)
         assert label == "e_min"
         assert float(value) == pytest.approx(float(want), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "argv,level",
+        [
+            (["--q", "0", "--n", "1000", "--hbar", "1e306"], "E_1000 = hbar omega (n + 1/2 - gamma^2)"),
+            (["--gamma-sq", "1", "--n", "10000", "--hbar", "1e306"], "E_10000 = hbar omega (m + 1/2)"),
+        ],
+    )
+    def test_overflowing_level_fails_before_any_output(self, capsys, argv, level):
+        code, out, err = run(capsys, "field", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: energy {level} overflows\n"
 
 
 class TestLadderLimits:

@@ -83,6 +83,12 @@ class TestEnergyShifted:
     def test_half_shift(self):
         assert energy_shifted(2, 1.0 / math.sqrt(2.0), ONES) == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("n,gamma", [(3, 0.0), (0, 1e154)])
+    def test_overflowing_level_is_an_error(self, n, gamma):
+        spec = OscillatorSpec(omega=1e300, hbar=1e8)  # hbar omega = 1e308
+        with pytest.raises(ValueError, match=f"^energy E_{n} = .* overflows"):
+            energy_shifted(n, gamma, spec)
+
 
 class TestShiftedStateType:
     def test_rejects_negative_pcf_index(self):
@@ -187,6 +193,13 @@ class TestIntegerBranchSpectrum:
             integer_branch_spectrum(0, 1, ONES)
         with pytest.raises(ValueError):
             integer_branch_spectrum(2, -3, ONES)
+
+    @pytest.mark.parametrize("g,m_max,m", [(1, 10000, 10000), (2, -2, -2)])
+    def test_overflowing_level_is_an_error(self, g, m_max, m):
+        # E_m = (m + 1/2) hbar omega overflows at the top (hbar omega = 1e306) or the bottom (1.5e308)
+        spec = OscillatorSpec(hbar=1e306) if m > 0 else OscillatorSpec(hbar=1.5e308)
+        with pytest.raises(ValueError, match=f"^energy E_{m} = .* overflows"):
+            integer_branch_spectrum(g, m_max, spec)
 
 
 class TestShiftedOrthonormality:

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
 from paracyl.field import ShiftedState, energy_shifted, field_hamiltonian_residual
+from paracyl import numerics
 from paracyl.numerics import Grid1D, gauss_hermite_rule, overlap
 from paracyl.oscillator import (
     Eigenstate,
@@ -88,6 +92,16 @@ class TestEnergy:
                 spec.hbar * spec.omega, rel=1e-14, abs=0.0
             )
 
+    @pytest.mark.parametrize("n", [0, 3, 200])
+    def test_overflowing_level_is_an_error(self, n):
+        # hbar omega = 1e308 is finite; (n + 1/2) hbar omega is not from n = 1 on.
+        spec = OscillatorSpec(omega=1e300, hbar=1e8)
+        if n == 0:
+            assert energy(0, spec) == 5e307
+        else:
+            with pytest.raises(ValueError, match=f"^energy E_{n} = .* overflows"):
+                energy(n, spec)
+
 
 class TestNormConst:
     def test_ground_state(self):
@@ -104,6 +118,48 @@ class TestNormConst:
     def test_lgamma_branch_matches_exact_factorial(self, n):
         exact = PI_QUARTER / math.sqrt(math.factorial(n))
         assert norm_const(n, OscillatorSpec()) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+class TestEigenstateHash:
+    SPECS = (OscillatorSpec(), OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1))
+
+    @pytest.mark.parametrize("n", [0, 7, 200])
+    def test_hash_is_that_of_the_fields(self, n):
+        for spec in self.SPECS:
+            assert hash(Eigenstate(n, spec)) == hash((n, spec))
+
+    def test_equal_states_hash_equal(self):
+        a, b = Eigenstate(5, OscillatorSpec(mu=1.0)), Eigenstate(5, OscillatorSpec(mu=1))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert Eigenstate(5, OscillatorSpec()) != Eigenstate(6, OscillatorSpec())
+        assert len({a, b, Eigenstate(6, OscillatorSpec())}) == 2
+
+    def test_pickle_and_copy_keep_equality_and_hash(self):
+        state = Eigenstate(9, self.SPECS[1])
+        for other in (pickle.loads(pickle.dumps(state)), copy.copy(state), copy.deepcopy(state)):
+            assert other == state and hash(other) == hash(state)
+            assert other(0.4) == state(0.4)
+
+    def test_the_hash_field_is_not_part_of_the_value(self):
+        state = Eigenstate(2, OscillatorSpec())
+        assert repr(state) == "Eigenstate(n=2, spec=OscillatorSpec(mu=1.0, omega=1.0, hbar=1.0))"
+        assert dataclasses.astuple(dataclasses.replace(state, n=3))[0] == 3
+
+    def test_a_stored_column_is_read_without_hashing_the_spec(self, monkeypatch):
+        spec, rule = OscillatorSpec(mu=1.7), gauss_hermite_rule(64)
+        monkeypatch.setattr(numerics, "_COLUMNS", numerics._BudgetLRU(numerics._COLUMN_BUDGET))
+        a, b = Eigenstate(3, spec), Eigenstate(5, spec)
+        want = overlap(a, b, spec.gaussian_scale, rule)  # stores both columns
+        calls = []
+        spec_hash = OscillatorSpec.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return spec_hash(self)
+
+        monkeypatch.setattr(OscillatorSpec, "__hash__", counting)
+        assert overlap(a, b, spec.gaussian_scale, rule) == want
+        assert calls == []
 
 
 class TestEigenstateValues:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import pbdv
 
-from paracyl import numerics, pcf
+from paracyl import numerics, oscillator, pcf
 from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, field_hamiltonian_residual
 from paracyl.numerics import Grid1D, _BudgetLRU, gauss_hermite_rule, overlap
 from paracyl.oscillator import Eigenstate, OscillatorSpec, energy, hamiltonian_residual, norm_const
@@ -565,3 +565,115 @@ class TestResidualBits:
             e = energy_shifted(k, state.gamma, spec)
             want = plain_residual(psi, x, grid.h, e, state.charge_field_product, spec)
             assert_bit_equal(field_hamiltonian_residual(state, e, grid), want)
+
+
+def free_want(n, spec, grid):
+    """The plain stencil residual of psi_n on uncached_D."""
+    x = grid.points()
+    psi = norm_const(n, spec) * uncached_D(n, spec.z_scale * x)
+    return plain_residual(psi, x, grid.h, energy(n, spec), 0.0, spec)
+
+
+def shifted_want(state, e, grid):
+    x = grid.points()
+    k, spec = state.pcf_index, state.spec
+    psi = norm_const(k, spec) * uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
+    return plain_residual(psi, x, grid.h, e, state.charge_field_product, spec)
+
+
+class TestResidualInPlace:
+    """A residual reads its row from the grid's ladder in place; none of that may show in its value."""
+
+    ORDERS = (0, 1, 24, 25, 26, 60, 3, 199, 200, 61)
+
+    def test_a_warm_grid_needs_no_bitwise_comparison(self, fresh_ladders, monkeypatch):
+        spec, grid = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1), Grid1D(-8.0, 8.0, 2e-3)
+        want = [free_want(n, spec, grid) for n in self.ORDERS]
+        hamiltonian_residual(0, spec, grid)
+        (ladder,) = kept(fresh_ladders)
+        x, _, z = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, 0.0, spec.z_scale, 0.0)
+        assert ladder.arg is z and not z.flags.writeable
+        assert z.tobytes() == np.clip(spec.z_scale * x, -100.0, 100.0).tobytes()
+        found = []
+        find = pcf._find
+
+        def recording(t):
+            key, hit = find(t)
+            found.append(hit is not None and hit.arg is t)  # True: the identity skipped the comparison
+            return key, hit
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("a warm residual built or copied its argument")
+
+        monkeypatch.setattr(pcf, "_find", recording)
+        monkeypatch.setattr(pcf, "eval_D", no_copy)
+        monkeypatch.setattr(oscillator, "eval_D", no_copy)
+        monkeypatch.setattr(np, "clip", no_copy)
+        for n, values in zip(self.ORDERS, want):
+            assert_bit_equal(hamiltonian_residual(n, spec, grid), values)
+        assert found == [True] * len(self.ORDERS)
+        assert kept(fresh_ladders) == [ladder]
+
+    def test_residuals_match_the_plain_stencil_without_a_kept_ladder(self, monkeypatch):
+        monkeypatch.setattr(pcf, "_LADDERS", _BudgetLRU(0))
+        spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
+        for n in self.ORDERS:
+            assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
+        state = ShiftedState.integer_branch(-2, 3, spec)
+        grid = Grid1D(state.x_center - 6.5, state.x_center + 6.5, 2e-3)
+        e = spec.hbar * spec.omega * (state.m + 0.5)
+        assert_bit_equal(field_hamiltonian_residual(state, e, grid), shifted_want(state, e, grid))
+        assert pcf._LADDERS.nbytes == 0
+
+    def test_a_ladder_made_by_eval_D_on_an_equal_array_serves_the_grid(self, fresh_ladders):
+        spec, grid = OscillatorSpec(mu=0.9), Grid1D(-7.0, 7.0, 2e-3)
+        oscillator._grid_arrays.cache_clear()
+        eval_D(30, spec.z_scale * grid.points())  # makes the ladder of a private clipped copy
+        (ladder,) = kept(fresh_ladders)
+        for n in self.ORDERS:
+            assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
+        *_, z = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, 0.0, spec.z_scale, 0.0)
+        assert kept(fresh_ladders) == [ladder] and ladder.arg is not z
+        check_charges(fresh_ladders)
+
+    def test_threads_over_two_grids_agree(self):
+        spec = OscillatorSpec()
+        grids = [Grid1D(-6.0, 6.0, 1e-3), Grid1D(-8.0, 8.0, 2e-3)]  # charged 3.2 MB together: they evict each other
+        tasks = [(n, i) for n in range(0, 201, 13) for i in range(len(grids))]
+        want = {(n, i): free_want(n, spec, grids[i]) for n, i in tasks}
+        barrier = threading.Barrier(4)
+        bad = []
+
+        def worker(seed):
+            order = random.Random(seed).sample(tasks, len(tasks))
+            barrier.wait(timeout=60)
+            for n, i in order:
+                if hamiltonian_residual(n, spec, grids[i]) != want[n, i]:
+                    bad.append((seed, n, i))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+        check_charges(pcf._LADDERS)
+
+    def test_held_rows_and_the_argument_are_unchanged_by_a_residual_window(self, fresh_ladders):
+        spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
+        hamiltonian_residual(60, spec, grid)
+        hamiltonian_residual(130, spec, grid)  # records the checkpoints 75..125
+        (ladder,) = kept(fresh_ladders)
+        held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
+        arg = ladder.arg.tobytes()
+        for n in (140, 141, 142, 143, 144, 145, 30, 101, 200, 76, 3, 129):
+            assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
+        for pair, before in held.values():
+            assert [np.asarray(d).tobytes() for d in pair] == before
+        assert ladder.arg.tobytes() == arg
