@@ -122,15 +122,19 @@ _RULE_IDS = itertools.count()
 def _column(rule: QuadratureRule, state, s: float) -> np.ndarray | None:
     """The folded column state(node_array / s) * fold_array, read-only exactly when it is finite.
 
-    Columns are kept in ``_COLUMNS`` under (rule id, state, s), charged
-    ``sys.getsizeof`` each, so equal states share one.  A column is checked
-    finite once, when it is made, and a non-finite one is returned writeable
-    and never kept, so a hit needs no check.  None, and the state is not
-    called, if the state is not hashable.  The state is evaluated outside the
-    lock, so two threads that miss on one key may both evaluate it, with
-    equal results.
+    Columns are kept in ``_COLUMNS``, charged ``sys.getsizeof`` each, so
+    equal states share one.  A state that carries a ``_column_key`` of plain
+    numbers (``Eigenstate`` does, equal exactly when the states are) is kept
+    under (rule id, s, that key), so a hit hashes and compares no state;
+    any other state under (rule id, state, s).  A column is checked finite
+    once, when it is made, and a non-finite one is returned writeable and
+    never kept, so a hit needs no check.  None, and the state is not called,
+    if the state is not hashable.  The state is evaluated outside the lock,
+    so two threads that miss on one key may both evaluate it, with equal
+    results.
     """
-    key = (rule._id, state, s)
+    plain = getattr(state, "_column_key", None)
+    key = (rule._id, state, s) if plain is None else (rule._id, s, plain)
     with _COLUMNS.lock:
         try:
             values = _COLUMNS.get(key)
@@ -257,7 +261,8 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     nodes), so each mapped factor stays O(1) over the node range.  ``scale``
     is mu*omega/hbar for oscillator eigenstates.  ``a`` and ``b`` are each
     called at most once, with the ndarray of mapped nodes x = t /
-    sqrt(scale), and must return their values there.
+    sqrt(scale), and must return their values there.  ``scale`` must be
+    positive and finite: a ``ValueError`` otherwise.
 
     When both arguments carry an integer order ``n`` (as ``Eigenstate``
     does), the rule must hold at least (i + j)//2 + 1 points, which makes the
@@ -278,9 +283,12 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     its ``sys.getsizeof`` within ``_COLUMN_BUDGET`` bytes over all rules
     (512 KiB: 242 columns of a 256-point rule), least recent dropped first,
     and takes such a state to be a pure function of the fields it is hashed
-    on.  Every other argument (plain callables, ``ShiftedState``, objects
-    hashed by identity or not hashable) is called once per overlap.  The values are the same
-    either way, bit for bit.
+    on.  An ``Eigenstate`` is looked up by its plain-number key (its type,
+    n and the spec's type, mu, omega and hbar), so a read runs no
+    Python-level ``__hash__`` or ``__eq__`` even when the states are fresh
+    but equal objects.  Every other argument (plain callables,
+    ``ShiftedState``, objects hashed by identity or not hashable) is called
+    once per overlap.  The values are the same either way, bit for bit.
 
     A stored column was checked finite when it was made, so an overlap of
     two stored columns runs no check and only forms and sums the products.
@@ -288,8 +296,8 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     non-finite value is a ``ValueError`` naming the first node where either
     factor has one.
     """
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     i, j = _order(a), _order(b)
     if i is not None and j is not None:
         rule = _sized_rule((i + j) // 2 + 1, rule)

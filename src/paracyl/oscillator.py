@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Grid1D, QuadratureRule, _sized_rule, overlap
+from .numerics import Grid1D, QuadratureRule, _check_finite, _mirror_sum, _sized_rule
 from .pcf import _held_row, eval_D
 from .polys import DEGREE_CAP, _check_order
 
@@ -90,21 +90,24 @@ def norm_const(n: int, spec: OscillatorSpec) -> float:
 class Eigenstate:
     """Callable eigenstate psi_n; takes a float or an ndarray of x values.
 
-    Equal states hash equal, to ``hash((n, spec))``, computed once: the
-    overlap store looks a state up by its hash on every read.
+    Equal states hash equal, to ``hash((n, spec))``.  The overlap store
+    keys a state's columns by ``_column_key``, computed once: the state's
+    type, n, and the spec's type, mu, omega and hbar.  It holds no object
+    with a Python-level ``__hash__`` or ``__eq__`` (for float parameters),
+    and two keys are equal exactly when the states are, so a read from the
+    store hashes and compares only plain numbers.
     """
 
     n: int
     spec: OscillatorSpec
-    _hash: int = field(init=False, repr=False, compare=False)
+    _column_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("quantum number must be non-negative")
-        object.__setattr__(self, "_hash", hash((self.n, self.spec)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        spec = self.spec
+        key = (type(self), self.n, type(spec), spec.mu, spec.omega, spec.hbar)
+        object.__setattr__(self, "_column_key", key)
 
     def __call__(self, x: float) -> float:
         """psi_n(x) = N_n D_n(sqrt(2 mu omega / hbar) x)."""
@@ -175,13 +178,20 @@ def _grid_residual(
 
 
 def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
-    """<x> over u = x - ``center``, where ``state`` is a degree-k polynomial times the rule's Gaussian."""
+    """<x> over u = x - ``center``, where ``state`` is a degree-k polynomial times the rule's Gaussian.
+
+    The state is called once, at x = center + u with u the rule's nodes over
+    sqrt(mu omega / hbar); psi and x psi are folded and summed as ``overlap``
+    does for two plain callables, with the same operations in the same order.
+    """
     rule = _sized_rule(k + 1, rule)
-
-    def centred(u):
-        return state(center + u)
-
-    return overlap(centred, lambda u: (center + u) * centred(u), state.spec.gaussian_scale, rule)
+    s = math.sqrt(state.spec.gaussian_scale)
+    x = center + rule.node_array / s
+    psi = state(x)
+    fv = psi * rule.fold_array
+    gv = (x * psi) * rule.fold_array
+    _check_finite(fv, gv, rule)
+    return _mirror_sum(fv, gv, rule) / s
 
 
 def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
@@ -192,9 +202,10 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
     length and carry at least 50 points.  The grid points, the x part of
     the potential and the clipped z argument of D_n are kept, read-only, for
     the two most recent grids.  The argument's ladder of D_n rows stays in
-    ``pcf._LADDERS`` under its 2 MiB budget, and each call reads its row
-    there in place: on a warm grid no argument is built or compared and no
-    row is copied.
+    ``pcf._LADDERS`` under its 4 MiB budget, with a checkpoint pair every
+    12 orders, and each call reads its row there in place: on a warm grid
+    no argument is built or compared, no row is copied, and a climb from a
+    kept checkpoint runs at most 11 steps.
     """
     coverage = "grid must cover [-6, 6] oscillator lengths"
     return _grid_residual(n, 0.0, spec, energy(n, spec), 0.0, 0.0, grid, coverage)

@@ -114,15 +114,17 @@ def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
 
 
 #: Bytes (``sys.getsizeof``) that the ladders ``eval_D`` keeps are charged in all.
-#: The 12 001-point residual grid is charged 20 rows of 96 120 bytes, about 1.92 MB.
-_LADDER_BUDGET = 2**21
+#: The 12 001-point residual grid is charged 36 rows of 96 120 bytes, 3 460 320
+#: bytes, and a 13 001-point field grid 3 748 320; an argument of more than
+#: 14 549 points is charged more than the budget and is not kept.
+_LADDER_BUDGET = 2**22
 
 #: Orders between the checkpoint pairs of a kept argument.
-_STRIDE = 25
+_STRIDE = 12
 
 #: Rows a new ladder is charged for, once: its argument, its cursor pair and a
-#: checkpoint pair at each multiple of ``_STRIDE`` up to ``DEGREE_CAP`` (19
-#: rows at most), and the copy of a row that each call returns.
+#: checkpoint pair at each multiple of ``_STRIDE`` up to ``DEGREE_CAP`` (35
+#: rows at most), and the copy of a row that each call returns: 36 rows.
 _LADDER_ROWS = 4 + 2 * (DEGREE_CAP // _STRIDE)
 
 
@@ -135,8 +137,9 @@ class _Ladder:
 
     ``pairs`` maps the cursor, the order of the last call, to its pair.  From
     the second call on it also keeps the pair at each multiple of ``_STRIDE``
-    up to ``DEGREE_CAP`` that a climb passes or the cursor leaves.  A row,
-    once made, is never changed.
+    up to ``DEGREE_CAP`` that a climb passes or the cursor leaves: once the
+    checkpoint at or below n is kept, a climb to n runs at most ``_STRIDE``
+    - 1 = 11 steps.  A row, once made, is never changed.
     """
 
     def __init__(self, arg) -> None:
@@ -228,9 +231,9 @@ def eval_D(n: int, z, cap: int = DEGREE_CAP):
 
     Each recent argument keeps a ``_Ladder`` of pairs (D_{n-1}, D_n): its
     cursor pair, and from its second call on also the checkpoint pair at
-    each multiple of 25 up to ``DEGREE_CAP`` that its climbs pass.  A call
-    on an equal argument returns a held row or climbs from the highest pair
-    at or below n.  The argument is looked up on its own bits, and clipped
+    each multiple of ``_STRIDE`` (12) up to ``DEGREE_CAP`` that its climbs
+    pass.  A call on an equal argument returns a held row or climbs from the
+    highest pair at or below n.  The argument is looked up on its own bits, and clipped
     to [-100, 100] only when that finds nothing; ``_held_row`` then finds or
     makes the ladder of the clipped copy.  A new ladder is charged
     ``_LADDER_ROWS`` times the size of its argument once, and the ladders

@@ -273,6 +273,13 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap(Eigenstate(0, spec), Eigenstate(0, spec), 0.0)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -math.inf])
+    def test_rejects_a_non_finite_scale(self, scale):
+        # An infinite scale maps every node to x = 0 and divides the sum by inf: 0.0, not 1.
+        spec = OscillatorSpec()
+        with pytest.raises(ValueError, match="^scale must be positive and finite$"):
+            overlap(Eigenstate(0, spec), Eigenstate(0, spec), scale)
+
 
 class TestRuleSizedByOrder:
     @pytest.mark.parametrize("n", [64, 80, 150, 200])
@@ -362,8 +369,8 @@ SPECS = (
 
 
 def stored(store, rule):
-    """The states stored for ``rule``, least recent first."""
-    return [key[1] for key in store._entries if key[0] == rule._id]
+    """The states stored for ``rule``, least recent first: a state's ``_column_key`` if it has one, else the state."""
+    return [key[2] if isinstance(key[2], tuple) else key[1] for key in store._entries if key[0] == rule._id]
 
 
 def check_budget(store):
@@ -491,7 +498,7 @@ class TestStoredColumns:
         assert column.tobytes() == (psi(rule.node_array) * rule.fold_array).tobytes()
         with pytest.raises(ValueError):
             column[0] = 0.0
-        assert stored(store, rule) == [psi]
+        assert stored(store, rule) == [psi._column_key]
 
     @pytest.mark.parametrize("k", [64, 128, 256])
     def test_two_stored_columns_give_the_inner_product_of_the_columns(self, store, monkeypatch, k):
@@ -562,7 +569,7 @@ class TestStoredColumns:
             expectation_x_shifted(shifted, rule)
         assert len(calls) == 6
         assert stored(store, rule) == []
-        # expectation_x stores nothing: it integrates over u = x - 0.0 with plain callables.
+        # expectation_x stores nothing: it evaluates its state once, directly.
         assert expectation_x(3, UNIT, rule) == 0.0
         assert stored(store, rule) == []
 
@@ -588,6 +595,38 @@ class TestStoredColumns:
             assert values[-1] == uncached_overlap(trial, plain, 1.0, rule)
         assert len(set(values)) == 3
         assert store.nbytes == 0 and stored(store, rule) == []
+
+    def test_a_warm_gram_block_of_fresh_equal_states_hashes_and_compares_no_state(self, store, monkeypatch):
+        rule, window = fresh_rule(64), range(40, 46)
+        s = math.sqrt(UNIT.gaussian_scale)
+
+        def block():
+            """A Gram block of new, equal objects, as each op of a long-lived library process builds its own."""
+            spec = OscillatorSpec()
+            states = [Eigenstate(n, spec) for n in window]
+            return [(a, b) for i, a in enumerate(states) for b in states[i:]]
+
+        want = [uncached_overlap(a, b, 1.0, rule) for a, b in block()]
+        assert [overlap(a, b, 1.0, rule) for a, b in block()] == want  # stores the columns
+        pairs = block()
+        calls = []
+        for cls in (Eigenstate, OscillatorSpec):
+            for name in ("__eq__", "__hash__"):
+                method = getattr(cls, name)
+
+                def counting(*args, _method=method, _name=f"{cls.__name__}.{name}"):
+                    calls.append(_name)
+                    return _method(*args)
+
+                monkeypatch.setattr(cls, name, counting)
+        assert [overlap(a, b, 1.0, rule) for a, b in pairs] == want
+        assert calls == []
+        # Equal states share one column, kept under (rule id, s, plain key).
+        assert list(store._entries) == [(rule._id, s, Eigenstate(n, UNIT)._column_key) for n in window]
+        # A user class with an order and its own __hash__ keeps the (rule id, state, s) key.
+        psi = Counting(3)
+        overlap(psi, psi, 1.0, rule)
+        assert list(store._entries)[-1] == (rule._id, psi, s)
 
     def test_an_unhashable_state_with_an_order_is_evaluated_per_call(self, store):
         class Unhashable(Counting):
@@ -639,7 +678,7 @@ class TestStoredColumns:
         assert bad == []
         check_budget(store)
         for r, rule in enumerate(rules):
-            want_states = {Eigenstate(n, SPECS[s]) for r2, i, j, s in tasks if r2 == r for n in (i, j)}
+            want_states = {Eigenstate(n, SPECS[s])._column_key for r2, i, j, s in tasks if r2 == r for n in (i, j)}
             assert set(stored(store, rule)) == want_states
 
 

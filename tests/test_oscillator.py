@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from paracyl.field import ShiftedState, energy_shifted, field_hamiltonian_residual
-from paracyl import numerics
+from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, field_hamiltonian_residual
+from paracyl import numerics, oscillator
 from paracyl.numerics import Grid1D, gauss_hermite_rule, overlap
 from paracyl.oscillator import (
     Eigenstate,
@@ -225,6 +225,60 @@ class TestExpectationX:
         # psi_n^2 x is odd, and the node set is exactly symmetric, so the
         # quadrature sum cancels pairwise to exactly zero.
         assert expectation_x(3, OscillatorSpec()) == 0.0
+
+
+def two_evaluation_x_mean(state, center, rule):
+    """<x> as one ``overlap`` of psi and x psi over u = x - center: the state is called twice."""
+
+    def centred(u):
+        return state(center + u)
+
+    return overlap(centred, lambda u: (center + u) * centred(u), state.spec.gaussian_scale, rule)
+
+
+class CountingState:
+    """A state that delegates to ``state`` and counts its calls."""
+
+    def __init__(self, state):
+        self.state, self.spec, self.calls = state, state.spec, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.state(x)
+
+
+class TestSingleEvaluationMean:
+    """<x> calls its state once, with the value bits of the two-evaluation overlap."""
+
+    ORDERS = (0, 5, 63, 127, 200)
+    SPECS = (OscillatorSpec(), OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1))
+
+    @staticmethod
+    def exact_rules(n):
+        return [gauss_hermite_rule(k) for k in (64, 128, 256) if k >= n + 1]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_free_states(self, spec, n):
+        for rule in self.exact_rules(n):
+            want = two_evaluation_x_mean(Eigenstate(n, spec), 0.0, rule)
+            assert expectation_x(n, spec, rule).hex() == want.hex()
+            counting = CountingState(Eigenstate(n, spec))
+            assert oscillator._x_mean(counting, 0.0, n, rule).hex() == want.hex()
+            assert counting.calls == 1
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_shifted_states(self, spec, n):
+        states = [ShiftedState.continuous(n, gamma, spec) for gamma in (-0.8, 0.0, 0.3)]
+        states += [ShiftedState.integer_branch(n - g, g, spec) for g in (1, 5)]  # gamma^2 = 1 and 5
+        for state in states:
+            for rule in self.exact_rules(n):
+                want = two_evaluation_x_mean(state, state.x_center, rule)
+                assert expectation_x_shifted(state, rule).hex() == want.hex()
+                counting = CountingState(state)
+                assert oscillator._x_mean(counting, state.x_center, n, rule).hex() == want.hex()
+                assert counting.calls == 1
 
 
 class TestHamiltonianResidual:

@@ -294,17 +294,19 @@ class TestLadderCache:
         for n in (40, 41, 42, 41, 30, 39, 26, 24):
             assert_bit_equal(eval_D(n, z.copy()), uncached_D(n, z))
         # 41 and 24 are rows of kept pairs; 30 restarts from D_0 (no pair at or
-        # below it) and passes checkpoint 25, from which 26 climbs one step.
-        assert climbs == [(0, 40), (40, 41), (41, 42), (0, 30), (30, 39), (25, 26)]
+        # below it) and passes the checkpoints below it, from the highest of
+        # which 26 climbs.
+        below = 26 - 26 % pcf._STRIDE
+        assert climbs == [(0, 40), (40, 41), (41, 42), (0, 30), (30, 39), (below, 26)]
 
     def test_a_one_shot_call_records_no_checkpoint(self, fresh_ladders):
         z = np.linspace(-6.0, 6.0, 12001)
         eval_D(120, z)
         (ladder,) = kept(fresh_ladders)
         assert list(ladder.pairs) == [120]
-        eval_D(160, z)  # a repeat records the checkpoints its climb passes
+        eval_D(160, z)  # a repeat records the checkpoints its cursor leaves or its climb passes
         assert kept(fresh_ladders) == [ladder]
-        assert sorted(ladder.pairs) == [125, 150, 160]
+        assert sorted(ladder.pairs) == [*(m for m in range(120, 160) if m % pcf._STRIDE == 0), 160]
 
     def test_a_window_sweep_on_a_kept_grid_climbs_less_than_a_stride(self, fresh_ladders, monkeypatch):
         spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
@@ -358,7 +360,8 @@ class TestLadderCache:
     def test_charges_bound_the_rows_held_along_consecutive_orders(self, fresh_ladders):
         # Steps from a kept pair, the old cursor dropped or kept as a
         # checkpoint, and restarts at order 0.
-        orders = (5, 6, 7, 24, 25, 26, 27, 50, 49, 51, 0, 1, 2, 75, 76, 74, 0)
+        s = pcf._STRIDE
+        orders = (5, 6, 7, s - 1, s, s + 1, s + 2, 2 * s, 2 * s - 1, 2 * s + 1, 0, 1, 2, 3 * s, 3 * s + 1, 3 * s - 1, 0)
         for z in (np.linspace(-6.0, 6.0, 12001), np.array(0.3), 0.3, np.linspace(-300.0, 300.0, 61)):
             for n in orders:
                 assert_bit_equal(eval_D(n, z), uncached_D(n, z))
@@ -383,31 +386,31 @@ class TestLadderCache:
         assert len(kept(fresh_ladders)) == 2
 
     def test_an_argument_over_the_budget_is_not_kept(self, fresh_ladders):
-        # 20 rows of 13 093 points are charged 2 097 120 bytes, within 2 MiB; one more point is not.
-        assert pcf._LADDER_ROWS == 20 and pcf._LADDER_BUDGET == 2**21
-        z = np.linspace(-40.0, 40.0, 13094)
+        # 36 rows of 14 549 points are charged 4 194 144 bytes, within 4 MiB; one more point is not.
+        assert pcf._LADDER_ROWS == 36 and pcf._LADDER_BUDGET == 2**22
+        z = np.linspace(-40.0, 40.0, 14550)
         for n in (30, 31):
             assert_bit_equal(eval_D(n, z), uncached_D(n, z))
         assert fresh_ladders.nbytes == 0 and not kept(fresh_ladders)
         fits = z[:-1].copy()
         for n in (30, 31):
             assert_bit_equal(eval_D(n, fits), uncached_D(n, fits))
-        assert fresh_ladders.nbytes == 2_097_120
+        assert fresh_ladders.nbytes == 4_194_144
         check_charges(fresh_ladders)
 
     @pytest.mark.parametrize("points", [12001, 13001])
     def test_the_residual_and_field_grids_are_kept(self, fresh_ladders, points):
         z = np.linspace(-6.0, 6.0, points)
         eval_D(5, z)
-        assert fresh_ladders.nbytes == {12001: 1_922_400, 13001: 2_082_400}[points]
+        assert fresh_ladders.nbytes == {12001: 3_460_320, 13001: 3_748_320}[points]
 
     def test_held_rows_are_never_changed(self, fresh_ladders):
         z = np.linspace(-6.0, 6.0, 301)
         eval_D(60, z)
-        eval_D(130, z)  # records the checkpoints 75..125
+        eval_D(130, z)  # records the checkpoints from 60 up to 130
         (ladder,) = kept(fresh_ladders)
         held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
-        assert sorted(held) == [75, 100, 125, 130]
+        assert sorted(held) == [*(m for m in range(60, 130) if m % pcf._STRIDE == 0), 130]
         for n in (140, 30, 101, 200, 76, 3, 129):
             assert_bit_equal(eval_D(n, z), uncached_D(n, z))
         for pair, before in held.values():
@@ -420,9 +423,9 @@ class TestLadderCache:
         for n in (10, 300, 250, 275):
             assert_bit_equal(eval_D(n, z, cap=400), uncached_D(n, z))
         (ladder,) = kept(fresh_ladders)
-        # The cursor at 250 is a multiple of the stride above the cap, so it is dropped when it moves.
+        # The cursor at 250, above the cap, is dropped when it moves.
         assert sorted(ladder.pairs) == [*checkpoints, 275]
-        assert climbs == [(0, 10), (10, 300), (200, 250), (250, 275)]
+        assert climbs == [(0, 10), (10, 300), (checkpoints[-1], 250), (250, 275)]
         check_charges(fresh_ladders)
 
     def test_raised_cap_overflow_is_an_error_on_a_hit(self):
@@ -504,7 +507,8 @@ class TestWarmTraffic:
             shifted = ShiftedState.continuous(start, float(next(gammas)), spec)
             values.append(expectation_x_shifted(shifted, exact[0]))
             if climbs is not None:
-                assert sum(n - k for t, k, n in climbs if t is grid_ladder.arg) <= pcf._STRIDE - 1 + 5, start
+                # At most 11 steps up from the checkpoint below the window, and 5 within it.
+                assert sum(n - k for t, k, n in climbs if t is grid_ladder.arg) <= 16, start
             if ladders is not None:
                 assert any(ladder is grid_ladder for ladder in kept(ladders)), start
                 check_charges(ladders)
@@ -544,7 +548,8 @@ class TestResidualBits:
     def test_hamiltonian_residual(self, spec):
         grid = Grid1D(-6.5 * spec.length_scale, 6.5 * spec.length_scale, 1e-3)
         x = grid.points()
-        for n in (0, 1, 24, 25, 26, 60, 3, 199, 200, 61):  # crosses checkpoints, up and down
+        s = pcf._STRIDE
+        for n in (0, 1, s - 1, s, s + 1, 60, 3, 199, 200, 61):  # crosses checkpoints, up and down
             psi = norm_const(n, spec) * uncached_D(n, spec.z_scale * x)
             want = plain_residual(psi, x, grid.h, energy(n, spec), 0.0, spec)
             assert_bit_equal(hamiltonian_residual(n, spec, grid), want)
@@ -584,7 +589,7 @@ def shifted_want(state, e, grid):
 class TestResidualInPlace:
     """A residual reads its row from the grid's ladder in place; none of that may show in its value."""
 
-    ORDERS = (0, 1, 24, 25, 26, 60, 3, 199, 200, 61)
+    ORDERS = (0, 1, pcf._STRIDE - 1, pcf._STRIDE, pcf._STRIDE + 1, 60, 3, 199, 200, 61)
 
     def test_a_warm_grid_needs_no_bitwise_comparison(self, fresh_ladders, monkeypatch):
         spec, grid = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1), Grid1D(-8.0, 8.0, 2e-3)
@@ -638,7 +643,7 @@ class TestResidualInPlace:
 
     def test_threads_over_two_grids_agree(self):
         spec = OscillatorSpec()
-        grids = [Grid1D(-6.0, 6.0, 1e-3), Grid1D(-8.0, 8.0, 2e-3)]  # charged 3.2 MB together: they evict each other
+        grids = [Grid1D(-6.0, 6.0, 1e-3), Grid1D(-8.0, 8.0, 2e-3)]  # charged 5.8 MB together: they evict each other
         tasks = [(n, i) for n in range(0, 201, 13) for i in range(len(grids))]
         want = {(n, i): free_want(n, spec, grids[i]) for n, i in tasks}
         barrier = threading.Barrier(4)
@@ -668,7 +673,7 @@ class TestResidualInPlace:
     def test_held_rows_and_the_argument_are_unchanged_by_a_residual_window(self, fresh_ladders):
         spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
         hamiltonian_residual(60, spec, grid)
-        hamiltonian_residual(130, spec, grid)  # records the checkpoints 75..125
+        hamiltonian_residual(130, spec, grid)  # records the checkpoints from 60 up to 130
         (ladder,) = kept(fresh_ladders)
         held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
         arg = ladder.arg.tobytes()
