@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .numerics import Grid1D, QuadratureRule
 from .oscillator import OscillatorSpec, _grid_residual, _x_mean, norm_const
 from .pcf import eval_D
+from .polys import _check_int
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,8 @@ class ShiftedState:
     pcf_index: int
 
     def __post_init__(self) -> None:
+        _check_int(self.m)
+        _check_int(self.pcf_index)
         if self.pcf_index < 0:
             raise ValueError("pcf_index must be non-negative")
         if not math.isfinite(self.gamma):

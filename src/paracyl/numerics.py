@@ -33,9 +33,8 @@ class QuadratureRule:
     """Nodes and weights for integrals against the weight e^{-t^2}.
 
     ``_id`` names the rule in the keys of ``_COLUMNS``, the store of the
-    folded eigenstate columns ``overlap`` evaluates on the rule (see
-    ``_column``, and ``overlap`` for which arguments are stored); a pickled
-    or copied rule gets a new id.
+    folded ``Eigenstate`` columns ``overlap`` evaluates on the rule (see
+    ``_column``); a pickled or copied rule gets a new id.
     """
 
     nodes: tuple[float, ...]
@@ -119,27 +118,20 @@ _COLUMNS = _BudgetLRU(_COLUMN_BUDGET)
 _RULE_IDS = itertools.count()
 
 
-def _column(rule: QuadratureRule, state, s: float) -> np.ndarray | None:
-    """The folded column state(node_array / s) * fold_array, read-only exactly when it is finite.
+def _column(rule: QuadratureRule, state, s: float) -> np.ndarray:
+    """The folded column state(node_array / s) * fold_array of an ``Eigenstate``, read-only exactly when it is finite.
 
-    Columns are kept in ``_COLUMNS``, charged ``sys.getsizeof`` each, so
-    equal states share one.  A state that carries a ``_column_key`` of plain
-    numbers (``Eigenstate`` does, equal exactly when the states are) is kept
-    under (rule id, s, that key), so a hit hashes and compares no state;
-    any other state under (rule id, state, s).  A column is checked finite
-    once, when it is made, and a non-finite one is returned writeable and
-    never kept, so a hit needs no check.  None, and the state is not called,
-    if the state is not hashable.  The state is evaluated outside the lock,
-    so two threads that miss on one key may both evaluate it, with equal
-    results.
+    Columns are kept in ``_COLUMNS`` under (rule id, s, the state's
+    ``_column_key``), charged ``sys.getsizeof`` each, so equal states share
+    one and a hit hashes and compares only plain numbers.  A column is
+    checked finite once, when it is made, and a non-finite one is returned
+    writeable and never kept, so a hit needs no check.  The state is
+    evaluated outside the lock, so two threads that miss on one key may both
+    evaluate it, with equal results.
     """
-    plain = getattr(state, "_column_key", None)
-    key = (rule._id, state, s) if plain is None else (rule._id, s, plain)
+    key = (rule._id, s, state._column_key)
     with _COLUMNS.lock:
-        try:
-            values = _COLUMNS.get(key)
-        except TypeError:
-            return None
+        values = _COLUMNS.get(key)
     if values is not None:
         return values
     values = state(rule.node_array / s) * rule.fold_array
@@ -274,21 +266,19 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     ``_mirror_sum``, which also gives its error bound) makes overlaps of
     opposite parity exactly 0.0 on a symmetric rule.
 
-    An argument with an integer ``n`` whose class defines its own
-    ``__hash__`` (``Eigenstate``, a frozen dataclass hashed by value) is
-    evaluated once per rule and scale while its folded column stays in
-    ``_COLUMNS``: a later overlap of an equal state on the same rule reads
-    it, so a Gram block of M eigenstates costs M evaluations, not M(M + 1).
-    The store, a ``_BudgetLRU`` filled by ``_column``, charges each column
-    its ``sys.getsizeof`` within ``_COLUMN_BUDGET`` bytes over all rules
-    (512 KiB: 242 columns of a 256-point rule), least recent dropped first,
-    and takes such a state to be a pure function of the fields it is hashed
-    on.  An ``Eigenstate`` is looked up by its plain-number key (its type,
-    n and the spec's type, mu, omega and hbar), so a read runs no
-    Python-level ``__hash__`` or ``__eq__`` even when the states are fresh
-    but equal objects.  Every other argument (plain callables,
-    ``ShiftedState``, objects hashed by identity or not hashable) is called
-    once per overlap.  The values are the same either way, bit for bit.
+    An ``Eigenstate`` is evaluated once per rule and scale while its folded
+    column stays in ``_COLUMNS``: a later overlap of an equal state on the
+    same rule reads it, so a Gram block of M eigenstates costs M
+    evaluations, not M(M + 1).  The store, a ``_BudgetLRU`` filled by
+    ``_column``, charges each column its ``sys.getsizeof`` within
+    ``_COLUMN_BUDGET`` bytes over all rules (512 KiB: 242 columns of a
+    256-point rule), least recent dropped first.  A column is looked up by
+    the state's plain-number key (its type, n and the spec's type, mu,
+    omega and hbar), so a read runs no Python-level ``__hash__`` or
+    ``__eq__`` even when the states are fresh but equal objects.  Every
+    other argument (plain callables, ``ShiftedState``, user classes with an
+    ``n``) is called once per overlap.  The values are the same either way,
+    bit for bit.
 
     A stored column was checked finite when it was made, so an overlap of
     two stored columns runs no check and only forms and sums the products.
@@ -304,24 +294,23 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     elif rule is None:
         rule = gauss_hermite_rule(64)
     s = math.sqrt(scale)
-    fv, f_finite = _folded(a, i, rule, s)
-    gv, g_finite = _folded(b, j, rule, s)
+    fv, f_finite = _folded(a, rule, s)
+    gv, g_finite = _folded(b, rule, s)
     if not (f_finite and g_finite):
         _check_finite(fv, gv, rule)
     return _mirror_sum(fv, gv, rule) / s
 
 
-def _folded(state, order: int | None, rule: QuadratureRule, s: float) -> tuple[np.ndarray, bool]:
+def _folded(state, rule: QuadratureRule, s: float) -> tuple[np.ndarray, bool]:
     """state(node_array / s) * fold_array, and whether it is known to be finite.
 
-    The column comes from ``_COLUMNS`` for an argument with an integer order
-    whose class defines its own ``__hash__``, else from one direct call,
-    whose finiteness is left to the caller to check.
+    The column of an ``Eigenstate`` (the one argument that carries a
+    ``_column_key``) comes from ``_COLUMNS``; any other argument is called
+    once, and its finiteness is left to the caller to check.
     """
-    if order is not None and type(state).__hash__ is not object.__hash__:
+    if hasattr(state, "_column_key"):
         values = _column(rule, state, s)
-        if values is not None:
-            return values, not values.flags.writeable
+        return values, not values.flags.writeable
     return state(rule.node_array / s) * rule.fold_array, False
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import Grid1D, QuadratureRule, _check_finite, _mirror_sum, _sized_rule
 from .pcf import _held_row, eval_D
-from .polys import DEGREE_CAP, _check_order
+from .polys import DEGREE_CAP, _check_int, _check_order
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class Eigenstate:
     type, n, and the spec's type, mu, omega and hbar.  It holds no object
     with a Python-level ``__hash__`` or ``__eq__`` (for float parameters),
     and two keys are equal exactly when the states are, so a read from the
-    store hashes and compares only plain numbers.
+    store hashes and compares only plain numbers.  A non-int ``n`` is a ``TypeError``.
     """
 
     n: int
@@ -103,6 +103,7 @@ class Eigenstate:
     _column_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_int(self.n)
         if self.n < 0:
             raise ValueError("quantum number must be non-negative")
         spec = self.spec
@@ -184,6 +185,7 @@ def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
     sqrt(mu omega / hbar); psi and x psi are folded and summed as ``overlap``
     does for two plain callables, with the same operations in the same order.
     """
+    _check_order(k, DEGREE_CAP)
     rule = _sized_rule(k + 1, rule)
     s = math.sqrt(state.spec.gaussian_scale)
     x = center + rule.node_array / s

@@ -136,10 +136,10 @@ class _Ladder:
     caller writes to it.
 
     ``pairs`` maps the cursor, the order of the last call, to its pair.  From
-    the second call on it also keeps the pair at each multiple of ``_STRIDE``
-    up to ``DEGREE_CAP`` that a climb passes or the cursor leaves: once the
-    checkpoint at or below n is kept, a climb to n runs at most ``_STRIDE``
-    - 1 = 11 steps.  A row, once made, is never changed.
+    the second call on it also keeps the pair at each positive multiple of
+    ``_STRIDE`` that a climb passes or the cursor leaves, ``DEGREE_CAP //
+    _STRIDE`` at most: once the checkpoint at or below n is kept, a climb to
+    n runs at most ``_STRIDE`` - 1 = 11 steps.  A row is never changed.
     """
 
     def __init__(self, arg) -> None:
@@ -162,8 +162,8 @@ class _Ladder:
         k = max(k, m)
         t = self.arg
         prev, cur = pairs[k] if k in pairs else (0.0, np.exp(-(t * t) / 4.0))
-        prev, cur, marks = _climb(t, prev, cur, k, n, 0 if cursor is None else DEGREE_CAP)
-        if cursor is not None and (cursor % _STRIDE or not 0 < cursor <= DEGREE_CAP):
+        prev, cur, marks = _climb(t, prev, cur, k, n, cursor is not None)
+        if cursor is not None and (cursor % _STRIDE or cursor == 0):
             del pairs[cursor]
         pairs.update(marks)
         pairs[n] = (prev, cur)
@@ -171,14 +171,14 @@ class _Ladder:
         return cur
 
 
-def _climb(t, prev, cur, k: int, n: int, top: int):
+def _climb(t, prev, cur, k: int, n: int, record: bool):
     """Run D_{j+1} = t D_j - j D_{j-1} from (D_{k-1}, D_k) up to D_n.
 
-    Returns (D_{n-1}, D_n, marks), where marks maps each multiple m of
-    ``_STRIDE`` in (k, min(n, top)] to its pair (D_{m-1}, D_m).  Each step
-    writes only into the new row it makes, with the same operations in the
-    same order whichever pair it starts from, so resumed ladders are
-    bit-identical.
+    Returns (D_{n-1}, D_n, marks); if ``record``, marks maps each multiple m
+    of ``_STRIDE`` in (k, n] to its pair (D_{m-1}, D_m).  Each step writes
+    only into the new row it makes, in the same operations whichever pair it
+    starts from, so resumed ladders are bit-identical.  An overflow raises
+    FloatingPointError; no order up to ``DEGREE_CAP`` overflows.
     """
     marks = {}
     with np.errstate(over="raise"):
@@ -186,7 +186,7 @@ def _climb(t, prev, cur, k: int, n: int, top: int):
             nxt = t * cur
             nxt -= j * prev
             prev, cur = cur, nxt
-            if (j + 1) % _STRIDE == 0 and j < top:
+            if record and (j + 1) % _STRIDE == 0:
                 marks[j + 1] = (prev, cur)
     return prev, cur, marks
 
@@ -197,7 +197,7 @@ _LADDERS = _BudgetLRU(_LADDER_BUDGET)
 def _find(t) -> tuple[tuple, _Ladder | None]:
     """The key of ``t`` (its shape and end bits), and the ladder kept under it if its argument has t's bits.
 
-    A ladder whose argument is ``t`` itself needs no comparison.
+    A ladder whose argument is ``t`` itself (a residual grid's) needs no comparison.
     """
     bits = t.view(np.uint64)
     key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
@@ -222,36 +222,30 @@ def _held_row(n: int, t):
         return ladder.row(n)
 
 
-def eval_D(n: int, z, cap: int = DEGREE_CAP):
-    """Evaluate D_n(z) at a float or an ndarray of floats.
+def eval_D(n: int, z):
+    """Evaluate D_n(z), n = 0..``DEGREE_CAP``, at a float or an array of floats.
 
     Runs D_{k+1} = z D_k - k D_{k-1} (DLMF 12.8.2) up from D_0 = e^{-z^2/4},
-    giving 0.0 where that Gaussian underflows.  Orders above about 340, past
-    a raised ``cap``, overflow doubles and raise FloatingPointError.
+    giving 0.0 where that Gaussian underflows.  Orders stop at
+    ``DEGREE_CAP``, the range the tests check against mpmath; a higher order
+    is a ``ValueError``.  An argument with a dimension (an ndarray, list or
+    tuple) gives an ndarray, a 0-d ndarray a numpy float, any other a float.
 
-    Each recent argument keeps a ``_Ladder`` of pairs (D_{n-1}, D_n): its
-    cursor pair, and from its second call on also the checkpoint pair at
-    each multiple of ``_STRIDE`` (12) up to ``DEGREE_CAP`` that its climbs
-    pass.  A call on an equal argument returns a held row or climbs from the
-    highest pair at or below n.  The argument is looked up on its own bits, and clipped
-    to [-100, 100] only when that finds nothing; ``_held_row`` then finds or
-    makes the ladder of the clipped copy.  A new ladder is charged
-    ``_LADDER_ROWS`` times the size of its argument once, and the ladders
-    share ``_LADDER_BUDGET``, least recent dropped first; one charged more
-    than the budget serves its call and is not kept.  The residual grids of
-    ``oscillator`` keep their clipped argument and read their rows in place
-    through ``_held_row``, from the same ladders.  Values are bit-identical
-    to a fresh run, and every call returns a new array.
+    Each call clips its argument to [-100, 100] and makes one lookup,
+    ``_held_row``, for the ``_Ladder`` kept under the clipped copy's bits,
+    which returns a held row or climbs from its highest pair at or below n.
+    A new ladder is charged ``_LADDER_ROWS`` times the size of its argument
+    once, and the ladders share ``_LADDER_BUDGET``, least recent dropped
+    first; one charged more than the budget serves its call and is not
+    kept.  The residual grids of ``oscillator`` read rows of the same
+    ladders in place through ``_held_row``.  Values are bit-identical to a
+    fresh run, and every call returns a new array.
     """
-    _check_order(n, cap)
+    _check_order(n, DEGREE_CAP)
     a = np.asarray(z, dtype=float)
-    with _LADDERS.lock:
-        ladder = _find(a)[1]
-        d = None if ladder is None else ladder.row(n)
-    if d is None:
-        # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
-        d = _held_row(n, np.clip(a, -100.0, 100.0))
-    return d + 0.0 if isinstance(z, np.ndarray) else float(d) + 0.0  # + 0.0 turns -0.0 into 0.0
+    # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
+    d = _held_row(n, np.clip(a, -100.0, 100.0))
+    return d + 0.0 if a.ndim or isinstance(z, np.ndarray) else float(d) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, islice
 
-#: Default order cap for the polynomial constructors.  A resource guard, not
-#: a mathematical limit; pass a larger ``cap`` explicitly to go beyond it.
+#: Highest order of the float D_n (``pcf.eval_D``, checked against mpmath), and
+#: the default ``cap`` of the polynomial constructors, exact at any order: for
+#: them a resource guard, which a larger ``cap`` passed explicitly goes beyond.
 DEGREE_CAP = 200
 
 
@@ -68,9 +69,13 @@ def poly_derivative(p: PolyZ) -> PolyZ:
     return PolyZ(tuple(i * c for i, c in enumerate(p.coeffs))[1:])
 
 
-def _check_order(n: int, cap: int) -> None:
+def _check_int(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("order must be an int")
+
+
+def _check_order(n: int, cap: int) -> None:
+    _check_int(n)
     if n < 0:
         raise ValueError("order must be non-negative")
     if n > cap:

@@ -561,6 +561,65 @@ class TestVerify:
         assert len(failed) == 1 and failed[0].startswith("FAIL  [lj] minimum-search: ")
 
 
+class TestRuntimeNeedsOnlyNumpy:
+    """The CLI runs with the test extras refused at import, so ``verify`` never leans on them."""
+
+    GUARD = """
+import sys
+
+REFUSED = {"scipy", "sympy", "mpmath", "hypothesis"}
+attempts = []
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in REFUSED:
+            attempts.append(name)
+            raise ImportError(f"{name} is a test extra")
+        return None
+
+
+sys.meta_path.insert(0, Refuse())
+from paracyl.cli import main
+
+code = main(sys.argv[1:])
+if attempts:
+    sys.stderr.write(f"refused imports: {attempts}\\n")
+    code = 99
+sys.exit(code)
+"""
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", TestRuntimeNeedsOnlyNumpy.GUARD, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))),
+            timeout=300,
+        )
+
+    def test_verify_all(self):
+        proc = self.run("verify", "--suite", "all")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.splitlines()[-1] == "verify: 16/16 checks passed"
+
+    def test_eval_at_the_order_cap(self):
+        proc = self.run("eval", "--n", str(DEGREE_CAP), "--lo", "-25", "--hi", "25", "--step", "0.5")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        lines = proc.stdout.splitlines()
+        assert lines[1] == "x,z,D_n,psi_n" and len(lines) == 2 + 101
+
+    def test_the_guard_refuses_a_test_extra(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.GUARD.replace("from paracyl.cli import main", "import mpmath"), "verify"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1 and "ImportError: mpmath is a test extra" in proc.stderr
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         assert main(["table", "--bogus"]) == EXIT_USAGE

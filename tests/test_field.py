@@ -95,6 +95,13 @@ class TestShiftedStateType:
         with pytest.raises(ValueError):
             ShiftedState(m=-1, gamma=1.0, spec=ONES, pcf_index=-1)
 
+    @pytest.mark.parametrize("field", ["m", "pcf_index"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.int64(2)])
+    def test_rejects_a_non_int_label(self, field, value):
+        labels = {"m": 1, "pcf_index": 1, field: value}
+        with pytest.raises(TypeError, match="^order must be an int$"):
+            ShiftedState(gamma=0.1, spec=ONES, **labels)
+
     def test_integer_branch_constructor(self):
         state = ShiftedState.integer_branch(-2, 2, ONES)
         assert state.pcf_index == 0

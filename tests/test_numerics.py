@@ -343,7 +343,7 @@ def fresh_rule(k):
 
 
 class Counting:
-    """An order-carrying state, hashed by value on (n, tag), that counts its calls."""
+    """A user state with an order, hashed by value on (n, tag), that counts its calls; never stored."""
 
     def __init__(self, n, tag=0, spec=UNIT):
         self.n, self.tag, self.psi, self.calls = n, tag, Eigenstate(n, spec), 0
@@ -369,8 +369,25 @@ SPECS = (
 
 
 def stored(store, rule):
-    """The states stored for ``rule``, least recent first: a state's ``_column_key`` if it has one, else the state."""
-    return [key[2] if isinstance(key[2], tuple) else key[1] for key in store._entries if key[0] == rule._id]
+    """The ``_column_key`` of each state stored for ``rule``, least recent first."""
+    return [key[2] for key in store._entries if key[0] == rule._id]
+
+
+def eigenstate_calls(monkeypatch, spikes=()):
+    """Record n of every ``Eigenstate`` evaluation; an order in ``spikes`` gets NaN at node spikes[n]."""
+    calls = []
+    call = Eigenstate.__call__
+    spikes = dict(spikes)
+
+    def recording(self, x):
+        calls.append(self.n)
+        values = call(self, x)
+        if spikes.get(self.n) is not None:
+            values[spikes[self.n]] = math.nan
+        return values
+
+    monkeypatch.setattr(Eigenstate, "__call__", recording)
+    return calls
 
 
 def check_budget(store):
@@ -450,32 +467,36 @@ class TestStoredColumns:
         size = {rule: sys.getsizeof(np.ones(len(rule))) for rule in (small, large)}
         store = numerics._BudgetLRU(3 * size[small] + size[large])
         monkeypatch.setattr(numerics, "_COLUMNS", store)
-        states = [Counting(n, tag=n) for n in range(4)]
+        calls = eigenstate_calls(monkeypatch)
+        states = [Eigenstate(n, UNIT) for n in range(4)]
+        keys = [psi._column_key for psi in states]
         for psi in states:
             overlap(psi, psi, 1.0, small)
-        assert stored(store, small) == states
+        assert stored(store, small) == keys
         assert store.nbytes == 4 * size[small]
         overlap(states[1], states[1], 1.0, small)  # a hit makes states[1] the most recent
-        wide = Counting(7, tag=9)
+        wide = Eigenstate(7, UNIT)
         overlap(wide, wide, 1.0, large)  # drops states[0], the least recent, for a larger column
-        assert stored(store, small) == [states[2], states[3], states[1]]
-        assert stored(store, large) == [wide]
+        assert stored(store, small) == [keys[2], keys[3], keys[1]]
+        assert stored(store, large) == [wide._column_key]
         check_budget(store)
         overlap(states[3], states[3], 1.0, small)
         overlap(states[1], states[1], 1.0, small)
         overlap(states[0], states[0], 1.0, small)  # evaluated again; drops states[2]
-        assert [psi.calls for psi in states] == [2, 1, 1, 1]
-        assert stored(store, small) == [states[3], states[1], states[0]]
-        assert stored(store, large) == [wide] and wide.calls == 1
+        assert [calls.count(n) for n in range(4)] == [2, 1, 1, 1]
+        assert stored(store, small) == [keys[3], keys[1], keys[0]]
+        assert stored(store, large) == [wide._column_key] and calls.count(7) == 1
         check_budget(store)
 
     def test_a_column_over_the_budget_is_not_stored(self, monkeypatch):
         store = numerics._BudgetLRU(100)
         monkeypatch.setattr(numerics, "_COLUMNS", store)
-        rule, psi = fresh_rule(64), Counting(5)
+        rule, psi = fresh_rule(64), Eigenstate(5, UNIT)
+        want = uncached_overlap(psi, psi, 1.0, rule)
+        calls = eigenstate_calls(monkeypatch)
         for _ in range(2):
-            assert overlap(psi, psi, 1.0, rule) == uncached_overlap(psi.psi, psi.psi, 1.0, rule)
-        assert psi.calls == 4
+            assert overlap(psi, psi, 1.0, rule) == want
+        assert calls == [5] * 4
         assert (store.nbytes, len(store._entries)) == (0, 0)
 
     def test_a_default_rule_gram_block_stays_within_the_budget(self, store):
@@ -523,32 +544,20 @@ class TestStoredColumns:
         assert len(checks) == 1  # a factor from a direct call is checked
 
     @pytest.mark.parametrize("bad_a,bad_b", [(5, None), (None, 2), (5, 2), (2, 5)])
-    def test_a_non_finite_factor_names_its_first_node_and_is_never_stored(self, store, bad_a, bad_b):
+    def test_a_non_finite_factor_names_its_first_node_and_is_never_stored(self, store, monkeypatch, bad_a, bad_b):
         rule = fresh_rule(16)
-
-        class Spiked(Counting):
-            """Counting, but NaN at the node ``bad`` (if any) of every call."""
-
-            def __init__(self, n, bad):
-                super().__init__(n, tag=("spiked", bad))
-                self.bad = bad
-
-            def __call__(self, x):
-                values = super().__call__(x)
-                if self.bad is not None:
-                    values[self.bad] = math.nan
-                return values
-
-        a, b = Spiked(3, bad_a), Spiked(5, bad_b)
+        spikes = {3: bad_a, 5: bad_b}
+        calls = eigenstate_calls(monkeypatch, spikes)
+        a, b = Eigenstate(3, UNIT), Eigenstate(5, UNIT)
         first = min(i for i in (bad_a, bad_b) if i is not None)
-        good = [psi for psi in (a, b) if psi.bad is None]
+        good = [psi for psi in (a, b) if spikes[psi.n] is None]
         for psi in good:
             overlap(psi, psi, 1.0, rule)  # a stored column on one side
         for _ in range(2):
             with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
                 overlap(a, b, 1.0, rule)
-        assert stored(store, rule) == good
-        assert [psi.calls for psi in good] == [1] * len(good)
+        assert stored(store, rule) == [psi._column_key for psi in good]
+        assert [calls.count(psi.n) for psi in good] == [1] * len(good)
         check_budget(store)
         with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
             uncached_overlap(a, b, 1.0, rule)
@@ -622,11 +631,14 @@ class TestStoredColumns:
         assert [overlap(a, b, 1.0, rule) for a, b in pairs] == want
         assert calls == []
         # Equal states share one column, kept under (rule id, s, plain key).
-        assert list(store._entries) == [(rule._id, s, Eigenstate(n, UNIT)._column_key) for n in window]
-        # A user class with an order and its own __hash__ keeps the (rule id, state, s) key.
-        psi = Counting(3)
-        overlap(psi, psi, 1.0, rule)
-        assert list(store._entries)[-1] == (rule._id, psi, s)
+        keys = [(rule._id, s, Eigenstate(n, UNIT)._column_key) for n in window]
+        assert list(store._entries) == keys
+        # A user class with an order and its own __hash__ is called once per overlap and stores nothing.
+        psi, other = Counting(3), Counting(5)
+        for _ in range(2):
+            assert overlap(psi, other, 1.0, rule) == uncached_overlap(psi.psi, other.psi, 1.0, rule)
+        assert (psi.calls, other.calls) == (2, 2)
+        assert list(store._entries) == keys
 
     def test_an_unhashable_state_with_an_order_is_evaluated_per_call(self, store):
         class Unhashable(Counting):

@@ -18,6 +18,7 @@ from paracyl.oscillator import (
     hamiltonian_residual,
     norm_const,
 )
+from paracyl.polys import DEGREE_CAP
 
 PI_QUARTER = math.pi ** -0.25
 
@@ -162,6 +163,17 @@ class TestEigenstateHash:
         assert calls == []
 
 
+class TestEigenstateOrder:
+    @pytest.mark.parametrize("n", [2.0, True, False, np.int64(2), "2", None])
+    def test_a_non_int_order_is_rejected_when_built(self, n):
+        with pytest.raises(TypeError, match="^order must be an int$"):
+            Eigenstate(n, OscillatorSpec())
+
+    def test_a_negative_order_is_still_a_value_error(self):
+        with pytest.raises(ValueError, match="^quantum number must be non-negative$"):
+            Eigenstate(-1, OscillatorSpec())
+
+
 class TestEigenstateValues:
     def test_odd_state_vanishes_at_origin(self):
         assert Eigenstate(1, OscillatorSpec(mu=2.0, omega=3.0))(0.0) == 0.0
@@ -225,6 +237,27 @@ class TestExpectationX:
         # psi_n^2 x is odd, and the node set is exactly symmetric, so the
         # quadrature sum cancels pairwise to exactly zero.
         assert expectation_x(3, OscillatorSpec()) == 0.0
+
+
+class TestOrderCheckedBeforeTheRule:
+    @staticmethod
+    def no_rule_built(monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"a {n}-point rule was built")
+
+        monkeypatch.setattr(numerics, "_build_rule", refuse)
+
+    @pytest.mark.parametrize("n", [DEGREE_CAP + 1, 300])
+    def test_expectation_x_names_the_order(self, monkeypatch, n):
+        self.no_rule_built(monkeypatch)
+        with pytest.raises(ValueError, match=f"^order {n} exceeds the configured cap {DEGREE_CAP}$"):
+            expectation_x(n, OscillatorSpec())
+
+    def test_expectation_x_shifted_names_the_order(self, monkeypatch):
+        self.no_rule_built(monkeypatch)
+        state = ShiftedState.continuous(230, 0.2, OscillatorSpec())
+        with pytest.raises(ValueError, match=f"^order 230 exceeds the configured cap {DEGREE_CAP}$"):
+            expectation_x_shifted(state)
 
 
 def two_evaluation_x_mean(state, center, rule):

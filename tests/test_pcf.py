@@ -77,8 +77,9 @@ class TestHermiteRoute:
         pcf_poly(23)
         with pytest.raises(ValueError):
             pcf_poly(23, cap=22)
-        with pytest.raises(ValueError):
-            eval_D(23, 0.5, cap=22)
+        eval_D(23, 0.5)
+        with pytest.raises(TypeError):
+            eval_D(23, 0.5, cap=22)  # the float orders are fixed at 0..DEGREE_CAP
 
 
 class TestRodriguesRoute:
@@ -135,10 +136,21 @@ class TestEvalD:
         assert math.copysign(1.0, eval_D(n, -0.0)) == 1.0
         assert math.copysign(1.0, eval_D(n, np.array([-0.0]))[0]) == 1.0
 
-    def test_raised_cap_overflow_is_an_error(self):
-        # D_400 peaks near sqrt(400!) ~ 1e434, beyond the double range.
+    def test_orders_stop_at_the_degree_cap(self):
+        assert eval_D(DEGREE_CAP, 1.0) == uncached_D(DEGREE_CAP, 1.0)
+        for z in (1.0, np.array([1.0])):
+            with pytest.raises(ValueError, match=f"^order {DEGREE_CAP + 1} exceeds the configured cap {DEGREE_CAP}$"):
+                eval_D(DEGREE_CAP + 1, z)
+        # Past the cap the recurrence leaves the double range: D_400 peaks near
+        # sqrt(400!) ~ 1e434.  The climb itself still raises on overflow.
+        t = np.array([1.0])
         with pytest.raises(FloatingPointError):
-            eval_D(400, 1.0, cap=400)
+            pcf._climb(t, 0.0, np.exp(-(t * t) / 4.0), 0, 400, False)
+
+    @pytest.mark.parametrize("z", [[0.0, 1.0], (-2.5, 0.5, 3.0), [[0.25, -0.0], [1.5, 80.0]]])
+    def test_a_list_or_tuple_gives_the_ndarray_result(self, z):
+        for n in (0, 3, 40):
+            assert_bit_equal(eval_D(n, z), eval_D(n, np.array(z)))
 
     def test_integer_array_is_evaluated_in_floats(self):
         z = np.arange(-3, 4)
@@ -227,9 +239,9 @@ def counting_climbs(monkeypatch):
     climbs = []
     climb = pcf._climb
 
-    def recording(t, prev, cur, k, n, top):
+    def recording(t, prev, cur, k, n, record):
         climbs.append((k, n))
-        return climb(t, prev, cur, k, n, top)
+        return climb(t, prev, cur, k, n, record)
 
     monkeypatch.setattr(pcf, "_climb", recording)
     return climbs
@@ -326,35 +338,28 @@ class TestLadderCache:
             eval_D(20 + 6 * i, grid + 1e-3 * (i % 3))  # three repeated arguments
             eval_D(3, grid - 1e-3 * i)  # and a new one-shot argument each time
             check_charges(fresh_ladders)
-        low = eval_D(250, grid, cap=400)
-        for _ in range(2):
-            with pytest.raises(FloatingPointError):
-                eval_D(400, grid, cap=400)
+        low = eval_D(150, grid)
+        for n in (DEGREE_CAP, DEGREE_CAP - 1, DEGREE_CAP):
+            assert_bit_equal(eval_D(n, grid), uncached_D(n, grid))
             check_charges(fresh_ladders)
-        assert_bit_equal(eval_D(250, grid, cap=400), low)
-        assert_bit_equal(low, uncached_D(250, grid))
+        assert_bit_equal(eval_D(150, grid), low)
+        assert_bit_equal(low, uncached_D(150, grid))
 
     @given(
-        st.lists(st.tuples(st.integers(0, 400), st.integers(0, 12)), min_size=1, max_size=10),
-        st.sampled_from(["order 0", "0-d argument", "overflow"]),
+        st.lists(st.tuples(st.integers(0, DEGREE_CAP), st.integers(0, 12)), min_size=1, max_size=10),
+        st.sampled_from(["order 0", "0-d argument", "top order"]),
         st.sampled_from([pcf._LADDER_BUDGET, 2**16, 0]),  # small budgets also run through evictions
     )
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     def test_charges_bound_the_rows_held_after_any_sequence(self, calls, ending, budget):
         pool = self.pool()
-        last = {"order 0": (0, 2), "0-d argument": (33, 9), "overflow": (400, 4)}[ending]
+        last = {"order 0": (0, 2), "0-d argument": (33, 9), "top order": (DEGREE_CAP, 4)}[ending]
         with pytest.MonkeyPatch.context() as patch:
             store = _BudgetLRU(budget)
             patch.setattr(pcf, "_LADDERS", store)
             for n, i in [*calls, last]:
                 z = pool[i]
-                try:
-                    want = uncached_D(n, z)
-                except FloatingPointError:
-                    with pytest.raises(FloatingPointError):
-                        eval_D(n, z, cap=400)
-                else:
-                    assert_bit_equal(eval_D(n, z, cap=400), want)
+                assert_bit_equal(eval_D(n, z), uncached_D(n, z))
                 check_charges(store)
 
     def test_charges_bound_the_rows_held_along_consecutive_orders(self, fresh_ladders):
@@ -367,22 +372,27 @@ class TestLadderCache:
                 assert_bit_equal(eval_D(n, z), uncached_D(n, z))
                 check_charges(fresh_ladders)
 
-    def test_only_a_miss_on_the_arguments_own_bits_clips(self, fresh_ladders, monkeypatch):
+    def test_each_call_clips_once_and_makes_one_lookup(self, fresh_ladders, monkeypatch):
         z = np.linspace(-5.0, 5.0, 101)
-        wide = np.linspace(-300.0, 300.0, 61)  # its own bits never match a clipped argument
+        wide = np.linspace(-300.0, 300.0, 61)  # clipped at both ends
         calls = [(n, z) for n in (7, 8, 7, 30, 2)] + [(n, wide) for n in (7, 8, 7)]
         want = [uncached_D(n, arg) for n, arg in calls]
-        clips = []
-        clip = np.clip
+        clips, finds = [], []
+        clip, find = np.clip, pcf._find
 
         def counting_clip(*args, **kwargs):
             clips.append(args[0].shape)
             return clip(*args, **kwargs)
 
+        def counting_find(t):
+            finds.append(t.shape)
+            return find(t)
+
         monkeypatch.setattr(np, "clip", counting_clip)
+        monkeypatch.setattr(pcf, "_find", counting_find)
         for (n, arg), values in zip(calls, want):
             assert_bit_equal(eval_D(n, arg.copy()), values)
-        assert clips == [z.shape] + [wide.shape] * 3
+        assert clips == finds == [z.shape] * 5 + [wide.shape] * 3
         assert len(kept(fresh_ladders)) == 2
 
     def test_an_argument_over_the_budget_is_not_kept(self, fresh_ladders):
@@ -416,27 +426,28 @@ class TestLadderCache:
         for pair, before in held.values():
             assert [np.asarray(d).tobytes() for d in pair] == before
 
-    def test_no_checkpoint_is_recorded_above_the_degree_cap(self, fresh_ladders, monkeypatch):
+    def test_a_climb_to_the_degree_cap_records_every_checkpoint(self, fresh_ladders, monkeypatch):
         z = np.linspace(-1.0, 1.0, 9)
         climbs = counting_climbs(monkeypatch)
         checkpoints = list(range(pcf._STRIDE, DEGREE_CAP + 1, pcf._STRIDE))
-        for n in (10, 300, 250, 275):
-            assert_bit_equal(eval_D(n, z, cap=400), uncached_D(n, z))
+        assert len(checkpoints) == DEGREE_CAP // pcf._STRIDE
+        for n in (0, 10, DEGREE_CAP, DEGREE_CAP - 5, DEGREE_CAP - 2):
+            assert_bit_equal(eval_D(n, z), uncached_D(n, z))
         (ladder,) = kept(fresh_ladders)
-        # The cursor at 250, above the cap, is dropped when it moves.
-        assert sorted(ladder.pairs) == [*checkpoints, 275]
-        assert climbs == [(0, 10), (10, 300), (checkpoints[-1], 250), (250, 275)]
+        # The cursors at 0 and at the cap, which are no checkpoints, are dropped when they move.
+        assert sorted(ladder.pairs) == [*checkpoints, DEGREE_CAP - 2]
+        top = checkpoints[-1]
+        assert climbs == [(0, 0), (0, 10), (10, DEGREE_CAP), (top, DEGREE_CAP - 5), (DEGREE_CAP - 5, DEGREE_CAP - 2)]
         check_charges(fresh_ladders)
 
-    def test_raised_cap_overflow_is_an_error_on_a_hit(self):
+    def test_an_order_above_the_cap_is_an_error_on_a_hit(self):
         z = np.linspace(-1.0, 1.0, 9)
-        low = eval_D(250, z, cap=400)
+        top = eval_D(DEGREE_CAP, z)
         for _ in range(2):
-            with pytest.raises(FloatingPointError):
-                eval_D(400, z, cap=400)
-            with pytest.raises(FloatingPointError):
-                eval_D(400, 1.0, cap=400)
-        assert_bit_equal(eval_D(250, z, cap=400), low)
+            for arg in (z, 1.0):
+                with pytest.raises(ValueError, match=f"^order {DEGREE_CAP + 1} exceeds"):
+                    eval_D(DEGREE_CAP + 1, arg)
+        assert_bit_equal(eval_D(DEGREE_CAP, z), top)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_negative_zero_gives_positive_zero_on_a_hit(self, n):
