@@ -18,18 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import field_suite, free_suite, lj_suite
-from .field import FieldSpec, _field_unit, energy_shifted, gamma_of, integer_branch_spectrum, potential_minimum
-from .ljmodel import (
-    LJSpec,
-    R_MIN_FACTOR,
-    bound_levels,
-    estimate_gamma_sq,
-    fit_oscillator,
-    harmonic_curve,
-    lj_minimum,
-    lj_potential,
-)
+# ``checks``, ``field`` and ``ljmodel`` are imported by the handlers that use
+# them, so that ``table``, ``eval``, ``spectrum`` and ``figure1`` load only
+# ``polys``, ``pcf``, ``numerics`` and ``oscillator``.
 from .numerics import grid_count
 from .oscillator import OscillatorSpec, energy, norm_const
 from .pcf import _pcf_rows, eval_D
@@ -177,6 +168,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_field(args) -> int:
+    from .field import FieldSpec, _field_unit, energy_shifted, gamma_of, integer_branch_spectrum, potential_minimum
+
     spec = _spec_from_args(args)
     if args.gamma_sq is not None:
         if args.gamma_sq < 1:
@@ -213,6 +206,8 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_lj(args) -> int:
+    from .ljmodel import LJSpec, bound_levels, estimate_gamma_sq, fit_oscillator, lj_minimum
+
     spec = LJSpec(epsilon=args.epsilon, sigma=args.sigma, gamma_sq=args.gamma_sq)
     _check_rows("ladder", spec.gamma_sq)
     osc = fit_oscillator(spec, mu=args.mu, hbar=args.hbar)
@@ -255,6 +250,8 @@ def _levels_path(out: str) -> str:
 
 
 def _cmd_figure2(args) -> int:
+    from .ljmodel import R_MIN_FACTOR, LJSpec, bound_levels, fit_oscillator, harmonic_curve, lj_potential
+
     spec = LJSpec(epsilon=args.epsilon, sigma=args.sigma, gamma_sq=args.gamma_sq)
     _check_rows("ladder", spec.gamma_sq)
     if args.fit_k:
@@ -283,6 +280,8 @@ def _cmd_figure2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import field_suite, free_suite, lj_suite
+
     g = args.gamma_sq
     if g is not None and args.suite != "free":
         # The field suite builds the ladder m = -g .. g + 2, the L-J suite g levels.

@@ -77,7 +77,11 @@ def gamma_of(field: FieldSpec, spec: OscillatorSpec) -> float:
 
 
 def energy_shifted(n: int, gamma: float, spec: OscillatorSpec) -> float:
-    """Continuous-branch energy E_n = hbar omega (n + 1/2 - gamma^2); a ValueError if it overflows."""
+    """Continuous-branch energy E_n = hbar omega (n + 1/2 - gamma^2).
+
+    A TypeError for a non-int n, a ValueError if it overflows.
+    """
+    _check_int(n)
     if n < 0:
         raise ValueError("quantum number must be non-negative")
     e = spec.hbar * spec.omega * (n + 0.5 - gamma * gamma)

@@ -38,6 +38,8 @@ class LJSpec:
             # A subnormal value has fewer digits than a double: r_min and the levels would lose them silently.
             if v < sys.float_info.min:
                 raise ValueError(f"{name} = {v!r} is subnormal (below {sys.float_info.min!r})")
+        if not math.isfinite(R_MIN_FACTOR * self.sigma):
+            raise ValueError(f"well minimum r_min = 2^(1/6) sigma overflows for sigma = {self.sigma!r}")
         _check_gamma_sq(self.gamma_sq)
         # The top level, -epsilon / (2 gamma_sq), is the smallest in size; compared exactly, so a
         # gamma_sq past the double range is no OverflowError.

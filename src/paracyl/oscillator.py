@@ -63,7 +63,8 @@ class OscillatorSpec:
 
 
 def energy(n: int, spec: OscillatorSpec) -> float:
-    """E_n = hbar omega (n + 1/2); a ValueError if it overflows."""
+    """E_n = hbar omega (n + 1/2); a TypeError for a non-int n, a ValueError if it overflows."""
+    _check_int(n)
     if n < 0:
         raise ValueError("quantum number must be non-negative")
     e = spec.hbar * spec.omega * (n + 0.5)
@@ -76,8 +77,9 @@ def norm_const(n: int, spec: OscillatorSpec) -> float:
     """N_n = (mu omega / (hbar pi))^{1/4} / sqrt(n!).
 
     Above n = 20 the factorial goes through lgamma to avoid building huge
-    integers just to take a root.
+    integers just to take a root.  A non-int n is a TypeError.
     """
+    _check_int(n)
     if n < 0:
         raise ValueError("quantum number must be non-negative")
     base = (spec.mu * spec.omega / (spec.hbar * math.pi)) ** 0.25
@@ -95,7 +97,10 @@ class Eigenstate:
     type, n, and the spec's type, mu, omega and hbar.  It holds no object
     with a Python-level ``__hash__`` or ``__eq__`` (for float parameters),
     and two keys are equal exactly when the states are, so a read from the
-    store hashes and compares only plain numbers.  A non-int ``n`` is a ``TypeError``.
+    store hashes and compares only plain numbers.  A non-int ``n`` is a
+    ``TypeError``, and an ``n`` above ``DEGREE_CAP``, where float D_n stops,
+    a ``ValueError`` when the state is built, so ``overlap`` never sizes a
+    rule for it.
     """
 
     n: int
@@ -106,6 +111,7 @@ class Eigenstate:
         _check_int(self.n)
         if self.n < 0:
             raise ValueError("quantum number must be non-negative")
+        _check_order(self.n, DEGREE_CAP)
         spec = self.spec
         key = (type(self), self.n, type(spec), spec.mu, spec.omega, spec.hbar)
         object.__setattr__(self, "_column_key", key)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 import paracyl.checks as checks
 import paracyl.cli as cli
+import paracyl.field as field
+import paracyl.ljmodel as ljmodel
 from paracyl.checks import CheckResult, field_suite, free_suite, lj_suite
 from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from paracyl.pcf import pcf_poly
@@ -296,10 +299,18 @@ class TestLadderLimits:
         def no_ladder(*args, **kwargs):
             raise AssertionError("ladder built before its row count was checked")
 
-        for builder in ("integer_branch_spectrum", "bound_levels", "free_suite", "energy", "energy_shifted"):
-            monkeypatch.setattr(cli, builder, no_ladder)
-        for builder in ("integer_branch_spectrum", "bound_levels"):
-            monkeypatch.setattr(checks, builder, no_ladder)
+        # The handlers import the field, L-J and check builders when they run,
+        # so those are replaced in their home modules; checks holds its own copies.
+        monkeypatch.setattr(cli, "energy", no_ladder)
+        for module, builder in (
+            (field, "integer_branch_spectrum"),
+            (field, "energy_shifted"),
+            (ljmodel, "bound_levels"),
+            (checks, "free_suite"),
+            (checks, "integer_branch_spectrum"),
+            (checks, "bound_levels"),
+        ):
+            monkeypatch.setattr(module, builder, no_ladder)
         if argv[0] == "figure2":
             argv = [*argv, "--out", str(tmp_path / "x.csv")]
         code, out, err = run(capsys, *argv)
@@ -310,7 +321,7 @@ class TestLadderLimits:
 
     def test_ladder_at_the_row_limit_is_allowed(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(cli, "integer_branch_spectrum", lambda *args: built.append(args) or [])
+        monkeypatch.setattr(field, "integer_branch_spectrum", lambda *args: built.append(args) or [])
         code, _, _ = run(capsys, "field", "--gamma-sq", "999999", "--n", "0")
         assert code == EXIT_OK
         assert [(g, m_max) for g, m_max, _ in built] == [(999999, 0)]  # m = -999999 .. 0
@@ -328,6 +339,18 @@ class TestLj:
         assert lines[idx + 1 : idx + 3] == ["-2,-0.75", "-1,-0.25"]
         assert "estimated_gamma_sq = 2" in lines
         assert "estimate_residual = 0" in lines
+
+    @pytest.mark.parametrize("command", ["lj", "figure2"])
+    def test_overflowing_minimum_is_a_usage_error(self, capsys, tmp_path, command):
+        out_csv = tmp_path / "x.csv"
+        argv = [command, "--sigma", "1.7976931348623157e308"]
+        if command == "figure2":
+            argv += ["--out", str(out_csv)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: well minimum r_min = 2^(1/6) sigma overflows for sigma = 1.7976931348623157e+308\n"
+        assert not out_csv.exists()
 
     def test_spacing_above_depth_prints_one_plain_warning(self, capsys):
         code, out, err = run(capsys, "lj", "--gamma-sq", "5000", "--delta-e", "0.3", "--epsilon", "7e-21")
@@ -530,7 +553,7 @@ class TestVerify:
 
     def test_failing_check_sets_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "free_suite", lambda: [CheckResult("free", "synthetic", False, "forced failure", ())]
+            checks, "free_suite", lambda: [CheckResult("free", "synthetic", False, "forced failure", ())]
         )
         code, out, _ = run(capsys, "verify", "--suite", "free")
         assert code == EXIT_VERIFY_FAIL
@@ -629,3 +652,55 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+
+# The modules each subcommand loads, besides ``paracyl`` and ``paracyl.cli``.
+CORE = {"numerics", "oscillator", "pcf", "polys"}
+LOADS = {
+    "table": CORE,
+    "eval": CORE,
+    "spectrum": CORE,
+    "figure1": CORE,
+    "field": CORE | {"field"},
+    "lj": CORE | {"field", "ljmodel"},
+    "figure2": CORE | {"field", "ljmodel"},
+    "verify": CORE | {"checks", "field", "ljmodel"},
+}
+
+_REPORT_MODULES = """
+import json, sys
+from paracyl.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("paracyl."))
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+
+class TestSubcommandImports:
+    ARGV = {
+        "table": ["--n", "3"],
+        "eval": ["--n", "3", "--lo", "-1", "--hi", "1", "--step", "0.5"],
+        "spectrum": ["--n", "3"],
+        "figure1": ["--step", "0.5"],
+        "field": ["--n", "2"],
+        "lj": [],
+        "figure2": [],
+        "verify": ["--suite", "all"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(LOADS))
+    def test_a_subcommand_loads_only_its_own_modules(self, tmp_path, command):
+        argv = [command, *self.ARGV[command]]
+        if command.startswith("figure"):
+            argv += ["--out", str(tmp_path / "out.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_MODULES, *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))),
+            timeout=120,
+        )
+        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert code == EXIT_OK
+        assert set(loaded) == LOADS[command] | {"cli"}

@@ -90,6 +90,13 @@ class TestEnergyShifted:
             energy_shifted(n, gamma, spec)
 
 
+class TestEnergyShiftedType:
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.int64(2)])
+    def test_a_non_int_quantum_number_is_rejected(self, n):
+        with pytest.raises(TypeError, match="^order must be an int$"):
+            energy_shifted(n, 0.5, ONES)
+
+
 class TestShiftedStateType:
     def test_rejects_negative_pcf_index(self):
         with pytest.raises(ValueError):

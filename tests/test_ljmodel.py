@@ -37,6 +37,18 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"^{name} = .* is subnormal"):
             LJSpec(epsilon, sigma, 3)
 
+    def test_rejects_a_sigma_whose_minimum_overflows(self):
+        # The largest sigma whose minimum R_MIN_FACTOR sigma is finite is allowed, the next double up is not.
+        sigma = sys.float_info.max / R_MIN_FACTOR
+        while not math.isfinite(R_MIN_FACTOR * sigma):
+            sigma = math.nextafter(sigma, 0.0)
+        while math.isfinite(R_MIN_FACTOR * math.nextafter(sigma, math.inf)):
+            sigma = math.nextafter(sigma, math.inf)
+        assert math.isfinite(lj_minimum(LJSpec(1.0, sigma, 3))[0])
+        for bad in (math.nextafter(sigma, math.inf), sys.float_info.max):
+            with pytest.raises(ValueError, match=r"^well minimum r_min = 2\^\(1/6\) sigma overflows for sigma = "):
+                LJSpec(1.0, bad, 3)
+
     def test_smallest_normal_parameters_are_allowed(self):
         tiny = sys.float_info.min
         # epsilon = tiny would make the level -epsilon / 2 subnormal; 2 tiny is the least depth for gamma_sq = 1.

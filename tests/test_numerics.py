@@ -25,7 +25,7 @@ from paracyl.numerics import (
 )
 from paracyl.field import ShiftedState, expectation_x_shifted
 from paracyl.oscillator import Eigenstate, OscillatorSpec, expectation_x
-from paracyl.polys import hermite_recurrence, poly_eval
+from paracyl.polys import DEGREE_CAP, hermite_recurrence, poly_eval
 
 
 def even_moment(k):
@@ -301,6 +301,22 @@ class TestRuleSizedByOrder:
         with pytest.raises(ValueError, match="at least 81 points"):
             overlap(psi, psi, 1.0, gauss_hermite_rule(64))
         assert overlap(psi, psi, 1.0, gauss_hermite_rule(81)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_a_user_state_past_the_cap_gets_the_rule_its_order_needs(self):
+        # Only an Eigenstate's order is capped, since only its column runs eval_D.
+        class UserState:
+            def __init__(self, n, f):
+                self.n, self.f = n, f
+
+            def __call__(self, x):
+                return self.f(x)
+
+        psi = Eigenstate(0, UNIT)
+        high, low = UserState(DEGREE_CAP + 50, psi), UserState(0, psi)
+        for other in (low, psi):
+            value = overlap(high, other, 1.0)
+            assert value == overlap(high, other, 1.0, gauss_hermite_rule(126))
+            assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_callables_without_an_order_keep_the_64_point_rule(self):
         psi = Eigenstate(80, UNIT)

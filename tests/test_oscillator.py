@@ -163,6 +163,19 @@ class TestEigenstateHash:
         assert calls == []
 
 
+class TestQuantumNumberType:
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, np.int64(2), "2", None])
+    @pytest.mark.parametrize("fn", [energy, norm_const])
+    def test_a_non_int_quantum_number_is_rejected(self, fn, n):
+        with pytest.raises(TypeError, match="^order must be an int$"):
+            fn(n, OscillatorSpec())
+
+    @pytest.mark.parametrize("fn", [energy, norm_const])
+    def test_a_negative_quantum_number_is_still_a_value_error(self, fn):
+        with pytest.raises(ValueError, match="^quantum number must be non-negative$"):
+            fn(-1, OscillatorSpec())
+
+
 class TestEigenstateOrder:
     @pytest.mark.parametrize("n", [2.0, True, False, np.int64(2), "2", None])
     def test_a_non_int_order_is_rejected_when_built(self, n):
@@ -172,6 +185,12 @@ class TestEigenstateOrder:
     def test_a_negative_order_is_still_a_value_error(self):
         with pytest.raises(ValueError, match="^quantum number must be non-negative$"):
             Eigenstate(-1, OscillatorSpec())
+
+    @pytest.mark.parametrize("n", [DEGREE_CAP + 1, 300])
+    def test_an_order_above_the_cap_is_rejected_when_built(self, n):
+        with pytest.raises(ValueError, match=f"^order {n} exceeds the configured cap {DEGREE_CAP}$"):
+            Eigenstate(n, OscillatorSpec())
+        assert Eigenstate(DEGREE_CAP, OscillatorSpec()).n == DEGREE_CAP
 
 
 class TestEigenstateValues:
@@ -252,6 +271,15 @@ class TestOrderCheckedBeforeTheRule:
         self.no_rule_built(monkeypatch)
         with pytest.raises(ValueError, match=f"^order {n} exceeds the configured cap {DEGREE_CAP}$"):
             expectation_x(n, OscillatorSpec())
+
+    @pytest.mark.parametrize(
+        "i,j,bad", [(DEGREE_CAP + 1, DEGREE_CAP + 1, DEGREE_CAP + 1), (0, 300, 300), (300, 5, 300)]
+    )
+    def test_overlap_names_the_order(self, monkeypatch, i, j, bad):
+        self.no_rule_built(monkeypatch)
+        spec = OscillatorSpec()
+        with pytest.raises(ValueError, match=f"^order {bad} exceeds the configured cap {DEGREE_CAP}$"):
+            overlap(Eigenstate(i, spec), Eigenstate(j, spec), spec.gaussian_scale)
 
     def test_expectation_x_shifted_names_the_order(self, monkeypatch):
         self.no_rule_built(monkeypatch)
