@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .numerics import Grid1D, QuadratureRule
 from .oscillator import OscillatorSpec, _grid_residual, _x_mean, norm_const
 from .pcf import eval_D
-from .polys import _check_int
+from .polys import _check_int, _check_quantum_number
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,7 @@ def energy_shifted(n: int, gamma: float, spec: OscillatorSpec) -> float:
 
     A TypeError for a non-int n, a ValueError if it overflows.
     """
-    _check_int(n)
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
+    _check_quantum_number(n)
     e = spec.hbar * spec.omega * (n + 0.5 - gamma * gamma)
     if not math.isfinite(e):
         raise ValueError(f"energy E_{n} = hbar omega (n + 1/2 - gamma^2) overflows")
@@ -145,8 +143,8 @@ def expectation_x_shifted(state: ShiftedState, rule: QuadratureRule | None = Non
 
     The integral runs over u = x - x_center, where the state is a polynomial
     times the Gaussian of the rule, so a rule of pcf_index + 1 points or
-    more is exact: ``rule=None`` picks ``gauss_hermite_rule(max(64,
-    pcf_index + 1))`` and a smaller rule is a ``ValueError``.
+    more is exact: ``rule=None`` picks the 64-, 128- or 256-point rule, the
+    smallest that holds that many, and a smaller rule is a ``ValueError``.
     """
     return _x_mean(state, state.x_center, state.pcf_index, rule)
 

@@ -233,13 +233,13 @@ def _order(state) -> int | None:
 
 
 def _sized_rule(k_min: int, rule: QuadratureRule | None) -> QuadratureRule:
-    """``rule``, checked to hold at least ``k_min`` points, or the default for ``k_min``.
+    """``rule``, checked to hold at least ``k_min`` points, or the smallest 64-, 128- or 256-point rule that does.
 
-    The default is ``gauss_hermite_rule(max(64, k_min))``.  A k-point rule
-    integrates psi_i psi_j exactly while i + j <= 2k - 1.
+    A k-point rule integrates psi_i psi_j exactly while i + j <= 2k - 1, so
+    three default rules serve every order (``gauss_hermite_rule`` rejects more).
     """
     if rule is None:
-        return gauss_hermite_rule(max(64, k_min))
+        return gauss_hermite_rule(max(64, 1 << (k_min - 1).bit_length()))
     if len(rule) < k_min:
         raise ValueError(f"a {len(rule)}-point rule is not exact here: at least {k_min} points are needed")
     return rule
@@ -258,13 +258,14 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
 
     When both arguments carry an integer order ``n`` (as ``Eigenstate``
     does), the rule must hold at least (i + j)//2 + 1 points, which makes the
-    result exact: ``rule=None`` picks ``gauss_hermite_rule(max(64, (i + j)//2
-    + 1))`` and a smaller explicit rule is a ``ValueError``.  For any other
-    callable, ``ShiftedState`` included, the order is unknown, ``rule=None``
-    means the 64-point rule, and the result is exact only if that rule
-    integrates the product exactly.  Mirror-pair summation (see
-    ``_mirror_sum``, which also gives its error bound) makes overlaps of
-    opposite parity exactly 0.0 on a symmetric rule.
+    result exact: ``rule=None`` picks the 64-, 128- or 256-point rule, the
+    smallest that holds them (see ``_sized_rule``), and a smaller explicit
+    rule is a ``ValueError``.  For any other callable, ``ShiftedState``
+    included, the order is unknown, ``rule=None`` means the 64-point rule,
+    and the result is exact only if that rule integrates the product
+    exactly.  Mirror-pair summation (see ``_mirror_sum``, which also gives
+    its error bound) makes overlaps of opposite parity exactly 0.0 on a
+    symmetric rule.
 
     An ``Eigenstate`` is evaluated once per rule and scale while its folded
     column stays in ``_COLUMNS``: a later overlap of an equal state on the

@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import Grid1D, QuadratureRule, _check_finite, _mirror_sum, _sized_rule
 from .pcf import _held_row, eval_D
-from .polys import DEGREE_CAP, _check_int, _check_order
+from .polys import _check_order, _check_quantum_number
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ class OscillatorSpec:
 
 def energy(n: int, spec: OscillatorSpec) -> float:
     """E_n = hbar omega (n + 1/2); a TypeError for a non-int n, a ValueError if it overflows."""
-    _check_int(n)
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
+    _check_quantum_number(n)
     e = spec.hbar * spec.omega * (n + 0.5)
     if not math.isfinite(e):
         raise ValueError(f"energy E_{n} = hbar omega (n + 1/2) overflows")
@@ -74,18 +72,19 @@ def energy(n: int, spec: OscillatorSpec) -> float:
 
 
 def norm_const(n: int, spec: OscillatorSpec) -> float:
-    """N_n = (mu omega / (hbar pi))^{1/4} / sqrt(n!).
+    """N_n = (mu omega / (hbar pi))^{1/4} / sqrt(n!), with 1/sqrt(n!) correctly rounded.
 
-    Above n = 20 the factorial goes through lgamma to avoid building huge
-    integers just to take a root.  A non-int n is a TypeError.
+    A non-int n is a TypeError, and an n above ``DEGREE_CAP`` a ValueError.
     """
-    _check_int(n)
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
-    base = (spec.mu * spec.omega / (spec.hbar * math.pi)) ** 0.25
-    if n <= 20:
-        return base / math.sqrt(math.factorial(n))
-    return base * math.exp(-0.5 * math.lgamma(n + 1.0))
+    _check_quantum_number(n)
+    _check_order(n)
+    return (spec.mu * spec.omega / (spec.hbar * math.pi)) ** 0.25 * _inv_sqrt_factorial(n)
+
+
+@lru_cache(maxsize=None)
+def _inv_sqrt_factorial(n: int) -> float:
+    """1/sqrt(n!), correctly rounded: the int floor(2^1300 / sqrt(n!)), 677+ bits for n <= 200, over 2^1300."""
+    return math.isqrt((1 << 2600) // math.factorial(n)) / (1 << 1300)
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,9 @@ class Eigenstate:
     type, n, and the spec's type, mu, omega and hbar.  It holds no object
     with a Python-level ``__hash__`` or ``__eq__`` (for float parameters),
     and two keys are equal exactly when the states are, so a read from the
-    store hashes and compares only plain numbers.  A non-int ``n`` is a
-    ``TypeError``, and an ``n`` above ``DEGREE_CAP``, where float D_n stops,
-    a ``ValueError`` when the state is built, so ``overlap`` never sizes a
-    rule for it.
+    store hashes and compares only plain numbers.  ``n`` is checked as
+    ``norm_const`` checks it, when the state is built, so ``overlap`` never
+    sizes a rule for an order above ``DEGREE_CAP``.
     """
 
     n: int
@@ -108,10 +106,8 @@ class Eigenstate:
     _column_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_int(self.n)
-        if self.n < 0:
-            raise ValueError("quantum number must be non-negative")
-        _check_order(self.n, DEGREE_CAP)
+        _check_quantum_number(self.n)
+        _check_order(self.n)
         spec = self.spec
         key = (type(self), self.n, type(spec), spec.mu, spec.omega, spec.hbar)
         object.__setattr__(self, "_column_key", key)
@@ -124,8 +120,9 @@ class Eigenstate:
 def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = None) -> float:
     """<psi_n | x | psi_n> by quadrature; exactly 0.0 by parity.
 
-    The rule must hold at least n + 1 points; ``rule=None`` picks
-    ``gauss_hermite_rule(max(64, n + 1))`` and a smaller rule is a ``ValueError``.
+    The rule must hold at least n + 1 points; ``rule=None`` picks the 64-,
+    128- or 256-point rule, the smallest that does, and a smaller rule is a
+    ``ValueError``.
     """
     return _x_mean(Eigenstate(n, spec), 0.0, n, rule)
 
@@ -166,8 +163,7 @@ def _grid_residual(
     slack = 1e-9 * spec.length_scale
     if x[0] > center - span + slack or x[-1] < center + span - slack:
         raise ValueError(coverage)
-    _check_order(k, DEGREE_CAP)
-    psi = norm_const(k, spec) * _held_row(k, z)
+    psi = norm_const(k, spec) * _held_row(k, z)  # norm_const checks k first
     inner = psi[1:-1]
     # In place, in the operation order of
     #   -(hbar^2 / 2 mu) (psi[:-2] - 2 psi[1:-1] + psi[2:]) / h^2
@@ -191,7 +187,7 @@ def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
     sqrt(mu omega / hbar); psi and x psi are folded and summed as ``overlap``
     does for two plain callables, with the same operations in the same order.
     """
-    _check_order(k, DEGREE_CAP)
+    _check_order(k)
     rule = _sized_rule(k + 1, rule)
     s = math.sqrt(state.spec.gaussian_scale)
     x = center + rule.node_array / s

@@ -93,23 +93,22 @@ def _pcf_part(n: int) -> PcfPolyPart:
     return PcfPolyPart(PolyZ(_expand(n, _nth(_pcf_rows(_hermite_rows()), n))), n)
 
 
-def pcf_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
+def pcf_poly(n: int) -> PcfPolyPart:
     """P_n obtained from H_n through the exact z/sqrt(2) substitution.
 
-    The order is checked against ``cap`` on every call; the factor itself is
-    built and validated once per n.
+    The order is checked on every call, the factor built and validated once per n.
     """
-    _check_order(n, cap)
+    _check_order(n)
     return _pcf_part(n)
 
 
-def pcf_rodrigues_poly(n: int, cap: int = DEGREE_CAP) -> PcfPolyPart:
+def pcf_rodrigues_poly(n: int) -> PcfPolyPart:
     """P_n from repeated differentiation of e^{-z^2/2}.
 
     The cofactor of e^{-z^2/2} evolves as r -> r' - z r from r = 1, and
     e^{+z^2/4} d^n/dz^n e^{-z^2/2} = r_n(z) e^{-z^2/4}, so P_n = (-1)^n r_n.
     """
-    _check_order(n, cap)
+    _check_order(n)
     return PcfPolyPart(PolyZ(_expand(n, _nth(_rodrigues_rows(1), n))), n)
 
 
@@ -241,7 +240,7 @@ def eval_D(n: int, z):
     ladders in place through ``_held_row``.  Values are bit-identical to a
     fresh run, and every call returns a new array.
     """
-    _check_order(n, DEGREE_CAP)
+    _check_order(n)
     a = np.asarray(z, dtype=float)
     # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
     d = _held_row(n, np.clip(a, -100.0, 100.0))

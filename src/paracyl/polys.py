@@ -15,9 +15,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, islice
 
-#: Highest order of the float D_n (``pcf.eval_D``, checked against mpmath), and
-#: the default ``cap`` of the polynomial constructors, exact at any order: for
-#: them a resource guard, which a larger ``cap`` passed explicitly goes beyond.
+#: The one order range of the package, n = 0..DEGREE_CAP: of the exact
+#: polynomial constructors, of float D_n (``pcf.eval_D``, checked against
+#: mpmath) and of the normalisation constants (``oscillator.norm_const``).
 DEGREE_CAP = 200
 
 
@@ -74,12 +74,18 @@ def _check_int(n) -> None:
         raise TypeError("order must be an int")
 
 
-def _check_order(n: int, cap: int) -> None:
+def _check_quantum_number(n) -> None:
+    _check_int(n)
+    if n < 0:
+        raise ValueError("quantum number must be non-negative")
+
+
+def _check_order(n: int) -> None:
     _check_int(n)
     if n < 0:
         raise ValueError("order must be non-negative")
-    if n > cap:
-        raise ValueError(f"order {n} exceeds the configured cap {cap}")
+    if n > DEGREE_CAP:
+        raise ValueError(f"order {n} exceeds the configured cap {DEGREE_CAP}")
 
 
 # The exact ladders.  A row is the parity-compressed coefficient tuple of
@@ -137,18 +143,18 @@ def _expand(n: int, row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def hermite_recurrence(n: int, cap: int = DEGREE_CAP) -> PolyZ:
+def hermite_recurrence(n: int) -> PolyZ:
     """H_n built by the three-term recurrence, with exact coefficients."""
-    _check_order(n, cap)
+    _check_order(n)
     return PolyZ(_expand(n, _nth(_hermite_rows(), n)))
 
 
-def hermite_rodrigues(n: int, cap: int = DEGREE_CAP) -> PolyZ:
+def hermite_rodrigues(n: int) -> PolyZ:
     """H_n(t) = (-1)^n e^{t^2} d^n/dt^n e^{-t^2}, via exact cofactor algebra.
 
     Differentiating q(t) e^{-t^2} gives (q' - 2 t q) e^{-t^2}, so the
     cofactor of e^{-t^2} evolves as q -> q' - 2 t q starting from q = 1;
     the (-1)^n sign then yields H_n.
     """
-    _check_order(n, cap)
+    _check_order(n)
     return PolyZ(_expand(n, _nth(_rodrigues_rows(2), n)))

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -281,6 +282,16 @@ class TestOverlap:
             overlap(Eigenstate(0, spec), Eigenstate(0, spec), scale)
 
 
+class UserState:
+    """A user's state: an integer order n and values from a callable."""
+
+    def __init__(self, n, f):
+        self.n, self.f = n, f
+
+    def __call__(self, x):
+        return self.f(x)
+
+
 class TestRuleSizedByOrder:
     @pytest.mark.parametrize("n", [64, 80, 150, 200])
     def test_default_rule_is_exact_past_64_points(self, n):
@@ -289,7 +300,7 @@ class TestRuleSizedByOrder:
 
     def test_default_rule_is_sized_from_both_orders(self):
         a, b = Eigenstate(120, UNIT), Eigenstate(140, UNIT)
-        assert overlap(a, b, 1.0) == overlap(a, b, 1.0, gauss_hermite_rule(131))
+        assert overlap(a, b, 1.0) == overlap(a, b, 1.0, gauss_hermite_rule(256))
 
     @pytest.mark.parametrize("i,j", [(0, 0), (3, 5), (10, 10), (60, 67)])
     def test_orders_within_64_points_keep_the_64_point_rule(self, i, j):
@@ -304,19 +315,30 @@ class TestRuleSizedByOrder:
 
     def test_a_user_state_past_the_cap_gets_the_rule_its_order_needs(self):
         # Only an Eigenstate's order is capped, since only its column runs eval_D.
-        class UserState:
-            def __init__(self, n, f):
-                self.n, self.f = n, f
-
-            def __call__(self, x):
-                return self.f(x)
-
+        # Orders 250 and 0 need 126 points, which the 128-point rule holds.
         psi = Eigenstate(0, UNIT)
         high, low = UserState(DEGREE_CAP + 50, psi), UserState(0, psi)
         for other in (low, psi):
             value = overlap(high, other, 1.0)
-            assert value == overlap(high, other, 1.0, gauss_hermite_rule(126))
+            assert value == overlap(high, other, 1.0, gauss_hermite_rule(128))
             assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_user_state_past_256_points_is_refused_by_the_rule(self):
+        high = UserState(300, Eigenstate(0, UNIT))
+        with pytest.raises(ValueError, match=r"^rule size must be in 1\.\.256$"):
+            overlap(high, high, 1.0)
+
+    def test_a_default_sweep_over_every_order_builds_three_rules(self, monkeypatch):
+        build = functools.lru_cache(maxsize=None)(numerics._build_rule.__wrapped__)
+        monkeypatch.setattr(numerics, "_build_rule", build)  # an empty cache of its own
+        for n in range(DEGREE_CAP + 1):
+            psi = Eigenstate(n, UNIT)
+            overlap(psi, psi, 1.0)
+            expectation_x(n, UNIT)
+            expectation_x_shifted(ShiftedState.continuous(n, 1.0, UNIT))
+        assert build.cache_info().currsize == 3
+        assert [len(build(k)) for k in (64, 128, 256)] == [64, 128, 256]
+        assert build.cache_info().currsize == 3  # the three were the sizes cached
 
     def test_callables_without_an_order_keep_the_64_point_rule(self):
         psi = Eigenstate(80, UNIT)
@@ -342,6 +364,27 @@ class TestRuleSizedByOrder:
             expectation_x_shifted(state, gauss_hermite_rule(64))
         low = ShiftedState.continuous(5, gamma, UNIT)
         assert expectation_x_shifted(low) == expectation_x_shifted(low, gauss_hermite_rule(64))
+
+
+class TestAccuracyOverTheOrderRange:
+    """Literal bounds over n = 0..DEGREE_CAP, about twice the worst error measured."""
+
+    def test_pairwise_gram_block_on_the_256_point_rule(self):
+        # Measured: max |G - I| = 9.8e-15.
+        rule = gauss_hermite_rule(256)
+        states = [Eigenstate(n, UNIT) for n in range(DEGREE_CAP + 1)]
+        worst = max(
+            abs(overlap(states[i], states[j], 1.0, rule) - (i == j))
+            for i in range(DEGREE_CAP + 1)
+            for j in range(i, DEGREE_CAP + 1)
+        )
+        assert worst <= 2e-14
+
+    def test_default_rule_displacement_sweep(self):
+        # Measured: 9.7e-14 at gamma = 1, where <x> = -sqrt(2).
+        states = [ShiftedState.continuous(n, 1.0, UNIT) for n in range(DEGREE_CAP + 1)]
+        worst = max(abs(expectation_x_shifted(state) - state.x_center) for state in states)
+        assert worst <= 2e-13
 
 
 def uncached_overlap(a, b, scale, rule):

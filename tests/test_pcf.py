@@ -16,7 +16,7 @@ from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, f
 from paracyl.numerics import Grid1D, _BudgetLRU, gauss_hermite_rule, overlap
 from paracyl.oscillator import Eigenstate, OscillatorSpec, energy, hamiltonian_residual, norm_const
 from paracyl.pcf import PcfPolyPart, _ode_residual, eval_D, pcf_poly, pcf_rodrigues_poly
-from paracyl.polys import DEGREE_CAP, PolyZ
+from paracyl.polys import DEGREE_CAP, PolyZ, hermite_recurrence, hermite_rodrigues
 
 # The first six polynomial factors in monic form (the closed-form table rows
 # for n = 2 and 4 carry a distributed leading minus sign).
@@ -74,12 +74,16 @@ class TestHermiteRoute:
         assert pcf_poly(17) is first
 
     def test_cap_is_checked_after_caching(self):
-        pcf_poly(23)
-        with pytest.raises(ValueError):
-            pcf_poly(23, cap=22)
+        # Every order range is fixed at 0..DEGREE_CAP: no constructor takes a cap.
+        for build in (hermite_recurrence, hermite_rodrigues, pcf_poly, pcf_rodrigues_poly):
+            build(23)
+            with pytest.raises(TypeError):
+                build(23, cap=22)
+            with pytest.raises(ValueError, match=f"^order {DEGREE_CAP + 1} exceeds the configured cap {DEGREE_CAP}$"):
+                build(DEGREE_CAP + 1)
         eval_D(23, 0.5)
         with pytest.raises(TypeError):
-            eval_D(23, 0.5, cap=22)  # the float orders are fixed at 0..DEGREE_CAP
+            eval_D(23, 0.5, cap=22)
 
 
 class TestRodriguesRoute:

@@ -13,6 +13,7 @@ from paracyl.polys import (
     poly_derivative,
     poly_eval,
 )
+from paracyl.pcf import pcf_poly, pcf_rodrigues_poly
 
 
 def hermite_by_repeated_differentiation(n):
@@ -104,9 +105,12 @@ class TestHermiteRecurrence:
             hermite_recurrence(-1)
 
     def test_rejects_order_beyond_cap(self):
-        with pytest.raises(ValueError):
-            hermite_recurrence(DEGREE_CAP + 1)
-        assert hermite_recurrence(DEGREE_CAP + 1, cap=DEGREE_CAP + 1).degree == DEGREE_CAP + 1
+        # The cap is DEGREE_CAP for every constructor, with no knob to raise it.
+        for build in (hermite_recurrence, hermite_rodrigues, pcf_poly, pcf_rodrigues_poly):
+            with pytest.raises(TypeError):
+                build(3, cap=DEGREE_CAP + 1)
+            with pytest.raises(ValueError, match=f"^order {DEGREE_CAP + 1} exceeds the configured cap {DEGREE_CAP}$"):
+                build(DEGREE_CAP + 1)
 
 
 class TestHermiteRodrigues:
