@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -546,10 +548,17 @@ class TestVerify:
         assert "FAIL" not in out
         assert "branch-consistency" in out
 
-    def test_nonpositive_gamma_sq_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "field", "--gamma-sq", "0")
-        assert code == EXIT_USAGE
-        assert "error" in err
+    @pytest.mark.parametrize("suite", ["free", "field", "lj", "all"])
+    def test_nonpositive_gamma_sq_is_usage_error(self, capsys, monkeypatch, suite):
+        # The free suite ignores --gamma-sq, but a bad value is still a usage error.
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before --gamma-sq was checked")
+
+        for name in ("free_suite", "field_suite", "lj_suite"):
+            monkeypatch.setattr(checks, name, no_suite)
+        for gamma_sq in ("0", "-5"):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--gamma-sq", gamma_sq)
+            assert (code, out, err) == (EXIT_USAGE, "", "error: --gamma-sq must be a positive integer\n")
 
     def test_failing_check_sets_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -652,6 +661,112 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+
+def _child_env() -> dict:
+    """The test's environment with ``src`` on the path and stdout block-buffered, as a user's shell has it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# Runs ``python -m paracyl.cli`` as runpy does, and reports the collector's
+# state when numpy starts to load and after the entry has returned.
+_REPORT_COLLECTOR = """
+import gc, json, runpy, sys
+
+at_numpy = []
+
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            at_numpy.append(gc.isenabled())
+        return None
+
+
+sys.meta_path.insert(0, Watch())
+sys.argv[0] = "paracyl"
+try:
+    runpy.run_module("paracyl.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, at_numpy, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)
+"""
+
+
+class TestProcessEntry:
+    """``cli.entry`` is the one process entry; ``main`` and imports leave the collector alone."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["verify", "--suite", "free"], EXIT_OK), (["eval", "--n", "201"], EXIT_USAGE), (["--help"], EXIT_OK)],
+    )
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_was(self, capsys, argv, code, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_library_imports_leave_the_collector_alone(self, enabled):
+        code = (
+            f"import gc\nif not {enabled}: gc.disable()\n"
+            "import paracyl, paracyl.cli, paracyl.checks\nprint(gc.isenabled(), gc.get_freeze_count())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{enabled} 0\n", "")
+
+    def test_module_run_loads_numpy_with_the_collector_off_and_freezes_on_return(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_COLLECTOR, "verify", "--suite", "lj"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert json.loads(proc.stderr.splitlines()[-1]) == [EXIT_OK, [False], True, True]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "all"],
+            ["eval", "--n", "150", "--lo", "-10", "--hi", "10", "--step", "0.002"],  # 10 001 rows
+            ["figure1", "--out", "figure1.csv"],
+            ["eval", "--n", "201", "--lo", "-1", "--hi", "1", "--step", "0.5"],
+            ["figure1", "--out", "missing/figure1.csv"],
+        ],
+    )
+    def test_module_run_matches_main(self, capsys, monkeypatch, tmp_path, argv):
+        inner, outer = tmp_path / "main", tmp_path / "process"
+        inner.mkdir()
+        outer.mkdir()
+        monkeypatch.chdir(inner)
+        code = main(argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "paracyl.cli", *argv], capture_output=True, cwd=outer, env=_child_env(), timeout=300
+        )
+        assert proc.returncode == code
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr.decode() == captured.err
+        assert sorted(p.name for p in outer.iterdir()) == sorted(p.name for p in inner.iterdir())
+        for path in inner.iterdir():
+            assert (outer / path.name).read_bytes() == path.read_bytes()
+
+    def test_console_script_runs_the_entry(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
+        assert scripts is not None
+        assert scripts.group(1).strip().splitlines() == ['paracyl = "paracyl.cli:entry"']
+        assert callable(cli.entry)
 
 
 # The modules each subcommand loads, besides ``paracyl`` and ``paracyl.cli``.
