@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .numerics import Grid1D, QuadratureRule
 from .oscillator import OscillatorSpec, _grid_residual, _x_mean, norm_const
 from .pcf import eval_D
-from .polys import _check_int, _check_quantum_number
+from .polys import _check_int, _check_order, _check_quantum_number
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,9 @@ class ShiftedState:
 
     ``m`` is the spectral label: equal to pcf_index on the continuous
     branch, and m = pcf_index - gamma^2 (possibly negative) on the integer
-    branch.
+    branch.  pcf_index is checked against ``DEGREE_CAP`` when the state is
+    built, as an ``Eigenstate`` checks its n, so ``overlap`` never sizes a
+    rule for an order above it.
     """
 
     m: int
@@ -107,6 +109,7 @@ class ShiftedState:
         _check_int(self.pcf_index)
         if self.pcf_index < 0:
             raise ValueError("pcf_index must be non-negative")
+        _check_order(self.pcf_index)
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
 

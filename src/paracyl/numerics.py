@@ -33,8 +33,9 @@ class QuadratureRule:
     """Nodes and weights for integrals against the weight e^{-t^2}.
 
     ``_id`` names the rule in the keys of ``_COLUMNS``, the store of the
-    folded ``Eigenstate`` columns ``overlap`` evaluates on the rule (see
-    ``_column``); a pickled or copied rule gets a new id.
+    tables of folded ``Eigenstate`` columns, one row per order, that
+    ``overlap`` reads on the rule (see ``_column``); a pickled or copied
+    rule gets a new id.
     """
 
     nodes: tuple[float, ...]
@@ -111,9 +112,9 @@ class _BudgetLRU:
             self.nbytes -= self._entries.popitem(last=False)[1][1]
 
 
-#: Bytes of stored overlap columns, all rules together: the 201 columns of a
-#: pairwise Gram block of psi_0..psi_200 on the 256-point rule fit.
-_COLUMN_BUDGET = 2**19
+#: Bytes of stored column tables, all rules together: the tables of the
+#: 64-, 128- and 256-point rules for one spec and scale (720 KB) fit.
+_COLUMN_BUDGET = 2**20
 _COLUMNS = _BudgetLRU(_COLUMN_BUDGET)
 _RULE_IDS = itertools.count()
 
@@ -121,25 +122,27 @@ _RULE_IDS = itertools.count()
 def _column(rule: QuadratureRule, state, s: float) -> np.ndarray:
     """The folded column state(node_array / s) * fold_array of an ``Eigenstate``, read-only exactly when it is finite.
 
-    Columns are kept in ``_COLUMNS`` under (rule id, s, the state's
-    ``_column_key``), charged ``sys.getsizeof`` each, so equal states share
-    one and a hit hashes and compares only plain numbers.  A column is
-    checked finite once, when it is made, and a non-finite one is returned
-    writeable and never kept, so a hit needs no check.  The state is
-    evaluated outside the lock, so two threads that miss on one key may both
-    evaluate it, with equal results.
+    The column is row ``state.n`` of one table of the columns of every
+    order, N_k (D_k + 0.0) * fold_array for k = 0..``DEGREE_CAP``, built by
+    one walk (``Eigenstate._table``) and kept in ``_COLUMNS`` under (rule
+    id, s, the state's ``_table_key``), charged ``sys.getsizeof``, so
+    states of equal specs share it and a hit hashes and compares only plain
+    numbers.  A table is checked finite once, when it is made; one with a
+    non-finite value is never kept and its rows are returned writeable, so
+    a hit needs no check.  The table is built outside the lock, so two
+    threads that miss on one key may both build it, with equal results.
     """
-    key = (rule._id, s, state._column_key)
+    key = (rule._id, s, state._table_key)
     with _COLUMNS.lock:
-        values = _COLUMNS.get(key)
-    if values is not None:
-        return values
-    values = state(rule.node_array / s) * rule.fold_array
-    if np.isfinite(values).all():
-        values.flags.writeable = False
-        with _COLUMNS.lock:
-            _COLUMNS.put(key, values, sys.getsizeof(values))
-    return values
+        table = _COLUMNS.get(key)
+    if table is None:
+        table = state._table(rule.node_array / s)
+        table *= rule.fold_array
+        if np.isfinite(table).all():
+            table.flags.writeable = False
+            with _COLUMNS.lock:
+                _COLUMNS.put(key, table, sys.getsizeof(table))
+    return table[state.n]
 
 
 def grid_count(lo: float, hi: float, step: float) -> int:
@@ -227,9 +230,14 @@ def _mirror_sum(fv, gv, rule: QuadratureRule) -> float:
 
 
 def _order(state) -> int | None:
-    """The integer ``n`` of an eigenstate-like argument, else None."""
-    n = getattr(state, "n", None)
+    """The polynomial degree of a state: a ``ShiftedState``'s ``pcf_index``, else an integer ``n``, else None."""
+    n = getattr(state, "pcf_index", getattr(state, "n", None))
     return n if isinstance(n, int) and not isinstance(n, bool) else None
+
+
+def _nodes(rule: QuadratureRule, s: float, center: float) -> np.ndarray:
+    """The rule's nodes t mapped to x = center + t / s."""
+    return rule.node_array / s if center == 0.0 else center + rule.node_array / s
 
 
 def _sized_rule(k_min: int, rule: QuadratureRule | None) -> QuadratureRule:
@@ -246,46 +254,42 @@ def _sized_rule(k_min: int, rule: QuadratureRule | None) -> QuadratureRule:
 
 
 def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
-    """Integral of a(x) b(x) dx for states decaying like e^{-scale x^2 / 2}.
+    """Integral of a(x) b(x) dx for states decaying like e^{-scale (x - x_c)^2 / 2}.
 
-    Substitutes t = sqrt(scale) x and folds one half of the quadrature
+    Substitutes t = sqrt(scale) (x - c) and folds one half of the quadrature
     weight into each factor (the rule's ``fold_array``, e^{t^2/2} at its
     nodes), so each mapped factor stays O(1) over the node range.  ``scale``
-    is mu*omega/hbar for oscillator eigenstates.  ``a`` and ``b`` are each
-    called at most once, with the ndarray of mapped nodes x = t /
-    sqrt(scale), and must return their values there.  ``scale`` must be
-    positive and finite: a ``ValueError`` otherwise.
+    is mu*omega/hbar for oscillator eigenstates.  The centre c is the
+    midpoint of the two arguments' well centres, their ``x_center`` (0 for
+    an ``Eigenstate`` or a plain callable), where the product of two states
+    of one spec is a polynomial times the rule's Gaussian.  ``a`` and ``b``
+    are each called at most once, with the ndarray of mapped nodes
+    x = c + t / sqrt(scale), and must return their values there.  ``scale``
+    must be positive and finite: a ``ValueError`` otherwise.
 
-    When both arguments carry an integer order ``n`` (as ``Eigenstate``
-    does), the rule must hold at least (i + j)//2 + 1 points, which makes the
-    result exact: ``rule=None`` picks the 64-, 128- or 256-point rule, the
-    smallest that holds them (see ``_sized_rule``), and a smaller explicit
-    rule is a ``ValueError``.  For any other callable, ``ShiftedState``
-    included, the order is unknown, ``rule=None`` means the 64-point rule,
-    and the result is exact only if that rule integrates the product
-    exactly.  Mirror-pair summation (see ``_mirror_sum``, which also gives
-    its error bound) makes overlaps of opposite parity exactly 0.0 on a
-    symmetric rule.
+    When both arguments carry an integer order (an ``Eigenstate``'s ``n``,
+    a ``ShiftedState``'s ``pcf_index``), the rule must hold at least
+    (i + j)//2 + 1 points, which makes the result exact: ``rule=None`` picks
+    the 64-, 128- or 256-point rule, the smallest that holds them (see
+    ``_sized_rule``), and a smaller explicit rule is a ``ValueError``.  For
+    any other callable the order is unknown, ``rule=None`` means the
+    64-point rule, and the result is exact only if that rule integrates the
+    product exactly.  Mirror-pair summation (see ``_mirror_sum``, which also
+    gives its error bound) makes overlaps of opposite parity about c = 0
+    exactly 0.0 on a symmetric rule.
 
-    An ``Eigenstate`` is evaluated once per rule and scale while its folded
-    column stays in ``_COLUMNS``: a later overlap of an equal state on the
-    same rule reads it, so a Gram block of M eigenstates costs M
-    evaluations, not M(M + 1).  The store, a ``_BudgetLRU`` filled by
-    ``_column``, charges each column its ``sys.getsizeof`` within
-    ``_COLUMN_BUDGET`` bytes over all rules (512 KiB: 242 columns of a
-    256-point rule), least recent dropped first.  A column is looked up by
-    the state's plain-number key (its type, n and the spec's type, mu,
-    omega and hbar), so a read runs no Python-level ``__hash__`` or
-    ``__eq__`` even when the states are fresh but equal objects.  Every
-    other argument (plain callables, ``ShiftedState``, user classes with an
-    ``n``) is called once per overlap.  The values are the same either way,
-    bit for bit.
+    About c = 0, an ``Eigenstate``'s folded column is a row of the table
+    ``_column`` keeps per rule, scale and spec, built once for every order
+    0..``DEGREE_CAP``: a Gram block of eigenstates of one spec costs one
+    walk per rule, not one evaluation per state.  Every other argument, and
+    every argument about a centre other than 0, is called once per overlap.
+    The values are the same either way, bit for bit.
 
-    A stored column was checked finite when it was made, so an overlap of
-    two stored columns runs no check and only forms and sums the products.
-    When a factor did not come from the store, both are checked, and a
-    non-finite value is a ``ValueError`` naming the first node where either
-    factor has one.
+    A stored column was checked finite when its table was made, so an
+    overlap of two stored columns runs no check and only forms and sums the
+    products.  When a factor did not come from the store, both are checked,
+    and a non-finite value is a ``ValueError`` naming the first node where
+    either factor has one.
     """
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
@@ -295,24 +299,25 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     elif rule is None:
         rule = gauss_hermite_rule(64)
     s = math.sqrt(scale)
-    fv, f_finite = _folded(a, rule, s)
-    gv, g_finite = _folded(b, rule, s)
+    center = (getattr(a, "x_center", 0.0) + getattr(b, "x_center", 0.0)) / 2.0
+    fv, f_finite = _folded(a, rule, s, center)
+    gv, g_finite = _folded(b, rule, s, center)
     if not (f_finite and g_finite):
         _check_finite(fv, gv, rule)
     return _mirror_sum(fv, gv, rule) / s
 
 
-def _folded(state, rule: QuadratureRule, s: float) -> tuple[np.ndarray, bool]:
-    """state(node_array / s) * fold_array, and whether it is known to be finite.
+def _folded(state, rule: QuadratureRule, s: float, center: float) -> tuple[np.ndarray, bool]:
+    """state(center + node_array / s) * fold_array, and whether it is known to be finite.
 
-    The column of an ``Eigenstate`` (the one argument that carries a
-    ``_column_key``) comes from ``_COLUMNS``; any other argument is called
-    once, and its finiteness is left to the caller to check.
+    About center 0, the column of an ``Eigenstate`` (the one argument that
+    carries a ``_table_key``) comes from ``_column``; any other argument is
+    called once, and its finiteness is left to the caller to check.
     """
-    if hasattr(state, "_column_key"):
+    if center == 0.0 and hasattr(state, "_table_key"):
         values = _column(rule, state, s)
         return values, not values.flags.writeable
-    return state(rule.node_array / s) * rule.fold_array, False
+    return state(_nodes(rule, s, center)) * rule.fold_array, False
 
 
 def golden_section_minimize(f, lo: float, hi: float):

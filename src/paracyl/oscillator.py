@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Grid1D, QuadratureRule, _check_finite, _mirror_sum, _sized_rule
-from .pcf import _held_row, eval_D
-from .polys import _check_order, _check_quantum_number
+from .numerics import Grid1D, QuadratureRule, _check_finite, _mirror_sum, _nodes, _sized_rule
+from .pcf import _Ladder, _walk_orders, eval_D
+from .polys import DEGREE_CAP, _check_order, _check_quantum_number
 
 
 @dataclass(frozen=True)
@@ -91,30 +91,40 @@ def _inv_sqrt_factorial(n: int) -> float:
 class Eigenstate:
     """Callable eigenstate psi_n; takes a float or an ndarray of x values.
 
-    Equal states hash equal, to ``hash((n, spec))``.  The overlap store
-    keys a state's columns by ``_column_key``, computed once: the state's
-    type, n, and the spec's type, mu, omega and hbar.  It holds no object
-    with a Python-level ``__hash__`` or ``__eq__`` (for float parameters),
-    and two keys are equal exactly when the states are, so a read from the
-    store hashes and compares only plain numbers.  ``n`` is checked as
-    ``norm_const`` checks it, when the state is built, so ``overlap`` never
-    sizes a rule for an order above ``DEGREE_CAP``.
+    Equal states hash equal, to ``hash((n, spec))``.  ``overlap`` keeps one
+    table of every order's column per rule, scale and ``_table_key``,
+    computed once: the state's type, and the spec's type, mu, omega and
+    hbar.  It holds no object with a Python-level ``__hash__`` or ``__eq__``
+    (for float parameters), and two keys are equal exactly when the specs
+    are, so a read from the store hashes and compares only plain numbers.
+    ``n`` is checked as ``norm_const`` checks it, when the state is built,
+    so ``overlap`` never sizes a rule for an order above ``DEGREE_CAP``.
     """
 
     n: int
     spec: OscillatorSpec
-    _column_key: tuple = field(init=False, repr=False, compare=False)
+    _table_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_quantum_number(self.n)
         _check_order(self.n)
         spec = self.spec
-        key = (type(self), self.n, type(spec), spec.mu, spec.omega, spec.hbar)
-        object.__setattr__(self, "_column_key", key)
+        object.__setattr__(self, "_table_key", (type(self), type(spec), spec.mu, spec.omega, spec.hbar))
 
     def __call__(self, x: float) -> float:
         """psi_n(x) = N_n D_n(sqrt(2 mu omega / hbar) x)."""
         return norm_const(self.n, self.spec) * eval_D(self.n, self.spec.z_scale * x)
+
+    def _table(self, x: np.ndarray) -> np.ndarray:
+        """psi_0..psi_``DEGREE_CAP`` of this state's spec at the ndarray x, one row per order.
+
+        Row k is ``Eigenstate(k, spec)(x)`` bit for bit: the same N_k times
+        the row ``eval_D`` gives, from one walk over every order.
+        """
+        spec = self.spec
+        rows = _walk_orders(spec.z_scale * x)
+        rows *= np.array([norm_const(k, spec) for k in range(DEGREE_CAP + 1)])[:, None]
+        return rows
 
 
 def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = None) -> float:
@@ -129,11 +139,12 @@ def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = No
 
 @lru_cache(maxsize=2)
 def _grid_arrays(grid: Grid1D, stiffness: float, qe: float, z_scale: float, shift: float):
-    """Read-only grid points x, (x stiffness) x + qe x on the grid interior, and the clipped z.
+    """Read-only grid points x, (x stiffness) x + qe x on the grid interior, and the ladder of D_n on the grid.
 
-    z = z_scale x + shift, clipped to [-100, 100] as ``eval_D`` clips, is the
-    argument of D_n on the grid and of the ladder kept for it.  Keyed by what
-    the arrays depend on, so equal keys give equal bits.
+    The ladder's argument is z = z_scale x + shift, clipped to [-100, 100]
+    as ``eval_D`` clips.  Keyed by what the arrays depend on, so equal keys
+    give equal bits; the two most recent grids are kept, each with its own
+    ``pcf._Ladder``.
     """
     x = grid.points()
     xi = x[1:-1]
@@ -144,7 +155,7 @@ def _grid_arrays(grid: Grid1D, stiffness: float, qe: float, z_scale: float, shif
     z += shift
     np.clip(z, -100.0, 100.0, out=z)
     x.flags.writeable = v.flags.writeable = z.flags.writeable = False
-    return x, v, z
+    return x, v, _Ladder(z)
 
 
 def _grid_residual(
@@ -153,17 +164,17 @@ def _grid_residual(
     """Max |(H - e) psi| on the grid interior for V = mu omega^2 x^2 / 2 + qe x, well at ``center``.
 
     psi = N_k D_k(z_scale x + shift) is N_k times the row the grid's ladder
-    holds, read in place (``_held_row``).
+    holds, read in place (``_Ladder.row``).
     """
     if grid.npoints < 50:
         raise ValueError("grid too coarse: at least 50 points required")
-    x, vx, z = _grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe, spec.z_scale, shift)
+    x, vx, ladder = _grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe, spec.z_scale, shift)
     h = grid.h
     span = 6.0 * spec.length_scale
     slack = 1e-9 * spec.length_scale
     if x[0] > center - span + slack or x[-1] < center + span - slack:
         raise ValueError(coverage)
-    psi = norm_const(k, spec) * _held_row(k, z)  # norm_const checks k first
+    psi = norm_const(k, spec) * ladder.row(k)  # norm_const checks k first
     inner = psi[1:-1]
     # In place, in the operation order of
     #   -(hbar^2 / 2 mu) (psi[:-2] - 2 psi[1:-1] + psi[2:]) / h^2
@@ -187,10 +198,9 @@ def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
     sqrt(mu omega / hbar); psi and x psi are folded and summed as ``overlap``
     does for two plain callables, with the same operations in the same order.
     """
-    _check_order(k)
     rule = _sized_rule(k + 1, rule)
     s = math.sqrt(state.spec.gaussian_scale)
-    x = center + rule.node_array / s
+    x = _nodes(rule, s, center)
     psi = state(x)
     fv = psi * rule.fold_array
     gv = (x * psi) * rule.fold_array
@@ -204,12 +214,12 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
     The kinetic term uses the central second difference, so the residual
     decays as O(h^2).  The grid must span [-6 l, 6 l] with l the oscillator
     length and carry at least 50 points.  The grid points, the x part of
-    the potential and the clipped z argument of D_n are kept, read-only, for
-    the two most recent grids.  The argument's ladder of D_n rows stays in
-    ``pcf._LADDERS`` under its 4 MiB budget, with a checkpoint pair every
-    12 orders, and each call reads its row there in place: on a warm grid
-    no argument is built or compared, no row is copied, and a climb from a
-    kept checkpoint runs at most 11 steps.
+    the potential and the ladder of D_n on the grid are kept, read-only, for
+    the two most recent grids.  The ladder keeps its cursor pair and a
+    checkpoint pair every 12 orders (none on a grid of more than 14 549
+    points), and each call reads its row there in place: on a warm grid no
+    argument is built, no row is copied, and a climb from a kept checkpoint
+    runs at most 11 steps.
     """
     coverage = "grid must cover [-6, 6] oscillator lengths"
     return _grid_residual(n, 0.0, spec, energy(n, spec), 0.0, 0.0, grid, coverage)

@@ -27,14 +27,13 @@ this down against the n = 0..5 closed forms.
 
 from __future__ import annotations
 
-import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import _BudgetLRU
 from .polys import (
     DEGREE_CAP,
     PolyZ,
@@ -112,72 +111,68 @@ def pcf_rodrigues_poly(n: int) -> PcfPolyPart:
     return PcfPolyPart(PolyZ(_expand(n, _nth(_rodrigues_rows(1), n))), n)
 
 
-#: Bytes (``sys.getsizeof``) that the ladders ``eval_D`` keeps are charged in all.
-#: The 12 001-point residual grid is charged 36 rows of 96 120 bytes, 3 460 320
-#: bytes, and a 13 001-point field grid 3 748 320; an argument of more than
-#: 14 549 points is charged more than the budget and is not kept.
-_LADDER_BUDGET = 2**22
-
-#: Orders between the checkpoint pairs of a kept argument.
+#: Orders between the checkpoint pairs of a ladder.
 _STRIDE = 12
 
-#: Rows a new ladder is charged for, once: its argument, its cursor pair and a
-#: checkpoint pair at each multiple of ``_STRIDE`` up to ``DEGREE_CAP`` (35
-#: rows at most), and the copy of a row that each call returns: 36 rows.
-_LADDER_ROWS = 4 + 2 * (DEGREE_CAP // _STRIDE)
+#: The most points a ladder keeps checkpoints for.  36 rows of 14 549
+#: doubles (the argument, the cursor pair, 16 checkpoint pairs and the row a
+#: residual makes from the one it reads) take 4 194 144 bytes, within 4 MiB;
+#: a larger argument keeps only its cursor pair.
+_CHECKPOINT_POINTS = 14_549
 
 
 class _Ladder:
     """Pairs (D_{m-1}, D_m) of the recurrence at one clipped argument.
 
-    The argument is a copy that ``eval_D`` clipped, or the read-only
-    argument a residual grid keeps (see ``oscillator._grid_arrays``); no
-    caller writes to it.
+    A residual grid owns one (see ``oscillator._grid_arrays``); its argument
+    is the grid's read-only z, which no caller writes to.
 
-    ``pairs`` maps the cursor, the order of the last call, to its pair.  From
-    the second call on it also keeps the pair at each positive multiple of
-    ``_STRIDE`` that a climb passes or the cursor leaves, ``DEGREE_CAP //
-    _STRIDE`` at most: once the checkpoint at or below n is kept, a climb to
-    n runs at most ``_STRIDE`` - 1 = 11 steps.  A row is never changed.
+    ``pairs`` maps the cursor, the order of the last call, to its pair, and
+    keeps the pair at each positive multiple of ``_STRIDE`` that a climb
+    passes, ``DEGREE_CAP // _STRIDE`` at most, unless the argument has more
+    than ``_CHECKPOINT_POINTS`` points: once the checkpoint at or below n is
+    kept, a climb to n runs at most ``_STRIDE`` - 1 = 11 steps.  A row is
+    never changed, and ``row`` holds the ladder's lock, so threads may share
+    it.
     """
 
     def __init__(self, arg) -> None:
         self.arg = arg
         self.pairs: dict = {}
         self.cursor: int | None = None
+        self.stride = _STRIDE if arg.size <= _CHECKPOINT_POINTS else 0
+        self.lock = threading.Lock()
 
     def row(self, n: int):
-        """D_n: a held row, or the top of a climb from the highest pair at or below n."""
-        pairs, cursor = self.pairs, self.cursor
-        for m in (n, n + 1):
-            if m in pairs:
-                return pairs[m][n + 1 - m]
-        # Start from the cursor, or from a checkpoint above it, probed one
-        # stride at a time down from n.
-        k = cursor if cursor is not None and cursor <= n else 0
-        m = n - n % _STRIDE
-        while m > k and m not in pairs:
-            m -= _STRIDE
-        k = max(k, m)
-        t = self.arg
-        prev, cur = pairs[k] if k in pairs else (0.0, np.exp(-(t * t) / 4.0))
-        prev, cur, marks = _climb(t, prev, cur, k, n, cursor is not None)
-        if cursor is not None and (cursor % _STRIDE or cursor == 0):
-            del pairs[cursor]
-        pairs.update(marks)
-        pairs[n] = (prev, cur)
-        self.cursor = n
-        return cur
+        """D_n, not a copy: a held row, or the top of a climb from the highest pair at or below n.
+
+        The row may be -0.0 where D_n is zero, and must not be written to.
+        """
+        with self.lock:
+            pairs, cursor = self.pairs, self.cursor
+            for m in (n, n + 1):
+                if m in pairs:
+                    return pairs[m][n + 1 - m]
+            k = max((m for m in pairs if m < n), default=0)
+            t = self.arg
+            prev, cur = pairs[k] if k in pairs else (0.0, np.exp(-(t * t) / 4.0))
+            prev, cur, marks = _climb(t, prev, cur, k, n, self.stride)
+            if cursor is not None and (cursor % _STRIDE or cursor == 0 or not self.stride):
+                del pairs[cursor]
+            pairs.update(marks)
+            pairs[n] = (prev, cur)
+            self.cursor = n
+            return cur
 
 
-def _climb(t, prev, cur, k: int, n: int, record: bool):
+def _climb(t, prev, cur, k: int, n: int, stride: int):
     """Run D_{j+1} = t D_j - j D_{j-1} from (D_{k-1}, D_k) up to D_n.
 
-    Returns (D_{n-1}, D_n, marks); if ``record``, marks maps each multiple m
-    of ``_STRIDE`` in (k, n] to its pair (D_{m-1}, D_m).  Each step writes
-    only into the new row it makes, in the same operations whichever pair it
-    starts from, so resumed ladders are bit-identical.  An overflow raises
-    FloatingPointError; no order up to ``DEGREE_CAP`` overflows.
+    Returns (D_{n-1}, D_n, marks); if ``stride`` is positive, marks maps
+    each multiple m of it in (k, n] to its pair (D_{m-1}, D_m).  Each step
+    writes only into the new row it makes, in the same operations whichever
+    pair it starts from, so resumed ladders are bit-identical.  An overflow
+    raises FloatingPointError; no order up to ``DEGREE_CAP`` overflows.
     """
     marks = {}
     with np.errstate(over="raise"):
@@ -185,40 +180,9 @@ def _climb(t, prev, cur, k: int, n: int, record: bool):
             nxt = t * cur
             nxt -= j * prev
             prev, cur = cur, nxt
-            if record and (j + 1) % _STRIDE == 0:
+            if stride and (j + 1) % stride == 0:
                 marks[j + 1] = (prev, cur)
     return prev, cur, marks
-
-
-_LADDERS = _BudgetLRU(_LADDER_BUDGET)
-
-
-def _find(t) -> tuple[tuple, _Ladder | None]:
-    """The key of ``t`` (its shape and end bits), and the ladder kept under it if its argument has t's bits.
-
-    A ladder whose argument is ``t`` itself (a residual grid's) needs no comparison.
-    """
-    bits = t.view(np.uint64)
-    key = (t.shape, int(bits.flat[0]), int(bits.flat[-1])) if t.size else (t.shape,)
-    ladder = _LADDERS.get(key)
-    if ladder is not None and (ladder.arg is t or (ladder.arg.view(np.uint64) == bits).all()):
-        return key, ladder
-    return key, None
-
-
-def _held_row(n: int, t):
-    """D_n at the clipped argument ``t``: the row its ladder holds, not a copy.
-
-    The ladder is the one kept under t's bits, or a new ``_Ladder(t)``
-    charged ``_LADDER_ROWS`` times ``sys.getsizeof(t)``.  The row may be -0.0
-    where D_n is zero, and must not be written to.
-    """
-    with _LADDERS.lock:
-        key, ladder = _find(t)
-        if ladder is None:
-            ladder = _Ladder(t)
-            _LADDERS.put(key, ladder, _LADDER_ROWS * sys.getsizeof(t))
-        return ladder.row(n)
 
 
 def eval_D(n: int, z):
@@ -230,21 +194,31 @@ def eval_D(n: int, z):
     is a ``ValueError``.  An argument with a dimension (an ndarray, list or
     tuple) gives an ndarray, a 0-d ndarray a numpy float, any other a float.
 
-    Each call clips its argument to [-100, 100] and makes one lookup,
-    ``_held_row``, for the ``_Ladder`` kept under the clipped copy's bits,
-    which returns a held row or climbs from its highest pair at or below n.
-    A new ladder is charged ``_LADDER_ROWS`` times the size of its argument
-    once, and the ladders share ``_LADDER_BUDGET``, least recent dropped
-    first; one charged more than the budget serves its call and is not
-    kept.  The residual grids of ``oscillator`` read rows of the same
-    ladders in place through ``_held_row``.  Values are bit-identical to a
-    fresh run, and every call returns a new array.
+    A pure function: each call clips its argument to [-100, 100], climbs
+    from D_0 and returns a new array.  Callers that reuse rows keep their
+    own: a residual grid owns a ``_Ladder``, and ``overlap`` reads a table
+    of every order (``_walk_orders``).
     """
     _check_order(n)
     a = np.asarray(z, dtype=float)
     # e^{-z^2/4} is 0.0 in doubles past |z| = 54.6; clipping keeps inf * 0 out.
-    d = _held_row(n, np.clip(a, -100.0, 100.0))
+    t = np.clip(a, -100.0, 100.0)
+    d = _climb(t, 0.0, np.exp(-(t * t) / 4.0), 0, n, 0)[1]
     return d + 0.0 if a.ndim or isinstance(z, np.ndarray) else float(d) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def _walk_orders(z) -> np.ndarray:
+    """D_0..D_``DEGREE_CAP`` at a float ndarray z, one row per order, each the array ``eval_D`` gives.
+
+    One climb records every order, in the operations of ``eval_D``'s on
+    the argument it clips alike, so row n equals ``eval_D(n, z)`` bit for bit.
+    """
+    t = np.clip(z, -100.0, 100.0)
+    d0 = np.exp(-(t * t) / 4.0)
+    marks = _climb(t, 0.0, d0, 0, DEGREE_CAP, 1)[2]
+    rows = np.stack([d0, *(marks[m][1] for m in range(1, DEGREE_CAP + 1))])
+    rows += 0.0
+    return rows
 
 
 @lru_cache(maxsize=None)

@@ -226,7 +226,8 @@ class TestThroughAPipe:
         proc = self.spawn(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert proc.stdout.readline().startswith(b"# n=4 ")
         proc.stdout.close()
-        err = proc.stderr.read().decode("utf-8")
+        with proc.stderr:
+            err = proc.stderr.read().decode("utf-8")
         assert proc.wait(timeout=120) == EXIT_IO
         assert err.startswith("I/O error: ")
         assert "Traceback" not in err

@@ -345,10 +345,16 @@ class TestRuleSizedByOrder:
         plain = lambda x: psi(x)
         rule = gauss_hermite_rule(64)
         assert overlap(plain, psi, 1.0) == overlap(plain, psi, 1.0, rule)
-        shifted = ShiftedState.continuous(80, 0.5, UNIT)
-        assert overlap(shifted, shifted, 1.0) == overlap(shifted, shifted, 1.0, rule)
         # An explicit rule is taken as given when the orders are unknown.
         assert math.isfinite(overlap(plain, plain, 1.0, gauss_hermite_rule(2)))
+
+    def test_a_shifted_state_sizes_the_rule_by_its_pcf_index(self):
+        shifted = ShiftedState.continuous(80, 0.5, UNIT)
+        assert overlap(shifted, shifted, 1.0) == overlap(shifted, shifted, 1.0, gauss_hermite_rule(128))
+        with pytest.raises(ValueError, match="at least 81 points"):
+            overlap(shifted, shifted, 1.0, gauss_hermite_rule(64))
+        with pytest.raises(ValueError, match="at least 66 points"):
+            overlap(Eigenstate(50, UNIT), shifted, 1.0, gauss_hermite_rule(64))
 
     def test_expectation_x_sizes_its_rule(self):
         assert expectation_x(80, UNIT) == 0.0
@@ -428,25 +434,31 @@ SPECS = (
 
 
 def stored(store, rule):
-    """The ``_column_key`` of each state stored for ``rule``, least recent first."""
+    """The ``_table_key`` of each table stored for ``rule``, least recent first."""
     return [key[2] for key in store._entries if key[0] == rule._id]
 
 
-def eigenstate_calls(monkeypatch, spikes=()):
-    """Record n of every ``Eigenstate`` evaluation; an order in ``spikes`` gets NaN at node spikes[n]."""
-    calls = []
-    call = Eigenstate.__call__
+def table_builds(monkeypatch, spikes=()):
+    """Record the spec of every table built; row n of each gets NaN at node spikes[n]."""
+    builds = []
+    build = Eigenstate._table
     spikes = dict(spikes)
 
     def recording(self, x):
-        calls.append(self.n)
-        values = call(self, x)
-        if spikes.get(self.n) is not None:
-            values[spikes[self.n]] = math.nan
-        return values
+        builds.append(self.spec)
+        rows = build(self, x)
+        for n, node in spikes.items():
+            if node is not None:
+                rows[n, node] = math.nan
+        return rows
 
-    monkeypatch.setattr(Eigenstate, "__call__", recording)
-    return calls
+    monkeypatch.setattr(Eigenstate, "_table", recording)
+    return builds
+
+
+def table_bytes(rule):
+    """``sys.getsizeof`` of a table of every order on ``rule``."""
+    return sys.getsizeof(np.ones((DEGREE_CAP + 1, len(rule))))
 
 
 def check_budget(store):
@@ -521,64 +533,75 @@ class TestStoredColumns:
                 assert overlap(a, b, scale, rule) == uncached_overlap(a, b, scale, rule)
                 check_budget(store)
 
-    def test_one_budget_holds_the_columns_of_all_rules_and_drops_the_least_recent(self, monkeypatch):
+    def test_one_budget_holds_the_tables_of_all_rules_and_drops_the_least_recent(self, monkeypatch):
         small, large = fresh_rule(4), fresh_rule(16)
-        size = {rule: sys.getsizeof(np.ones(len(rule))) for rule in (small, large)}
-        store = numerics._BudgetLRU(3 * size[small] + size[large])
+        store = numerics._BudgetLRU(2 * table_bytes(small) + table_bytes(large))
         monkeypatch.setattr(numerics, "_COLUMNS", store)
-        calls = eigenstate_calls(monkeypatch)
-        states = [Eigenstate(n, UNIT) for n in range(4)]
-        keys = [psi._column_key for psi in states]
-        for psi in states:
+        builds = table_builds(monkeypatch)
+        keys = [Eigenstate(0, spec)._table_key for spec in SPECS]
+        for n, spec in ((0, SPECS[0]), (3, SPECS[2]), (2, SPECS[0]), (1, SPECS[3])):
+            psi = Eigenstate(n, spec)
             overlap(psi, psi, 1.0, small)
-        assert stored(store, small) == keys
-        assert store.nbytes == 4 * size[small]
-        overlap(states[1], states[1], 1.0, small)  # a hit makes states[1] the most recent
+        # SPECS[0] and SPECS[1] are equal: one table serves both.
+        assert keys[0] == keys[1] and builds == [SPECS[0], SPECS[2], SPECS[3]]
+        overlap(Eigenstate(2, SPECS[1]), Eigenstate(2, SPECS[1]), 1.0, small)  # a hit: now the most recent
+        assert stored(store, small) == [keys[2], keys[3], keys[0]]
+        assert store.nbytes == 3 * table_bytes(small)
         wide = Eigenstate(7, UNIT)
-        overlap(wide, wide, 1.0, large)  # drops states[0], the least recent, for a larger column
-        assert stored(store, small) == [keys[2], keys[3], keys[1]]
-        assert stored(store, large) == [wide._column_key]
+        overlap(wide, wide, 1.0, large)  # drops the least recent for a larger table
+        assert stored(store, small) == [keys[3], keys[0]]
+        assert stored(store, large) == [keys[2]]
         check_budget(store)
-        overlap(states[3], states[3], 1.0, small)
-        overlap(states[1], states[1], 1.0, small)
-        overlap(states[0], states[0], 1.0, small)  # evaluated again; drops states[2]
-        assert [calls.count(n) for n in range(4)] == [2, 1, 1, 1]
-        assert stored(store, small) == [keys[3], keys[1], keys[0]]
-        assert stored(store, large) == [wide._column_key] and calls.count(7) == 1
+        psi = Eigenstate(3, SPECS[2])
+        overlap(psi, psi, 1.0, small)  # built again; drops keys[3]
+        assert builds == [SPECS[0], SPECS[2], SPECS[3], UNIT, SPECS[2]]
+        assert stored(store, small) == [keys[0], keys[2]]
         check_budget(store)
 
-    def test_a_column_over_the_budget_is_not_stored(self, monkeypatch):
-        store = numerics._BudgetLRU(100)
+    def test_a_table_over_the_budget_is_not_stored(self, monkeypatch):
+        store = numerics._BudgetLRU(table_bytes(fresh_rule(64)) - 1)
         monkeypatch.setattr(numerics, "_COLUMNS", store)
         rule, psi = fresh_rule(64), Eigenstate(5, UNIT)
         want = uncached_overlap(psi, psi, 1.0, rule)
-        calls = eigenstate_calls(monkeypatch)
+        builds = table_builds(monkeypatch)
         for _ in range(2):
             assert overlap(psi, psi, 1.0, rule) == want
-        assert calls == [5] * 4
+        assert builds == [UNIT] * 4
         assert (store.nbytes, len(store._entries)) == (0, 0)
 
-    def test_a_default_rule_gram_block_stays_within_the_budget(self, store):
-        # Default rules for overlaps up to order 200 span 64..201 points; the store
-        # bounds their columns together.
-        states = [Eigenstate(n, UNIT) for n in range(0, 201, 4)] + [Eigenstate(200, UNIT)]
-        for a in states:
-            for b in states:
-                overlap(a, b, 1.0)
-                assert store.nbytes <= store.budget
+    def test_the_default_budget_holds_the_three_default_tables(self, store):
+        for k in (64, 128, 256):
+            psi = Eigenstate(k // 2, UNIT)
+            overlap(psi, psi, 1.0)
+        assert [len(key) for key in store._entries] == [3] * 3
+        assert store.nbytes == sum(table_bytes(gauss_hermite_rule(k)) for k in (64, 128, 256)) <= store.budget
         check_budget(store)
-        assert len({key[0] for key in store._entries}) > 1
 
-    def test_a_stored_column_is_read_only_and_shared(self, store):
+    @pytest.mark.parametrize("spec", [UNIT, SPECS[3]])
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    def test_each_row_of_a_default_table_is_the_folded_state(self, store, spec, k):
+        rule = gauss_hermite_rule(k)
+        for scale in (spec.gaussian_scale, 0.5):
+            s = math.sqrt(scale)
+            psi = Eigenstate(0, spec)
+            numerics._column(rule, psi, s)
+            table = store.get((rule._id, s, psi._table_key))
+            assert table.shape == (DEGREE_CAP + 1, k) and not table.flags.writeable
+            for n in range(DEGREE_CAP + 1):
+                want = Eigenstate(n, spec)(rule.node_array / s) * rule.fold_array
+                assert table[n].tobytes() == want.tobytes(), n
+                assert numerics._column(rule, Eigenstate(n, spec), s).tobytes() == want.tobytes()
+
+    def test_a_stored_column_is_a_read_only_row_of_a_shared_table(self, store):
         rule = fresh_rule(8)
         psi = Eigenstate(5, UNIT)
         overlap(psi, psi, 1.0, rule)
         column = numerics._column(rule, Eigenstate(5, OscillatorSpec()), 1.0)
-        assert column is numerics._column(rule, psi, 1.0)
+        assert column.base is numerics._column(rule, Eigenstate(2, UNIT), 1.0).base
         assert column.tobytes() == (psi(rule.node_array) * rule.fold_array).tobytes()
         with pytest.raises(ValueError):
             column[0] = 0.0
-        assert stored(store, rule) == [psi._column_key]
+        assert stored(store, rule) == [psi._table_key]
 
     @pytest.mark.parametrize("k", [64, 128, 256])
     def test_two_stored_columns_give_the_inner_product_of_the_columns(self, store, monkeypatch, k):
@@ -606,20 +629,15 @@ class TestStoredColumns:
     def test_a_non_finite_factor_names_its_first_node_and_is_never_stored(self, store, monkeypatch, bad_a, bad_b):
         rule = fresh_rule(16)
         spikes = {3: bad_a, 5: bad_b}
-        calls = eigenstate_calls(monkeypatch, spikes)
+        builds = table_builds(monkeypatch, spikes)
         a, b = Eigenstate(3, UNIT), Eigenstate(5, UNIT)
         first = min(i for i in (bad_a, bad_b) if i is not None)
-        good = [psi for psi in (a, b) if spikes[psi.n] is None]
-        for psi in good:
-            overlap(psi, psi, 1.0, rule)  # a stored column on one side
         for _ in range(2):
             with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
                 overlap(a, b, 1.0, rule)
-        assert stored(store, rule) == [psi._column_key for psi in good]
-        assert [calls.count(psi.n) for psi in good] == [1] * len(good)
+        # A table with a non-finite row is never stored: each factor builds one.
+        assert stored(store, rule) == [] and builds == [UNIT] * 4
         check_budget(store)
-        with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
-            uncached_overlap(a, b, 1.0, rule)
 
     def test_plain_callables_and_shifted_states_are_never_stored(self, store):
         rule = fresh_rule(16)
@@ -689,8 +707,8 @@ class TestStoredColumns:
                 monkeypatch.setattr(cls, name, counting)
         assert [overlap(a, b, 1.0, rule) for a, b in pairs] == want
         assert calls == []
-        # Equal states share one column, kept under (rule id, s, plain key).
-        keys = [(rule._id, s, Eigenstate(n, UNIT)._column_key) for n in window]
+        # Equal specs share one table, kept under (rule id, s, plain key).
+        keys = [(rule._id, s, Eigenstate(0, UNIT)._table_key)]
         assert list(store._entries) == keys
         # A user class with an order and its own __hash__ is called once per overlap and stores nothing.
         psi, other = Counting(3), Counting(5)
@@ -748,9 +766,8 @@ class TestStoredColumns:
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
         check_budget(store)
-        for r, rule in enumerate(rules):
-            want_states = {Eigenstate(n, SPECS[s])._column_key for r2, i, j, s in tasks if r2 == r for n in (i, j)}
-            assert set(stored(store, rule)) == want_states
+        for rule in rules:
+            assert set(stored(store, rule)) == {Eigenstate(0, spec)._table_key for spec in SPECS}
 
 
 class TestGrid1D:

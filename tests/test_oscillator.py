@@ -305,9 +305,8 @@ class TestOrderCheckedBeforeTheRule:
 
     def test_expectation_x_shifted_names_the_order(self, monkeypatch):
         self.no_rule_built(monkeypatch)
-        state = ShiftedState.continuous(230, 0.2, OscillatorSpec())
         with pytest.raises(ValueError, match=f"^order 230 exceeds the configured cap {DEGREE_CAP}$"):
-            expectation_x_shifted(state)
+            ShiftedState.continuous(230, 0.2, OscillatorSpec())
 
 
 def two_evaluation_x_mean(state, center, rule):

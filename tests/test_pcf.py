@@ -149,7 +149,7 @@ class TestEvalD:
         # sqrt(400!) ~ 1e434.  The climb itself still raises on overflow.
         t = np.array([1.0])
         with pytest.raises(FloatingPointError):
-            pcf._climb(t, 0.0, np.exp(-(t * t) / 4.0), 0, 400, False)
+            pcf._climb(t, 0.0, np.exp(-(t * t) / 4.0), 0, 400, 0)
 
     @pytest.mark.parametrize("z", [[0.0, 1.0], (-2.5, 0.5, 3.0), [[0.25, -0.0], [1.5, 80.0]]])
     def test_a_list_or_tuple_gives_the_ndarray_result(self, z):
@@ -211,31 +211,15 @@ def assert_bit_equal(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def kept(store):
-    """The ladders a store keeps, least recent first."""
-    return [ladder for ladder, _ in store._entries.values()]
-
-
-def held_bytes(ladder):
-    """sys.getsizeof of a ladder's argument and of each distinct row its pairs hold."""
-    rows = {id(d): d for pair in ladder.pairs.values() for d in pair}
-    return sys.getsizeof(ladder.arg) + sum(sys.getsizeof(d) for d in rows.values())
-
-
-def check_charges(store):
-    """nbytes is the sum of the charges, within the budget; no ladder holds more than its charge."""
-    assert store.nbytes == sum(charge for _, charge in store._entries.values()) <= store.budget
-    for ladder, charge in store._entries.values():
-        assert charge == pcf._LADDER_ROWS * sys.getsizeof(ladder.arg)
-        assert held_bytes(ladder) <= charge
+def grid_ladder(spec, grid, qe=0.0, shift=0.0):
+    """The ladder the residual grid of ``spec`` on ``grid`` owns (made now if the grid is not kept)."""
+    return oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe, spec.z_scale, shift)[2]
 
 
 @pytest.fixture
-def fresh_ladders(monkeypatch):
-    """An empty ladder store with the default budget, for tests that read its contents."""
-    store = _BudgetLRU(pcf._LADDER_BUDGET)
-    monkeypatch.setattr(pcf, "_LADDERS", store)
-    return store
+def fresh_grids():
+    """No residual grid kept before the test."""
+    oscillator._grid_arrays.cache_clear()
 
 
 def counting_climbs(monkeypatch):
@@ -243,16 +227,16 @@ def counting_climbs(monkeypatch):
     climbs = []
     climb = pcf._climb
 
-    def recording(t, prev, cur, k, n, record):
+    def recording(t, prev, cur, k, n, stride):
         climbs.append((k, n))
-        return climb(t, prev, cur, k, n, record)
+        return climb(t, prev, cur, k, n, stride)
 
     monkeypatch.setattr(pcf, "_climb", recording)
     return climbs
 
 
-class TestLadderCache:
-    """eval_D keeps recurrence rows between calls; none of that may show in its values."""
+class TestEvalDIsPure:
+    """eval_D keeps nothing between calls: each one clips, climbs from D_0 and returns a new array."""
 
     @staticmethod
     def pool():
@@ -261,7 +245,7 @@ class TestLadderCache:
             nodes,
             nodes.copy(),  # an equal-valued copy
             np.linspace(-30.0, 30.0, 5000),
-            np.linspace(-40.0, 40.0, 22000),  # charged more than the budget: never kept
+            np.linspace(-40.0, 40.0, 22000),
             math.sqrt(2.0) * Grid1D(-6.0, 6.0, 1e-3).points(),  # the residual grid's argument
             np.array(1.25),
             np.array([-0.0, 0.0, 1e300, -math.inf, math.nan]),
@@ -304,147 +288,39 @@ class TestLadderCache:
         assert_bit_equal(again, uncached_D(7, z))
         assert not np.shares_memory(again, eval_D(7, z))
 
-    def test_consecutive_orders_resume_instead_of_restarting(self, monkeypatch):
-        z = np.linspace(-3.0, 3.0, 64) + 1e-3  # an argument no other test uses
-        climbs = counting_climbs(monkeypatch)
-        for n in (40, 41, 42, 41, 30, 39, 26, 24):
-            assert_bit_equal(eval_D(n, z.copy()), uncached_D(n, z))
-        # 41 and 24 are rows of kept pairs; 30 restarts from D_0 (no pair at or
-        # below it) and passes the checkpoints below it, from the highest of
-        # which 26 climbs.
-        below = 26 - 26 % pcf._STRIDE
-        assert climbs == [(0, 40), (40, 41), (41, 42), (0, 30), (30, 39), (below, 26)]
-
-    def test_a_one_shot_call_records_no_checkpoint(self, fresh_ladders):
-        z = np.linspace(-6.0, 6.0, 12001)
-        eval_D(120, z)
-        (ladder,) = kept(fresh_ladders)
-        assert list(ladder.pairs) == [120]
-        eval_D(160, z)  # a repeat records the checkpoints its cursor leaves or its climb passes
-        assert kept(fresh_ladders) == [ladder]
-        assert sorted(ladder.pairs) == [*(m for m in range(120, 160) if m % pcf._STRIDE == 0), 160]
-
-    def test_a_window_sweep_on_a_kept_grid_climbs_less_than_a_stride(self, fresh_ladders, monkeypatch):
-        spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
-        hamiltonian_residual(0, spec, grid)  # the grid's argument is kept from here on
-        hamiltonian_residual(200, spec, grid)  # and this climb records every checkpoint
-        climbs = counting_climbs(monkeypatch)
-        for i in range(40):
-            start = round(195 * (0.6180339887 * i % 1.0))  # windows in golden-ratio order
-            climbs.clear()
-            for n in range(start, start + 6):
-                hamiltonian_residual(n, spec, grid)
-            assert sum(n - k for k, n in climbs) <= pcf._STRIDE - 1 + 5, start
-
-    def test_charges_bound_the_rows_held_and_the_budget(self, fresh_ladders):
-        grid = np.linspace(-6.0, 6.0, 12001)
-        for i in range(30):
-            eval_D(20 + 6 * i, grid + 1e-3 * (i % 3))  # three repeated arguments
-            eval_D(3, grid - 1e-3 * i)  # and a new one-shot argument each time
-            check_charges(fresh_ladders)
-        low = eval_D(150, grid)
-        for n in (DEGREE_CAP, DEGREE_CAP - 1, DEGREE_CAP):
-            assert_bit_equal(eval_D(n, grid), uncached_D(n, grid))
-            check_charges(fresh_ladders)
-        assert_bit_equal(eval_D(150, grid), low)
-        assert_bit_equal(low, uncached_D(150, grid))
-
-    @given(
-        st.lists(st.tuples(st.integers(0, DEGREE_CAP), st.integers(0, 12)), min_size=1, max_size=10),
-        st.sampled_from(["order 0", "0-d argument", "top order"]),
-        st.sampled_from([pcf._LADDER_BUDGET, 2**16, 0]),  # small budgets also run through evictions
-    )
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    def test_charges_bound_the_rows_held_after_any_sequence(self, calls, ending, budget):
-        pool = self.pool()
-        last = {"order 0": (0, 2), "0-d argument": (33, 9), "top order": (DEGREE_CAP, 4)}[ending]
-        with pytest.MonkeyPatch.context() as patch:
-            store = _BudgetLRU(budget)
-            patch.setattr(pcf, "_LADDERS", store)
-            for n, i in [*calls, last]:
-                z = pool[i]
-                assert_bit_equal(eval_D(n, z), uncached_D(n, z))
-                check_charges(store)
-
-    def test_charges_bound_the_rows_held_along_consecutive_orders(self, fresh_ladders):
-        # Steps from a kept pair, the old cursor dropped or kept as a
-        # checkpoint, and restarts at order 0.
-        s = pcf._STRIDE
-        orders = (5, 6, 7, s - 1, s, s + 1, s + 2, 2 * s, 2 * s - 1, 2 * s + 1, 0, 1, 2, 3 * s, 3 * s + 1, 3 * s - 1, 0)
-        for z in (np.linspace(-6.0, 6.0, 12001), np.array(0.3), 0.3, np.linspace(-300.0, 300.0, 61)):
-            for n in orders:
-                assert_bit_equal(eval_D(n, z), uncached_D(n, z))
-                check_charges(fresh_ladders)
-
-    def test_each_call_clips_once_and_makes_one_lookup(self, fresh_ladders, monkeypatch):
+    def test_each_call_clips_once_and_climbs_from_d0(self, monkeypatch):
         z = np.linspace(-5.0, 5.0, 101)
         wide = np.linspace(-300.0, 300.0, 61)  # clipped at both ends
-        calls = [(n, z) for n in (7, 8, 7, 30, 2)] + [(n, wide) for n in (7, 8, 7)]
+        calls = [(n, z) for n in (7, 8, 7, 30, 2)] + [(n, wide) for n in (7, 8, 7)] + [(5, 0.3)]
         want = [uncached_D(n, arg) for n, arg in calls]
-        clips, finds = [], []
-        clip, find = np.clip, pcf._find
+        clips = []
+        clip = np.clip
 
         def counting_clip(*args, **kwargs):
-            clips.append(args[0].shape)
+            clips.append(np.shape(args[0]))
             return clip(*args, **kwargs)
 
-        def counting_find(t):
-            finds.append(t.shape)
-            return find(t)
-
         monkeypatch.setattr(np, "clip", counting_clip)
-        monkeypatch.setattr(pcf, "_find", counting_find)
-        for (n, arg), values in zip(calls, want):
-            assert_bit_equal(eval_D(n, arg.copy()), values)
-        assert clips == finds == [z.shape] * 5 + [wide.shape] * 3
-        assert len(kept(fresh_ladders)) == 2
-
-    def test_an_argument_over_the_budget_is_not_kept(self, fresh_ladders):
-        # 36 rows of 14 549 points are charged 4 194 144 bytes, within 4 MiB; one more point is not.
-        assert pcf._LADDER_ROWS == 36 and pcf._LADDER_BUDGET == 2**22
-        z = np.linspace(-40.0, 40.0, 14550)
-        for n in (30, 31):
-            assert_bit_equal(eval_D(n, z), uncached_D(n, z))
-        assert fresh_ladders.nbytes == 0 and not kept(fresh_ladders)
-        fits = z[:-1].copy()
-        for n in (30, 31):
-            assert_bit_equal(eval_D(n, fits), uncached_D(n, fits))
-        assert fresh_ladders.nbytes == 4_194_144
-        check_charges(fresh_ladders)
-
-    @pytest.mark.parametrize("points", [12001, 13001])
-    def test_the_residual_and_field_grids_are_kept(self, fresh_ladders, points):
-        z = np.linspace(-6.0, 6.0, points)
-        eval_D(5, z)
-        assert fresh_ladders.nbytes == {12001: 3_460_320, 13001: 3_748_320}[points]
-
-    def test_held_rows_are_never_changed(self, fresh_ladders):
-        z = np.linspace(-6.0, 6.0, 301)
-        eval_D(60, z)
-        eval_D(130, z)  # records the checkpoints from 60 up to 130
-        (ladder,) = kept(fresh_ladders)
-        held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
-        assert sorted(held) == [*(m for m in range(60, 130) if m % pcf._STRIDE == 0), 130]
-        for n in (140, 30, 101, 200, 76, 3, 129):
-            assert_bit_equal(eval_D(n, z), uncached_D(n, z))
-        for pair, before in held.values():
-            assert [np.asarray(d).tobytes() for d in pair] == before
-
-    def test_a_climb_to_the_degree_cap_records_every_checkpoint(self, fresh_ladders, monkeypatch):
-        z = np.linspace(-1.0, 1.0, 9)
         climbs = counting_climbs(monkeypatch)
-        checkpoints = list(range(pcf._STRIDE, DEGREE_CAP + 1, pcf._STRIDE))
-        assert len(checkpoints) == DEGREE_CAP // pcf._STRIDE
-        for n in (0, 10, DEGREE_CAP, DEGREE_CAP - 5, DEGREE_CAP - 2):
-            assert_bit_equal(eval_D(n, z), uncached_D(n, z))
-        (ladder,) = kept(fresh_ladders)
-        # The cursors at 0 and at the cap, which are no checkpoints, are dropped when they move.
-        assert sorted(ladder.pairs) == [*checkpoints, DEGREE_CAP - 2]
-        top = checkpoints[-1]
-        assert climbs == [(0, 0), (0, 10), (10, DEGREE_CAP), (top, DEGREE_CAP - 5), (DEGREE_CAP - 5, DEGREE_CAP - 2)]
-        check_charges(fresh_ladders)
+        for (n, arg), values in zip(calls, want):
+            assert_bit_equal(eval_D(n, arg.copy() if isinstance(arg, np.ndarray) else arg), values)
+        assert clips == [z.shape] * 5 + [wide.shape] * 3 + [()]
+        assert climbs == [(0, n) for n, _ in calls]
 
-    def test_an_order_above_the_cap_is_an_error_on_a_hit(self):
+    def test_the_module_keeps_no_store(self):
+        for n in (3, 200, 3):
+            eval_D(n, np.linspace(-6.0, 6.0, 12001))
+        lock = type(threading.Lock())
+        held = {
+            name
+            for name, value in vars(pcf).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set, np.ndarray, lock))
+        }
+        assert held == set()
+        for name in ("_LADDERS", "_find", "_held_row", "_LADDER_ROWS", "_LADDER_BUDGET"):
+            assert not hasattr(pcf, name)
+
+    def test_an_order_above_the_cap_is_an_error_after_a_top_order_call(self):
         z = np.linspace(-1.0, 1.0, 9)
         top = eval_D(DEGREE_CAP, z)
         for _ in range(2):
@@ -454,7 +330,7 @@ class TestLadderCache:
         assert_bit_equal(eval_D(DEGREE_CAP, z), top)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_negative_zero_gives_positive_zero_on_a_hit(self, n):
+    def test_negative_zero_gives_positive_zero_on_repeated_calls(self, n):
         z = np.array([-0.0, 0.0, 0.5])
         for _ in range(2):
             for m in (n, n + 2, n):
@@ -489,24 +365,93 @@ class TestLadderCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
-        check_charges(pcf._LADDERS)
+
+
+class TestLadder:
+    """A grid's ladder keeps recurrence rows between residuals; none of that may show in its values."""
+
+    @staticmethod
+    def ladder(z):
+        z = np.clip(z, -100.0, 100.0)
+        z.flags.writeable = False
+        return pcf._Ladder(z)
+
+    def test_consecutive_orders_resume_instead_of_restarting(self, monkeypatch):
+        z = np.linspace(-3.0, 3.0, 64) + 1e-3
+        ladder = self.ladder(z)
+        climbs = counting_climbs(monkeypatch)
+        for n in (40, 41, 42, 41, 30, 39, 26, 24):
+            assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
+        # 41 and 24 are rows of kept pairs; every other order climbs from the
+        # highest kept pair below it: the cursor or a checkpoint.
+        assert climbs == [(0, 40), (40, 41), (41, 42), (24, 30), (36, 39), (24, 26)]
+
+    def test_a_climb_to_the_degree_cap_records_every_checkpoint(self, monkeypatch):
+        z = np.linspace(-1.0, 1.0, 9)
+        ladder = self.ladder(z)
+        climbs = counting_climbs(monkeypatch)
+        checkpoints = list(range(pcf._STRIDE, DEGREE_CAP + 1, pcf._STRIDE))
+        assert len(checkpoints) == DEGREE_CAP // pcf._STRIDE
+        for n in (0, 10, DEGREE_CAP, DEGREE_CAP - 5, DEGREE_CAP - 2):
+            assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
+        # The cursors at 0 and at the cap, which are no checkpoints, are dropped when they move.
+        assert sorted(ladder.pairs) == [*checkpoints, DEGREE_CAP - 2]
+        top = checkpoints[-1]
+        assert climbs == [(0, 0), (0, 10), (10, DEGREE_CAP), (top, DEGREE_CAP - 5), (DEGREE_CAP - 5, DEGREE_CAP - 2)]
+
+    def test_held_rows_are_never_changed(self):
+        z = np.linspace(-6.0, 6.0, 301)
+        ladder = self.ladder(z)
+        ladder.row(60)
+        ladder.row(130)
+        held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
+        assert sorted(held) == [*(m for m in range(12, 130) if m % pcf._STRIDE == 0), 130]
+        for n in (140, 30, 101, 200, 76, 3, 129):
+            assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
+        for pair, before in held.values():
+            assert [np.asarray(d).tobytes() for d in pair] == before
+
+    @pytest.mark.parametrize("points,stride", [(12001, 12), (13001, 12), (14549, 12), (14550, 0)])
+    def test_only_an_argument_of_at_most_14549_points_keeps_checkpoints(self, points, stride):
+        ladder = self.ladder(np.linspace(-6.0, 6.0, points))
+        assert ladder.stride == stride
+
+    @pytest.mark.parametrize("lo,points", [(-7.274, 14549), (-7.2745, 14550)])
+    def test_a_grid_over_the_limit_holds_no_checkpoint_after_a_residual_at_the_cap(self, fresh_grids, lo, points):
+        spec, grid = OscillatorSpec(), Grid1D(lo, -lo, 1e-3)
+        assert grid.npoints == points
+        for n in (DEGREE_CAP, 30, DEGREE_CAP):
+            assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
+        ladder = grid_ladder(spec, grid)
+        checkpoints = list(range(pcf._STRIDE, DEGREE_CAP + 1, pcf._STRIDE))
+        assert sorted(ladder.pairs) == (checkpoints if points <= 14549 else []) + [DEGREE_CAP]
+
+    def test_a_window_sweep_on_a_kept_grid_climbs_less_than_a_stride(self, fresh_grids, monkeypatch):
+        spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
+        hamiltonian_residual(200, spec, grid)  # this climb records every checkpoint
+        climbs = counting_climbs(monkeypatch)
+        for i in range(40):
+            start = round(195 * (0.6180339887 * i % 1.0))  # windows in golden-ratio order
+            climbs.clear()
+            for n in range(start, start + 6):
+                hamiltonian_residual(n, spec, grid)
+            assert sum(n - k for k, n in climbs) <= pcf._STRIDE - 1 + 5, start
 
 
 class TestWarmTraffic:
-    """The op shape of a warm library session, replayed: the charges must keep its residual grid."""
+    """The op shape of a warm library session, replayed: the kept grid must serve every window."""
 
     RULES = (64, 128, 256)
 
-    def replay(self, climbs=None, ladders=None):
+    def replay(self, climbs=None):
         """Values of 40 windows of Gram blocks, residuals and a shifted <x>, as bytes.
 
-        With ``climbs``, the steps climbed on the residual grid's argument are
-        appended per window after it is warm; with ``ladders``, the grid's
-        ladder must stay the one kept object after every window.
+        With ``climbs``, the steps climbed on the residual grid's ladder are
+        counted per window, and the grid must keep that one ladder.
         """
         spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
         values = [hamiltonian_residual(0, spec, grid), hamiltonian_residual(200, spec, grid)]
-        grid_ladder = kept(ladders)[-1] if ladders is not None else None
+        ladder = grid_ladder(spec, grid) if climbs is not None else None
         gammas = iter(np.linspace(-0.95, 0.95, 40))
         for i in range(40):
             start = round(195 * (0.6180339887 * i % 1.0))  # windows in golden-ratio order
@@ -523,29 +468,25 @@ class TestWarmTraffic:
             values.append(expectation_x_shifted(shifted, exact[0]))
             if climbs is not None:
                 # At most 11 steps up from the checkpoint below the window, and 5 within it.
-                assert sum(n - k for t, k, n in climbs if t is grid_ladder.arg) <= 16, start
-            if ladders is not None:
-                assert any(ladder is grid_ladder for ladder in kept(ladders)), start
-                check_charges(ladders)
+                assert sum(n - k for t, k, n in climbs if t is ladder.arg) <= 16, start
+                assert grid_ladder(spec, grid) is ladder, start
         return [np.asarray(v).tobytes() for v in values]
 
-    def test_the_grid_ladder_survives_the_admissions_around_it(self, monkeypatch):
+    def test_the_kept_grid_and_tables_give_the_values_of_a_cold_replay(self, fresh_grids, monkeypatch):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pcf, "_LADDERS", _BudgetLRU(0))
+            patch.setattr(oscillator, "_grid_arrays", oscillator._grid_arrays.__wrapped__)  # a new ladder per call
             patch.setattr(numerics, "_COLUMNS", _BudgetLRU(0))
             want = self.replay()
-        ladders = _BudgetLRU(pcf._LADDER_BUDGET)
-        monkeypatch.setattr(pcf, "_LADDERS", ladders)
         monkeypatch.setattr(numerics, "_COLUMNS", _BudgetLRU(numerics._COLUMN_BUDGET))
         climbs = []
         climb = pcf._climb
 
-        def recording(t, prev, cur, k, n, top):
+        def recording(t, prev, cur, k, n, stride):
             climbs.append((t, k, n))
-            return climb(t, prev, cur, k, n, top)
+            return climb(t, prev, cur, k, n, stride)
 
         monkeypatch.setattr(pcf, "_climb", recording)
-        assert self.replay(climbs, ladders) == want
+        assert self.replay(climbs) == want
 
 
 def plain_residual(psi, x, h, e, qe, spec):
@@ -606,36 +547,26 @@ class TestResidualInPlace:
 
     ORDERS = (0, 1, pcf._STRIDE - 1, pcf._STRIDE, pcf._STRIDE + 1, 60, 3, 199, 200, 61)
 
-    def test_a_warm_grid_needs_no_bitwise_comparison(self, fresh_ladders, monkeypatch):
+    def test_a_warm_grid_reads_its_own_ladder_in_place(self, fresh_grids, monkeypatch):
         spec, grid = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1), Grid1D(-8.0, 8.0, 2e-3)
         want = [free_want(n, spec, grid) for n in self.ORDERS]
         hamiltonian_residual(0, spec, grid)
-        (ladder,) = kept(fresh_ladders)
-        x, _, z = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, 0.0, spec.z_scale, 0.0)
-        assert ladder.arg is z and not z.flags.writeable
-        assert z.tobytes() == np.clip(spec.z_scale * x, -100.0, 100.0).tobytes()
-        found = []
-        find = pcf._find
-
-        def recording(t):
-            key, hit = find(t)
-            found.append(hit is not None and hit.arg is t)  # True: the identity skipped the comparison
-            return key, hit
+        x, _, ladder = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, 0.0, spec.z_scale, 0.0)
+        assert not ladder.arg.flags.writeable
+        assert ladder.arg.tobytes() == np.clip(spec.z_scale * x, -100.0, 100.0).tobytes()
 
         def no_copy(*args, **kwargs):
             raise AssertionError("a warm residual built or copied its argument")
 
-        monkeypatch.setattr(pcf, "_find", recording)
         monkeypatch.setattr(pcf, "eval_D", no_copy)
         monkeypatch.setattr(oscillator, "eval_D", no_copy)
         monkeypatch.setattr(np, "clip", no_copy)
         for n, values in zip(self.ORDERS, want):
             assert_bit_equal(hamiltonian_residual(n, spec, grid), values)
-        assert found == [True] * len(self.ORDERS)
-        assert kept(fresh_ladders) == [ladder]
+        assert grid_ladder(spec, grid) is ladder
 
-    def test_residuals_match_the_plain_stencil_without_a_kept_ladder(self, monkeypatch):
-        monkeypatch.setattr(pcf, "_LADDERS", _BudgetLRU(0))
+    def test_residuals_match_the_plain_stencil_without_a_kept_grid(self, monkeypatch):
+        monkeypatch.setattr(oscillator, "_grid_arrays", oscillator._grid_arrays.__wrapped__)
         spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
         for n in self.ORDERS:
             assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
@@ -643,22 +574,21 @@ class TestResidualInPlace:
         grid = Grid1D(state.x_center - 6.5, state.x_center + 6.5, 2e-3)
         e = spec.hbar * spec.omega * (state.m + 0.5)
         assert_bit_equal(field_hamiltonian_residual(state, e, grid), shifted_want(state, e, grid))
-        assert pcf._LADDERS.nbytes == 0
 
-    def test_a_ladder_made_by_eval_D_on_an_equal_array_serves_the_grid(self, fresh_ladders):
-        spec, grid = OscillatorSpec(mu=0.9), Grid1D(-7.0, 7.0, 2e-3)
-        oscillator._grid_arrays.cache_clear()
-        eval_D(30, spec.z_scale * grid.points())  # makes the ladder of a private clipped copy
-        (ladder,) = kept(fresh_ladders)
-        for n in self.ORDERS:
-            assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
-        *_, z = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, 0.0, spec.z_scale, 0.0)
-        assert kept(fresh_ladders) == [ladder] and ladder.arg is not z
-        check_charges(fresh_ladders)
+    def test_two_grids_each_keep_their_own_ladder(self, fresh_grids):
+        spec = OscillatorSpec()
+        grids = [Grid1D(-6.0, 6.0, 1e-3), Grid1D(-8.0, 8.0, 2e-3)]
+        for n in (200, 3, 200):
+            for grid in grids:
+                assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
+        first, second = (grid_ladder(spec, grid) for grid in grids)
+        assert first is not second
+        for ladder in (first, second):
+            assert len(ladder.pairs) == DEGREE_CAP // pcf._STRIDE + 1
 
     def test_threads_over_two_grids_agree(self):
         spec = OscillatorSpec()
-        grids = [Grid1D(-6.0, 6.0, 1e-3), Grid1D(-8.0, 8.0, 2e-3)]  # charged 5.8 MB together: they evict each other
+        grids = [Grid1D(-6.0, 6.0, 1e-3), Grid1D(-8.0, 8.0, 2e-3)]  # each keeps its own ladder and lock
         tasks = [(n, i) for n in range(0, 201, 13) for i in range(len(grids))]
         want = {(n, i): free_want(n, spec, grids[i]) for n, i in tasks}
         barrier = threading.Barrier(4)
@@ -683,13 +613,12 @@ class TestResidualInPlace:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
-        check_charges(pcf._LADDERS)
 
-    def test_held_rows_and_the_argument_are_unchanged_by_a_residual_window(self, fresh_ladders):
+    def test_held_rows_and_the_argument_are_unchanged_by_a_residual_window(self, fresh_grids):
         spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
         hamiltonian_residual(60, spec, grid)
-        hamiltonian_residual(130, spec, grid)  # records the checkpoints from 60 up to 130
-        (ladder,) = kept(fresh_ladders)
+        hamiltonian_residual(130, spec, grid)
+        ladder = grid_ladder(spec, grid)
         held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
         arg = ladder.arg.tobytes()
         for n in (140, 141, 142, 143, 144, 145, 30, 101, 200, 76, 3, 129):

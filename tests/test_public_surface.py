@@ -113,7 +113,7 @@ def test_dir_lists_the_public_names_without_loading_them():
 
 def test_import_loads_no_submodule_until_a_name_is_read():
     out = run_python(f"import paracyl; {LOADED}; paracyl.eval_D; {LOADED}")
-    assert out == "[]\n['paracyl.numerics', 'paracyl.pcf', 'paracyl.polys']\n"
+    assert out == "[]\n['paracyl.pcf', 'paracyl.polys']\n"
 
 
 def test_a_bare_submodule_name_resolves():
