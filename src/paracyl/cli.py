@@ -22,6 +22,7 @@ if __name__ == "__main__":
 import argparse
 import itertools
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -259,9 +260,20 @@ def _levels_path(out: str) -> str:
     return str(p.with_name(p.stem + "_levels" + (p.suffix or ".csv")))
 
 
+def _check_distinct(out: str, levels_out: str) -> None:
+    """Reject two output paths that name one file: equal resolved paths, or one existing file."""
+    same = os.path.realpath(out) == os.path.realpath(levels_out)
+    if not same and os.path.exists(out) and os.path.exists(levels_out):
+        same = os.path.samefile(out, levels_out)
+    if same:
+        raise ValueError(f"--out {out} and --levels-out {levels_out} name the same file")
+
+
 def _cmd_figure2(args) -> int:
     from .ljmodel import R_MIN_FACTOR, LJSpec, bound_levels, fit_oscillator, harmonic_curve, lj_potential
 
+    levels_out = args.levels_out or _levels_path(args.out)
+    _check_distinct(args.out, levels_out)
     spec = LJSpec(epsilon=args.epsilon, sigma=args.sigma, gamma_sq=args.gamma_sq)
     _check_rows("ladder", spec.gamma_sq)
     if args.fit_k:
@@ -283,7 +295,6 @@ def _cmd_figure2(args) -> int:
         r_grid.sort()
     rows = [(r, lj_potential(r, spec), harmonic_curve(r, spec, k)) for r in r_grid]
     _write_csv(args.out, "r,U_lj,V_harm", rows)
-    levels_out = args.levels_out or _levels_path(args.out)
     _write_csv(levels_out, "m,E_m", bound_levels(spec))
     print(f"wrote {args.out} ({len(rows)} rows) and {levels_out}")
     return EXIT_OK

@@ -9,11 +9,7 @@ minimizer for potential curves.
 
 from __future__ import annotations
 
-import itertools
 import math
-import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,10 +28,8 @@ MAX_RULE_POINTS = 256
 class QuadratureRule:
     """Nodes and weights for integrals against the weight e^{-t^2}.
 
-    ``_id`` names the rule in the keys of ``_COLUMNS``, the store of the
-    tables of folded ``Eigenstate`` columns, one row per order, that
-    ``overlap`` reads on the rule (see ``_column``); a pickled or copied
-    rule gets a new id.
+    The hash, that of (nodes, weights), is computed once: a rule is a cheap
+    key of ``_table``, and equal rules (copies, pickles) share its tables.
     """
 
     nodes: tuple[float, ...]
@@ -45,104 +39,57 @@ class QuadratureRule:
     node_array: np.ndarray = field(init=False, repr=False, compare=False)
     weight_array: np.ndarray = field(init=False, repr=False, compare=False)
     fold_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _id: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.weights) or not self.nodes:
             raise ValueError("nodes and weights must be non-empty and of equal length")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
-        if any(w <= 0 for w in self.weights):
+        if not all(w > 0 for w in self.weights):
             raise ValueError("weights must be positive")
         mass = math.fsum(self.weights)
         if abs(mass - SQRT_PI) > 1e-12 * SQRT_PI:
             raise ValueError(f"total weight {mass!r} does not match sqrt(pi)")
         t = np.array(self.nodes, dtype=float)
-        for name, array in (
-            ("node_array", t),
-            ("weight_array", np.array(self.weights, dtype=float)),
-            ("fold_array", np.exp(0.5 * t * t)),
-        ):
+        with np.errstate(over="ignore"):
+            fold = np.exp(0.5 * t * t)
+        far = ~np.isfinite(fold)
+        if far.any():
+            raise ValueError(f"e^{{t^2/2}} is not a finite double at node {self.nodes[int(np.argmax(far))]!r}")
+        w = np.array(self.weights, dtype=float)
+        for name, array in (("node_array", t), ("weight_array", w), ("fold_array", fold)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "_id", next(_RULE_IDS))
+        object.__setattr__(self, "_hash", hash((self.nodes, self.weights)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __reduce__(self):
-        # Pickle and copy the nodes and weights; the arrays and the id are new.
+        # Pickle and copy the nodes and weights; the arrays and the hash are rebuilt.
         return type(self), (self.nodes, self.weights)
 
 
-class _BudgetLRU:
-    """Least recently used values within a budget of charges (bytes).
+@lru_cache(maxsize=3)
+def _table(rule: QuadratureRule, s: float, key: tuple) -> tuple[np.ndarray, bool]:
+    """The folded table of every order at node_array / s, read-only, and whether it is finite.
 
-    ``put`` keeps a value with the charge the caller gives it and drops the
-    least recent values while the charges exceed the budget; a value charged
-    more than the whole budget is not kept.  ``nbytes`` is the sum of the
-    charges kept.  Callers hold ``lock`` around every call.
+    Row k is N_k (D_k + 0.0) * fold_array, k = 0..``DEGREE_CAP``, from one
+    walk (``Eigenstate._table``) of the spec that ``key``, a ``_table_key``
+    of plain numbers and types, names: a lookup compares no state or spec.
+    ``maxsize`` is the number of default rules (64, 128, 256 points): 720 KB
+    for one spec and scale, 1.23 MB at most.  A non-finite table is kept
+    with its flag, so every read of it is checked.
     """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self.lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        """The value kept under ``key``, now the most recent, or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, value, charge: int) -> None:
-        """Keep ``value`` under ``key`` as the most recent, in place of what the key held.
-
-        Nothing changes if ``charge`` alone exceeds the budget.
-        """
-        if charge > self.budget:
-            return
-        old = self._entries.pop(key, None)
-        self.nbytes += charge - (old[1] if old else 0)
-        self._entries[key] = (value, charge)
-        while self.nbytes > self.budget:
-            self.nbytes -= self._entries.popitem(last=False)[1][1]
-
-
-#: Bytes of stored column tables, all rules together: the tables of the
-#: 64-, 128- and 256-point rules for one spec and scale (720 KB) fit.
-_COLUMN_BUDGET = 2**20
-_COLUMNS = _BudgetLRU(_COLUMN_BUDGET)
-_RULE_IDS = itertools.count()
-
-
-def _column(rule: QuadratureRule, state, s: float) -> np.ndarray:
-    """The folded column state(node_array / s) * fold_array of an ``Eigenstate``, read-only exactly when it is finite.
-
-    The column is row ``state.n`` of one table of the columns of every
-    order, N_k (D_k + 0.0) * fold_array for k = 0..``DEGREE_CAP``, built by
-    one walk (``Eigenstate._table``) and kept in ``_COLUMNS`` under (rule
-    id, s, the state's ``_table_key``), charged ``sys.getsizeof``, so
-    states of equal specs share it and a hit hashes and compares only plain
-    numbers.  A table is checked finite once, when it is made; one with a
-    non-finite value is never kept and its rows are returned writeable, so
-    a hit needs no check.  The table is built outside the lock, so two
-    threads that miss on one key may both build it, with equal results.
-    """
-    key = (rule._id, s, state._table_key)
-    with _COLUMNS.lock:
-        table = _COLUMNS.get(key)
-    if table is None:
-        table = state._table(rule.node_array / s)
-        table *= rule.fold_array
-        if np.isfinite(table).all():
-            table.flags.writeable = False
-            with _COLUMNS.lock:
-                _COLUMNS.put(key, table, sys.getsizeof(table))
-    return table[state.n]
+    state_type, spec_type, *params = key
+    table = state_type(0, spec_type(*params))._table(rule.node_array / s)
+    table *= rule.fold_array
+    table.flags.writeable = False
+    return table, bool(np.isfinite(table).all())
 
 
 def grid_count(lo: float, hi: float, step: float) -> int:
@@ -279,17 +226,17 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     exactly 0.0 on a symmetric rule.
 
     About c = 0, an ``Eigenstate``'s folded column is a row of the table
-    ``_column`` keeps per rule, scale and spec, built once for every order
-    0..``DEGREE_CAP``: a Gram block of eigenstates of one spec costs one
-    walk per rule, not one evaluation per state.  Every other argument, and
-    every argument about a centre other than 0, is called once per overlap.
-    The values are the same either way, bit for bit.
+    ``_table`` keeps per rule, scale and spec (see ``_folded``), built once
+    for every order 0..``DEGREE_CAP``: a Gram block of eigenstates of one
+    spec costs one walk per rule, not one evaluation per state.  Every other
+    argument, and every argument about a centre other than 0, is called once
+    per overlap.  The values are the same either way, bit for bit.
 
-    A stored column was checked finite when its table was made, so an
-    overlap of two stored columns runs no check and only forms and sums the
-    products.  When a factor did not come from the store, both are checked,
-    and a non-finite value is a ``ValueError`` naming the first node where
-    either factor has one.
+    A table is checked finite once, when it is built, so an overlap of two
+    columns of finite tables runs no check and only forms and sums the
+    products.  Otherwise both factors are checked, on every call, and a
+    non-finite value is a ``ValueError`` naming the first node where either
+    factor has one.
     """
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
@@ -311,12 +258,13 @@ def _folded(state, rule: QuadratureRule, s: float, center: float) -> tuple[np.nd
     """state(center + node_array / s) * fold_array, and whether it is known to be finite.
 
     About center 0, the column of an ``Eigenstate`` (the one argument that
-    carries a ``_table_key``) comes from ``_column``; any other argument is
-    called once, and its finiteness is left to the caller to check.
+    carries a ``_table_key``) and its flag are a row and the flag of its
+    ``_table``; any other argument is called once, and its finiteness is
+    left to the caller to check.
     """
     if center == 0.0 and hasattr(state, "_table_key"):
-        values = _column(rule, state, s)
-        return values, not values.flags.writeable
+        table, finite = _table(rule, s, state._table_key)
+        return table[state.n], finite
     return state(_nodes(rule, s, center)) * rule.fold_array, False
 
 

@@ -91,12 +91,13 @@ def _inv_sqrt_factorial(n: int) -> float:
 class Eigenstate:
     """Callable eigenstate psi_n; takes a float or an ndarray of x values.
 
-    Equal states hash equal, to ``hash((n, spec))``.  ``overlap`` keeps one
-    table of every order's column per rule, scale and ``_table_key``,
-    computed once: the state's type, and the spec's type, mu, omega and
-    hbar.  It holds no object with a Python-level ``__hash__`` or ``__eq__``
-    (for float parameters), and two keys are equal exactly when the specs
-    are, so a read from the store hashes and compares only plain numbers.
+    Equal states hash equal, to ``hash((n, spec))``.  ``overlap`` reads the
+    state's column from the table of every order that ``numerics._table``
+    caches per rule, scale and ``_table_key``, computed once: the state's
+    type, and the spec's type, mu, omega and hbar.  It holds no object with
+    a Python-level ``__hash__`` or ``__eq__`` (for float parameters), and
+    two keys are equal exactly when the specs are, so a lookup hashes and
+    compares only plain numbers, and a missing table is built from the key.
     ``n`` is checked as ``norm_const`` checks it, when the state is built,
     so ``overlap`` never sizes a rule for an order above ``DEGREE_CAP``.
     """

@@ -528,6 +528,38 @@ class TestFigure2:
         assert err == "error: --k must be positive and finite\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("levels", ["x.csv", "./x.csv", "sub/../x.csv"])
+    def test_levels_on_the_curve_path_is_usage_error_before_any_output(self, capsys, monkeypatch, tmp_path, levels):
+        # The levels table overwrote the 212-row curve, and the run exited 0.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, out, err = run(capsys, "figure2", "--out", "x.csv", "--levels-out", levels)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --out x.csv and --levels-out {levels} name the same file\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+    def test_levels_on_a_link_to_the_curve_is_usage_error(self, capsys, tmp_path):
+        curve, link = tmp_path / "x.csv", tmp_path / "y.csv"
+        curve.write_text("kept\n")
+        os.link(curve, link)
+        code, out, err = run(capsys, "figure2", "--out", str(curve), "--levels-out", str(link))
+        assert (code, out, err.count("\n")) == (EXIT_USAGE, "", 1)
+        assert err.startswith("error: --out ") and err.endswith(" name the same file\n")
+        assert curve.read_text() == "kept\n"
+        symlink = tmp_path / "z.csv"
+        symlink.symlink_to(curve)
+        code, _, _ = run(capsys, "figure2", "--out", str(symlink), "--levels-out", str(curve))
+        assert code == EXIT_USAGE and curve.read_text() == "kept\n"
+
+    def test_distinct_levels_path_is_written(self, capsys, tmp_path):
+        curve, levels = tmp_path / "x.csv", tmp_path / "y.csv"
+        code, out, _ = run(capsys, "figure2", "--out", str(curve), "--levels-out", str(levels))
+        assert code == EXIT_OK
+        assert out == f"wrote {curve} (212 rows) and {levels}\n"
+        assert levels.read_text().splitlines()[0] == "m,E_m"
+        assert len(curve.read_text().splitlines()) == 213
+
 
 class TestVerify:
     def test_free_suite_passes(self, capsys):

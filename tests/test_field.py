@@ -293,7 +293,7 @@ class TestShiftedOverlapClosedForm:
         def refuse(*args):
             raise AssertionError("a table was read about a centre other than 0")
 
-        monkeypatch.setattr(numerics, "_column", refuse)
+        monkeypatch.setattr(numerics, "_table", refuse)
         value = overlap(Eigenstate(7, ONES), ShiftedState.continuous(7, 0.3, ONES), 1.0)
         assert value == pytest.approx(displaced_overlap(7, 7, 0.3), abs=2e-14)
 

@@ -50,6 +50,30 @@ class TestQuadratureRuleType:
         with pytest.raises(ValueError):
             QuadratureRule((-1.0, 1.0), (1.0, 1.0))
 
+    def test_rejects_a_nan_weight(self):
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            QuadratureRule((-1.0, 0.0, 1.0), (1.0, math.nan, 1.0))
+
+    @pytest.mark.parametrize(
+        "nodes,bad",
+        [
+            ((-40.0, 0.0, 40.0), -40.0),
+            ((-37.6, 0.0, 37.7), 37.7),
+            ((-math.inf, 0.0, math.inf), -math.inf),
+            ((-1.0, 0.0, math.nan), math.nan),
+        ],
+    )
+    def test_rejects_a_node_where_the_fold_factor_is_not_a_finite_double(self, nodes, bad):
+        # e^{t^2/2} overflows a double for |t| above sqrt(2 ln DBL_MAX) = 37.68; no RuntimeWarning is raised.
+        with pytest.raises(ValueError, match=rf"^e\^\{{t\^2/2\}} is not a finite double at node {bad!r}$"):
+            QuadratureRule(nodes, (1e-3, SQRT_PI - 2e-3, 1e-3))
+
+    def test_the_largest_default_node_folds_to_a_finite_double(self):
+        rule = gauss_hermite_rule(MAX_RULE_POINTS)
+        assert 21.99 < rule.nodes[-1] < 22.0
+        assert np.isfinite(rule.fold_array).all()
+        assert math.isfinite(QuadratureRule((-37.6, 0.0, 37.6), (1e-3, SQRT_PI - 2e-3, 1e-3)).fold_array[0])
+
     @pytest.mark.parametrize("n", [1, 16, 256])
     def test_arrays_equal_the_tuples_and_are_read_only(self, n):
         rule = gauss_hermite_rule(n)
@@ -81,7 +105,7 @@ class TestQuadratureRuleType:
             assert twin == rule and twin is not rule
             assert twin.fold_array.tobytes() == rule.fold_array.tobytes()
             assert overlap(psi, psi, 1.0, twin) == overlap(psi, psi, 1.0, rule)
-            assert twin._id != rule._id
+            assert hash(twin) == hash(rule)
 
 
 class TestGaussHermiteRule:
@@ -401,14 +425,8 @@ def uncached_overlap(a, b, scale, rule):
     return numerics._mirror_sum(fv, gv, rule) / s
 
 
-def fresh_rule(k):
-    """A k-point rule with nothing stored yet (``gauss_hermite_rule`` shares one per k)."""
-    rule = gauss_hermite_rule(k)
-    return QuadratureRule(rule.nodes, rule.weights)
-
-
 class Counting:
-    """A user state with an order, hashed by value on (n, tag), that counts its calls; never stored."""
+    """A user state with an order, hashed by value on (n, tag), that counts its calls; never kept in a table."""
 
     def __init__(self, n, tag=0, spec=UNIT):
         self.n, self.tag, self.psi, self.calls = n, tag, Eigenstate(n, spec), 0
@@ -424,18 +442,13 @@ class Counting:
         return hash((self.n, self.tag))
 
 
-#: Specs for the stored-column tests; the first two are equal but built from an int and a float.
+#: Specs for the table tests; the first two are equal but built from an int and a float.
 SPECS = (
     OscillatorSpec(mu=2),
     OscillatorSpec(mu=2.0),
     OscillatorSpec(),
     OscillatorSpec(mu=0.37, omega=2.5, hbar=0.3),
 )
-
-
-def stored(store, rule):
-    """The ``_table_key`` of each table stored for ``rule``, least recent first."""
-    return [key[2] for key in store._entries if key[0] == rule._id]
 
 
 def table_builds(monkeypatch, spikes=()):
@@ -456,191 +469,140 @@ def table_builds(monkeypatch, spikes=()):
     return builds
 
 
-def table_bytes(rule):
-    """``sys.getsizeof`` of a table of every order on ``rule``."""
-    return sys.getsizeof(np.ones((DEGREE_CAP + 1, len(rule))))
-
-
-def check_budget(store):
-    """Each column is charged its size, and nbytes is the sum of the charges, within the budget."""
-    assert all(charge == sys.getsizeof(column) for column, charge in store._entries.values())
-    assert store.nbytes == sum(charge for _, charge in store._entries.values()) <= store.budget
-
-
-class TestBudgetLRU:
-    @staticmethod
-    def contents(store):
-        return [(key, value, charge) for key, (value, charge) in store._entries.items()]
-
-    def test_drops_the_least_recent_while_the_charges_exceed_the_budget(self):
-        store = numerics._BudgetLRU(100)
-        for key, charge in (("a", 30), ("b", 30), ("c", 30)):
-            store.put(key, key.upper(), charge)
-        assert store.get("a") == "A"  # now the most recent
-        assert store.get("missing") is None
-        store.put("d", "D", 40)  # 130 > 100: drops b, the least recent
-        assert self.contents(store) == [("c", "C", 30), ("a", "A", 30), ("d", "D", 40)]
-        assert store.nbytes == 100
-        store.put("e", "E", 100)  # drops everything else
-        assert self.contents(store) == [("e", "E", 100)] and store.nbytes == 100
-
-    def test_a_re_put_replaces_the_value_and_its_charge(self):
-        store = numerics._BudgetLRU(100)
-        store.put("a", 1, 50)
-        store.put("b", 2, 20)
-        store.put("a", 3, 10)
-        assert self.contents(store) == [("b", 2, 20), ("a", 3, 10)] and store.nbytes == 30
-        store.put("b", 4, 90)  # 100 in all: nothing dropped
-        assert self.contents(store) == [("a", 3, 10), ("b", 4, 90)] and store.nbytes == 100
-
-    def test_a_value_charged_over_the_budget_is_not_kept(self):
-        store = numerics._BudgetLRU(100)
-        store.put("a", 1, 60)
-        store.put("b", 2, 101)
-        assert self.contents(store) == [("a", 1, 60)] and store.nbytes == 60
-        empty = numerics._BudgetLRU(0)
-        empty.put("a", 1, 1)
-        assert empty.get("a") is None and empty.nbytes == 0
-        empty.put("z", 0, 0)  # a charge of 0 fits any budget
-        assert empty.get("z") == 0
+def table_info():
+    """(misses, hits, tables kept) of the table cache."""
+    info = numerics._table.cache_info()
+    return info.misses, info.hits, info.currsize
 
 
 class TestStoredColumns:
     @pytest.fixture(autouse=True)
-    def store(self, monkeypatch):
-        """A new, empty store of the default budget for each test."""
-        fresh = numerics._BudgetLRU(numerics._COLUMN_BUDGET)
-        monkeypatch.setattr(numerics, "_COLUMNS", fresh)
-        return fresh
+    def empty_cache(self):
+        """An empty table cache for each test, and none of its tables left behind."""
+        numerics._table.cache_clear()
+        yield
+        numerics._table.cache_clear()
+
+    def test_the_tables_live_in_one_lru_cache_of_three(self):
+        assert numerics._table.cache_parameters() == {"maxsize": 3, "typed": False}
 
     @given(st.data())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_sequences_of_overlaps_equal_the_uncached_reference(self, data):
-        rules = [fresh_rule(k) for k in (3, 8, 20)] + [gauss_hermite_rule(64)]
-        # A small budget, so sequences also run through evictions.
-        store = numerics._BudgetLRU(data.draw(st.sampled_from([2**19, 4096, 1024])))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(numerics, "_COLUMNS", store)
-            for _ in range(data.draw(st.integers(1, 40))):
-                rule = data.draw(st.sampled_from(rules))
-                k = len(rule)
-                i = data.draw(st.integers(0, min(2 * k - 2, 200)))
-                j = data.draw(st.integers(0, min(2 * k - 2 - i, 200)))
-                si, sj = data.draw(st.sampled_from(SPECS)), data.draw(st.sampled_from(SPECS))
-                scale = data.draw(st.sampled_from([si.gaussian_scale, 0.5, 2.0]))
-                # New objects per call: equal states share a column by equality, not identity.
-                a, b = Eigenstate(i, replace(si)), Eigenstate(j, replace(sj))
-                assert overlap(a, b, scale, rule) == uncached_overlap(a, b, scale, rule)
-                check_budget(store)
+        # Four rules and three specs make more keys than the cache keeps, so sequences run through evictions.
+        rules = [gauss_hermite_rule(k) for k in (3, 8, 20, 64)]
+        numerics._table.cache_clear()
+        for _ in range(data.draw(st.integers(1, 40))):
+            rule = data.draw(st.sampled_from(rules))
+            k = len(rule)
+            i = data.draw(st.integers(0, min(2 * k - 2, 200)))
+            j = data.draw(st.integers(0, min(2 * k - 2 - i, 200)))
+            si, sj = data.draw(st.sampled_from(SPECS)), data.draw(st.sampled_from(SPECS))
+            scale = data.draw(st.sampled_from([si.gaussian_scale, 0.5, 2.0]))
+            # New objects per call: equal states share a column by equality, not identity.
+            a, b = Eigenstate(i, replace(si)), Eigenstate(j, replace(sj))
+            assert overlap(a, b, scale, rule) == uncached_overlap(a, b, scale, rule)
+            assert table_info()[2] <= 3
 
-    def test_one_budget_holds_the_tables_of_all_rules_and_drops_the_least_recent(self, monkeypatch):
-        small, large = fresh_rule(4), fresh_rule(16)
-        store = numerics._BudgetLRU(2 * table_bytes(small) + table_bytes(large))
-        monkeypatch.setattr(numerics, "_COLUMNS", store)
+    def test_three_tables_are_kept_and_the_least_recent_is_dropped(self, monkeypatch):
+        small, large = gauss_hermite_rule(4), gauss_hermite_rule(16)
         builds = table_builds(monkeypatch)
-        keys = [Eigenstate(0, spec)._table_key for spec in SPECS]
         for n, spec in ((0, SPECS[0]), (3, SPECS[2]), (2, SPECS[0]), (1, SPECS[3])):
             psi = Eigenstate(n, spec)
             overlap(psi, psi, 1.0, small)
         # SPECS[0] and SPECS[1] are equal: one table serves both.
-        assert keys[0] == keys[1] and builds == [SPECS[0], SPECS[2], SPECS[3]]
+        assert builds == [SPECS[0], SPECS[2], SPECS[3]]
         overlap(Eigenstate(2, SPECS[1]), Eigenstate(2, SPECS[1]), 1.0, small)  # a hit: now the most recent
-        assert stored(store, small) == [keys[2], keys[3], keys[0]]
-        assert store.nbytes == 3 * table_bytes(small)
         wide = Eigenstate(7, UNIT)
-        overlap(wide, wide, 1.0, large)  # drops the least recent for a larger table
-        assert stored(store, small) == [keys[3], keys[0]]
-        assert stored(store, large) == [keys[2]]
-        check_budget(store)
+        overlap(wide, wide, 1.0, large)  # a fourth table drops the least recent, SPECS[2] on the small rule
+        assert table_info()[2] == 3
+        for spec in (SPECS[3], SPECS[1]):
+            overlap(Eigenstate(1, spec), Eigenstate(1, spec), 1.0, small)  # still kept
+        assert builds == [SPECS[0], SPECS[2], SPECS[3], UNIT]
         psi = Eigenstate(3, SPECS[2])
-        overlap(psi, psi, 1.0, small)  # built again; drops keys[3]
+        overlap(psi, psi, 1.0, small)  # built again
         assert builds == [SPECS[0], SPECS[2], SPECS[3], UNIT, SPECS[2]]
-        assert stored(store, small) == [keys[0], keys[2]]
-        check_budget(store)
 
-    def test_a_table_over_the_budget_is_not_stored(self, monkeypatch):
-        store = numerics._BudgetLRU(table_bytes(fresh_rule(64)) - 1)
-        monkeypatch.setattr(numerics, "_COLUMNS", store)
-        rule, psi = fresh_rule(64), Eigenstate(5, UNIT)
-        want = uncached_overlap(psi, psi, 1.0, rule)
-        builds = table_builds(monkeypatch)
-        for _ in range(2):
-            assert overlap(psi, psi, 1.0, rule) == want
-        assert builds == [UNIT] * 4
-        assert (store.nbytes, len(store._entries)) == (0, 0)
+    def test_a_warm_library_block_builds_one_table_per_default_rule(self):
+        spec = OscillatorSpec()
 
-    def test_the_default_budget_holds_the_three_default_tables(self, store):
-        for k in (64, 128, 256):
-            psi = Eigenstate(k // 2, UNIT)
-            overlap(psi, psi, 1.0)
-        assert [len(key) for key in store._entries] == [3] * 3
-        assert store.nbytes == sum(table_bytes(gauss_hermite_rule(k)) for k in (64, 128, 256)) <= store.budget
-        check_budget(store)
+        def op(start, k):
+            """The Gram block of new states and the shifted <x> of one window, as a warm library op runs them."""
+            rule = gauss_hermite_rule(k)
+            states = [Eigenstate(n, OscillatorSpec()) for n in range(start, start + 6)]
+            gram = [overlap(a, b, spec.gaussian_scale, rule) for i, a in enumerate(states) for b in states[i:]]
+            shifted = ShiftedState.continuous(start, 0.3, spec)
+            return gram + [expectation_x_shifted(shifted, rule)]
+
+        windows = [(0, 64), (5, 128), (3, 256), (40, 64), (100, 128), (195, 256)]
+        want = [op(start, k) for start, k in windows]
+        assert table_info() == (3, 2 * 6 * 21 - 3, 3)
+        assert [op(start, k) for start, k in windows] == want
+        assert table_info() == (3, 4 * 6 * 21 - 3, 3)  # every later lookup is a hit
 
     @pytest.mark.parametrize("spec", [UNIT, SPECS[3]])
     @pytest.mark.parametrize("k", [64, 128, 256])
-    def test_each_row_of_a_default_table_is_the_folded_state(self, store, spec, k):
+    def test_each_row_of_a_default_table_is_the_folded_state(self, spec, k):
         rule = gauss_hermite_rule(k)
         for scale in (spec.gaussian_scale, 0.5):
             s = math.sqrt(scale)
-            psi = Eigenstate(0, spec)
-            numerics._column(rule, psi, s)
-            table = store.get((rule._id, s, psi._table_key))
-            assert table.shape == (DEGREE_CAP + 1, k) and not table.flags.writeable
+            table, finite = numerics._table(rule, s, Eigenstate(0, spec)._table_key)
+            assert table.shape == (DEGREE_CAP + 1, k) and not table.flags.writeable and finite
             for n in range(DEGREE_CAP + 1):
                 want = Eigenstate(n, spec)(rule.node_array / s) * rule.fold_array
                 assert table[n].tobytes() == want.tobytes(), n
-                assert numerics._column(rule, Eigenstate(n, spec), s).tobytes() == want.tobytes()
+                column, finite = numerics._folded(Eigenstate(n, spec), rule, s, 0.0)
+                assert column.tobytes() == want.tobytes() and finite
 
-    def test_a_stored_column_is_a_read_only_row_of_a_shared_table(self, store):
-        rule = fresh_rule(8)
+    def test_a_stored_column_is_a_read_only_row_of_a_shared_table(self):
+        rule = gauss_hermite_rule(8)
         psi = Eigenstate(5, UNIT)
         overlap(psi, psi, 1.0, rule)
-        column = numerics._column(rule, Eigenstate(5, OscillatorSpec()), 1.0)
-        assert column.base is numerics._column(rule, Eigenstate(2, UNIT), 1.0).base
+        column, _ = numerics._folded(Eigenstate(5, OscillatorSpec()), rule, 1.0, 0.0)
+        assert column.base is numerics._folded(Eigenstate(2, UNIT), rule, 1.0, 0.0)[0].base
         assert column.tobytes() == (psi(rule.node_array) * rule.fold_array).tobytes()
         with pytest.raises(ValueError):
             column[0] = 0.0
-        assert stored(store, rule) == [psi._table_key]
+        assert table_info()[::2] == (1, 1)
 
     @pytest.mark.parametrize("k", [64, 128, 256])
-    def test_two_stored_columns_give_the_inner_product_of_the_columns(self, store, monkeypatch, k):
+    def test_two_stored_columns_give_the_inner_product_of_the_columns(self, monkeypatch, k):
         rule = gauss_hermite_rule(k)
         spec = SPECS[3]
         s = math.sqrt(spec.gaussian_scale)
         top = min(k - 1, 200)  # the highest order the rule and the order cap allow
         states = [Eigenstate(n, spec) for n in (0, 1, top - 1, top)]
-        for a in states:
-            overlap(a, a, spec.gaussian_scale, rule)  # stores each column
         checks = []
         check = numerics._check_finite
         monkeypatch.setattr(numerics, "_check_finite", lambda *args: checks.append(1) or check(*args))
         pairs = [(a, b) for a in states for b in states]  # the rule is exact for all of them
         for a, b in pairs:
-            fv, gv = numerics._column(rule, a, s), numerics._column(rule, b, s)
+            (fv, _), (gv, _) = numerics._folded(a, rule, s, 0.0), numerics._folded(b, rule, s, 0.0)
             check(fv, gv, rule)  # the reference's own check, not counted
             want = numerics._mirror_sum(fv, gv, rule) / s
             assert overlap(a, b, spec.gaussian_scale, rule).hex() == want.hex()
-        assert checks == []  # overlap checked no stored column
+        assert checks == []  # overlap checked no column of a finite table
         overlap(states[1], lambda x: x * states[1](x), spec.gaussian_scale, rule)
         assert len(checks) == 1  # a factor from a direct call is checked
 
     @pytest.mark.parametrize("bad_a,bad_b", [(5, None), (None, 2), (5, 2), (2, 5)])
-    def test_a_non_finite_factor_names_its_first_node_and_is_never_stored(self, store, monkeypatch, bad_a, bad_b):
-        rule = fresh_rule(16)
-        spikes = {3: bad_a, 5: bad_b}
-        builds = table_builds(monkeypatch, spikes)
+    def test_a_non_finite_factor_names_its_first_node_on_every_call(self, monkeypatch, bad_a, bad_b):
+        rule = gauss_hermite_rule(16)
+        builds = table_builds(monkeypatch, {3: bad_a, 5: bad_b})
         a, b = Eigenstate(3, UNIT), Eigenstate(5, UNIT)
         first = min(i for i in (bad_a, bad_b) if i is not None)
-        for _ in range(2):
+        for _ in range(3):
             with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
                 overlap(a, b, 1.0, rule)
-        # A table with a non-finite row is never stored: each factor builds one.
-        assert stored(store, rule) == [] and builds == [UNIT] * 4
-        check_budget(store)
+        # The table is kept with its flag: one build, and every read checks its columns.
+        assert builds == [UNIT] and numerics._table(rule, 1.0, a._table_key)[1] is False
+        # Its finite rows still give the uncached values.
+        c, d = Eigenstate(0, UNIT), Eigenstate(2, UNIT)
+        assert overlap(c, d, 1.0, rule) == uncached_overlap(c, d, 1.0, rule)
+        assert builds == [UNIT]
 
-    def test_plain_callables_and_shifted_states_are_never_stored(self, store):
-        rule = fresh_rule(16)
+    def test_plain_callables_and_shifted_states_are_never_stored(self):
+        rule = gauss_hermite_rule(16)
         psi = Eigenstate(3, UNIT)
         calls = []
 
@@ -654,12 +616,12 @@ class TestStoredColumns:
             overlap(shifted, shifted, 1.0, rule)
             expectation_x_shifted(shifted, rule)
         assert len(calls) == 6
-        assert stored(store, rule) == []
+        assert table_info() == (0, 0, 0)
         # expectation_x stores nothing: it evaluates its state once, directly.
         assert expectation_x(3, UNIT, rule) == 0.0
-        assert stored(store, rule) == []
+        assert table_info() == (0, 0, 0)
 
-    def test_an_identity_hashed_state_is_evaluated_afresh_after_a_mutation(self, store):
+    def test_an_identity_hashed_state_is_evaluated_afresh_after_a_mutation(self):
         class Trial:
             """A mutable variational state with an order, hashed by identity."""
 
@@ -673,18 +635,17 @@ class TestStoredColumns:
             return np.exp(-0.5 * x * x)
 
         plain.n = 0
-        rule, trial = fresh_rule(32), Trial(2)
+        rule, trial = gauss_hermite_rule(32), Trial(2)
         values = []
         for width in (1.0, 1.7, 0.6):
             trial.width = width
             values.append(overlap(trial, plain, 1.0, rule))
             assert values[-1] == uncached_overlap(trial, plain, 1.0, rule)
         assert len(set(values)) == 3
-        assert store.nbytes == 0 and stored(store, rule) == []
+        assert table_info() == (0, 0, 0)
 
-    def test_a_warm_gram_block_of_fresh_equal_states_hashes_and_compares_no_state(self, store, monkeypatch):
-        rule, window = fresh_rule(64), range(40, 46)
-        s = math.sqrt(UNIT.gaussian_scale)
+    def test_a_warm_gram_block_of_fresh_equal_states_hashes_and_compares_no_state(self, monkeypatch):
+        rule, window = gauss_hermite_rule(64), range(40, 46)
 
         def block():
             """A Gram block of new, equal objects, as each op of a long-lived library process builds its own."""
@@ -693,7 +654,7 @@ class TestStoredColumns:
             return [(a, b) for i, a in enumerate(states) for b in states[i:]]
 
         want = [uncached_overlap(a, b, 1.0, rule) for a, b in block()]
-        assert [overlap(a, b, 1.0, rule) for a, b in block()] == want  # stores the columns
+        assert [overlap(a, b, 1.0, rule) for a, b in block()] == want  # builds the table
         pairs = block()
         calls = []
         for cls in (Eigenstate, OscillatorSpec):
@@ -707,30 +668,60 @@ class TestStoredColumns:
                 monkeypatch.setattr(cls, name, counting)
         assert [overlap(a, b, 1.0, rule) for a, b in pairs] == want
         assert calls == []
-        # Equal specs share one table, kept under (rule id, s, plain key).
-        keys = [(rule._id, s, Eigenstate(0, UNIT)._table_key)]
-        assert list(store._entries) == keys
+        # Equal specs share one table.
+        assert table_info() == (1, 2 * 2 * len(want) - 1, 1)  # two columns per overlap, one table built
         # A user class with an order and its own __hash__ is called once per overlap and stores nothing.
         psi, other = Counting(3), Counting(5)
         for _ in range(2):
             assert overlap(psi, other, 1.0, rule) == uncached_overlap(psi.psi, other.psi, 1.0, rule)
         assert (psi.calls, other.calls) == (2, 2)
-        assert list(store._entries) == keys
+        assert table_info()[::2] == (1, 1)
 
-    def test_an_unhashable_state_with_an_order_is_evaluated_per_call(self, store):
+    def test_the_rule_hash_is_that_of_its_values_computed_once(self):
+        class CountingTuple(tuple):
+            """Nodes that count how often they are hashed."""
+
+            hashes = 0
+
+            def __hash__(self):
+                CountingTuple.hashes += 1
+                return super().__hash__()
+
+        base = gauss_hermite_rule(256)
+        assert hash(base) == hash((base.nodes, base.weights))
+        rule = QuadratureRule(CountingTuple(base.nodes), base.weights)
+        assert CountingTuple.hashes == 1  # at construction
+        psi = Eigenstate(100, UNIT)
+        for _ in range(3):
+            assert hash(rule) == hash(base)
+            overlap(psi, psi, 1.0, rule)
+        assert CountingTuple.hashes == 1
+
+    def test_equal_rules_read_the_same_table(self):
+        rule = gauss_hermite_rule(32)
+        key = Eigenstate(0, UNIT)._table_key
+        table = numerics._table(rule, 1.0, key)[0]
+        twins = (pickle.loads(pickle.dumps(rule)), copy.copy(rule), copy.deepcopy(rule))
+        for twin in twins + (QuadratureRule(rule.nodes, rule.weights),):
+            assert twin == rule and twin is not rule and hash(twin) == hash(rule)
+            assert numerics._table(twin, 1.0, key)[0] is table
+        assert table_info()[::2] == (1, 1)
+
+    def test_an_unhashable_state_with_an_order_is_evaluated_per_call(self):
         class Unhashable(Counting):
             __hash__ = None
 
-        rule = fresh_rule(16)
+        rule = gauss_hermite_rule(16)
         a, b = Unhashable(4), Unhashable(6)
         for _ in range(2):
             assert overlap(a, b, 1.0, rule) == uncached_overlap(a.psi, b.psi, 1.0, rule)
         assert (a.calls, b.calls) == (2, 2)
         assert overlap(a, a, 1.0, rule) == pytest.approx(1.0, abs=1e-13)
-        assert stored(store, rule) == []
+        assert table_info() == (0, 0, 0)
 
-    def test_threads_sharing_rules_agree_with_a_serial_run(self, store):
-        rules = [fresh_rule(12), fresh_rule(32)]
+    def test_threads_sharing_rules_agree_with_a_serial_run(self):
+        # Two rules and three distinct specs make six keys for three tables: the threads also race on evictions.
+        rules = [gauss_hermite_rule(12), gauss_hermite_rule(32)]
         tasks = [
             (r, i, j, s)
             for r, rule in enumerate(rules)
@@ -765,9 +756,7 @@ class TestStoredColumns:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
-        check_budget(store)
-        for rule in rules:
-            assert set(stored(store, rule)) == {Eigenstate(0, spec)._table_key for spec in SPECS}
+        assert table_info()[2] == 3
 
 
 class TestGrid1D:

@@ -170,9 +170,9 @@ class TestEigenstateHash:
 
     def test_a_stored_column_is_read_without_hashing_the_spec(self, monkeypatch):
         spec, rule = OscillatorSpec(mu=1.7), gauss_hermite_rule(64)
-        monkeypatch.setattr(numerics, "_COLUMNS", numerics._BudgetLRU(numerics._COLUMN_BUDGET))
+        numerics._table.cache_clear()
         a, b = Eigenstate(3, spec), Eigenstate(5, spec)
-        want = overlap(a, b, spec.gaussian_scale, rule)  # stores both columns
+        want = overlap(a, b, spec.gaussian_scale, rule)  # builds the table of both columns
         calls = []
         spec_hash = OscillatorSpec.__hash__
 

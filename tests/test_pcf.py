@@ -13,7 +13,7 @@ from scipy.special import pbdv
 
 from paracyl import numerics, oscillator, pcf
 from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, field_hamiltonian_residual
-from paracyl.numerics import Grid1D, _BudgetLRU, gauss_hermite_rule, overlap
+from paracyl.numerics import Grid1D, gauss_hermite_rule, overlap
 from paracyl.oscillator import Eigenstate, OscillatorSpec, energy, hamiltonian_residual, norm_const
 from paracyl.pcf import PcfPolyPart, _ode_residual, eval_D, pcf_poly, pcf_rodrigues_poly
 from paracyl.polys import DEGREE_CAP, PolyZ, hermite_recurrence, hermite_rodrigues
@@ -475,9 +475,9 @@ class TestWarmTraffic:
     def test_the_kept_grid_and_tables_give_the_values_of_a_cold_replay(self, fresh_grids, monkeypatch):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oscillator, "_grid_arrays", oscillator._grid_arrays.__wrapped__)  # a new ladder per call
-            patch.setattr(numerics, "_COLUMNS", _BudgetLRU(0))
+            patch.setattr(numerics, "_table", numerics._table.__wrapped__)  # a new table per column
             want = self.replay()
-        monkeypatch.setattr(numerics, "_COLUMNS", _BudgetLRU(numerics._COLUMN_BUDGET))
+        numerics._table.cache_clear()
         climbs = []
         climb = pcf._climb
 
