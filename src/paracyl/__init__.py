@@ -39,7 +39,8 @@ _HOMES = {
         "lj_minimum",
         "lj_potential",
     ),
-    "numerics": ("Grid1D", "QuadratureRule", "gauss_hermite_rule", "golden_section_minimize", "overlap"),
+    "grids": ("Grid1D",),
+    "numerics": ("QuadratureRule", "gauss_hermite_rule", "golden_section_minimize", "overlap"),
     "oscillator": ("Eigenstate", "OscillatorSpec", "energy", "expectation_x", "hamiltonian_residual", "norm_const"),
     "pcf": ("PcfPolyPart", "eval_D", "pcf_poly", "pcf_rodrigues_poly"),
     "polys": ("DEGREE_CAP", "PolyZ", "hermite_recurrence", "hermite_rodrigues", "poly_derivative", "poly_eval"),

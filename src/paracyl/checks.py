@@ -25,7 +25,8 @@ from .field import (
     potential_minimum,
 )
 from .ljmodel import LJSpec, bound_levels, estimate_gamma_sq, fit_oscillator, lj_minimum, lj_potential
-from .numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, overlap
+from .grids import Grid1D
+from .numerics import gauss_hermite_rule, golden_section_minimize, overlap
 from .oscillator import Eigenstate, OscillatorSpec, expectation_x, hamiltonian_residual
 from .pcf import _ode_identity, _ode_residual, _pcf_rows, pcf_poly
 from .polys import DEGREE_CAP, _hermite_rows, _rodrigues_rows

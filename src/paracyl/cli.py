@@ -6,36 +6,49 @@ All configuration is via long-form flags; defaults are mu = omega = hbar = 1.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 
-Only ``entry``, the process entry of both launch paths, changes Python's cyclic
-garbage collector (it freezes what the imports made before the handler runs and
-all that is left before shutdown, and under ``python -m`` the imports load with
-the collector off), while ``main`` and library imports leave the collector alone.
+The module's imports load with Python's cyclic garbage collector paused, on
+every launch path.  An import of the module turns the collector back on if it
+was on; under ``python -m`` that is left to ``entry``, the process entry of
+both launch paths, which freezes what the imports made before the handler runs
+and all that is left before shutdown.  ``main`` and library imports leave the
+collector as they found it.
 """
 
 from __future__ import annotations
 
 import gc
 
-if __name__ == "__main__":
-    gc.disable()  # numpy's import makes ~20 k objects; ``entry`` freezes them instead of collecting
+# numpy's import makes ~20 k objects: they load with the collector paused.  As
+# ``__main__``, it stays off until ``entry`` has frozen them, since turning it
+# on first would make the next allocation collect them all (about 2 ms).
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import itertools
+    import math
+    import os
+    import sys
+    import warnings
+    from pathlib import Path
+    from typing import TYPE_CHECKING
 
-import argparse
-import itertools
-import math
-import os
-import sys
-import warnings
-from pathlib import Path
+    import numpy as np
 
-import numpy as np
+    # ``checks``, ``field``, ``ljmodel`` and ``oscillator`` are imported by the
+    # handlers that use them, so that ``table`` and ``figure1`` load only
+    # ``polys``, ``pcf`` and ``grids``, and ``eval`` and ``spectrum`` add
+    # ``oscillator``.
+    from .grids import grid_count
+    from .pcf import _pcf_rows, eval_D
+    from .polys import DEGREE_CAP, _expand, _hermite_rows
+finally:
+    if _collecting and __name__ != "__main__":
+        gc.enable()
+    del _collecting
 
-# ``checks``, ``field`` and ``ljmodel`` are imported by the handlers that use
-# them, so that ``table``, ``eval``, ``spectrum`` and ``figure1`` load only
-# ``polys``, ``pcf``, ``numerics`` and ``oscillator``.
-from .numerics import grid_count
-from .oscillator import OscillatorSpec, energy, norm_const
-from .pcf import _pcf_rows, eval_D
-from .polys import DEGREE_CAP, _expand, _hermite_rows
+if TYPE_CHECKING:
+    from .oscillator import OscillatorSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,8 +59,9 @@ EXIT_IO = 3
 #: ``lj``, ``figure2``, ``verify --gamma-sq``) that are built in memory.
 MAX_GRID_ROWS = 10**6
 
-#: Rows formatted and written per ``write`` call by ``_emit``: enough to make the
-#: call cost vanish, few enough that a chunk's text stays small next to the table.
+#: Rows per chunk of ``_emit``, formatted by one ``%`` and written by one
+#: ``write``: enough to make the per-call cost vanish, few enough that a
+#: chunk's text stays small next to the table.
 _CHUNK_ROWS = 4096
 
 
@@ -56,23 +70,31 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _emit(fh, rows, width: int) -> None:
-    """Write ``rows`` (tuples of ``width`` numbers) to ``fh`` as CSV lines, one chunk per write.
+def _emit(fh, chunks, width: int) -> None:
+    """Write ``chunks`` to ``fh`` as CSV lines of ``width`` values, one ``%`` and one write per chunk.
 
-    Each value renders as ``_fmt`` renders it: ``'%.12g' % v`` and
-    ``format(float(v), '.12g')`` make the same string, and an integer of
-    magnitude below 10**12 renders as ``str``.
+    A chunk is a flat list of the values of at most ``_CHUNK_ROWS`` rows, row
+    after row (``_row_chunks``, ``_array_chunks``); the row template, repeated
+    once per row, formats it.  Each value renders as ``_fmt`` renders it:
+    ``'%.12g' % v`` and ``format(float(v), '.12g')`` make the same string,
+    and an integer of magnitude below 10**12 renders as ``str``.
     """
     line = ",".join(["%.12g"] * width) + "\n"
+    for chunk in chunks:
+        fh.write(line * (len(chunk) // width) % tuple(chunk))
+
+
+def _row_chunks(rows):
+    """The values of ``rows`` (tuples of numbers), flattened ``_CHUNK_ROWS`` rows at a time."""
     rows = iter(rows)
-    while chunk := [line % row for row in itertools.islice(rows, _CHUNK_ROWS)]:
-        fh.write("".join(chunk))
+    while chunk := list(itertools.chain.from_iterable(itertools.islice(rows, _CHUNK_ROWS))):
+        yield chunk
 
 
-def _array_rows(*columns: np.ndarray):
-    """Rows of equal-length arrays, converted to Python floats one chunk at a time."""
+def _array_chunks(*columns: np.ndarray):
+    """The rows of equal-length float arrays as Python floats, flattened ``_CHUNK_ROWS`` rows at a time."""
     for i in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield from zip(*(c[i : i + _CHUNK_ROWS].tolist() for c in columns))
+        yield np.column_stack([c[i : i + _CHUNK_ROWS] for c in columns]).ravel().tolist()
 
 
 def _check_rows(what: str, count: int) -> None:
@@ -118,14 +140,16 @@ def _poly_str(coeffs: tuple[int, ...], var: str = "z") -> str:
 
 
 def _spec_from_args(args) -> OscillatorSpec:
+    from .oscillator import OscillatorSpec
+
     return OscillatorSpec(mu=args.mu, omega=args.omega, hbar=args.hbar)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write ``header`` and ``rows``, whose width is the header's column count."""
+def _write_csv(path: str, header: str, chunks) -> None:
+    """Write ``header`` and the ``_emit`` ``chunks``, whose row width is the header's column count."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        _emit(fh, rows, header.count(",") + 1)
+        _emit(fh, chunks, header.count(",") + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +176,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .oscillator import energy, norm_const
+
     spec = _spec_from_args(args)
     x = _grid(args.lo, args.hi, args.step)
     if spec.z_scale * args.step < sys.float_info.min:
@@ -163,18 +189,20 @@ def _cmd_eval(args) -> int:
         f"hbar={_fmt(spec.hbar)} E_n={_fmt(energy(args.n, spec))}"
     )
     print("x,z,D_n,psi_n")
-    _emit(sys.stdout, _array_rows(x, z, d, norm_const(args.n, spec) * d), 4)
+    _emit(sys.stdout, _array_chunks(x, z, d, norm_const(args.n, spec) * d), 4)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
+    from .oscillator import energy
+
     spec = _spec_from_args(args)
     if args.n < 0:
         raise ValueError("--n must be non-negative")
     _check_rows("ladder", args.n + 1)
     energy(args.n, spec)  # the top level is the largest: a ValueError here, before any output
     print("n,E_n")
-    _emit(sys.stdout, ((n, energy(n, spec)) for n in range(args.n + 1)), 2)
+    _emit(sys.stdout, _row_chunks((n, energy(n, spec)) for n in range(args.n + 1)), 2)
     return EXIT_OK
 
 
@@ -209,10 +237,10 @@ def _cmd_field(args) -> int:
     print(f"e_min = {_fmt(e_min)}")
     if args.gamma_sq is not None:
         print("m,E_m,pcf_index")
-        _emit(sys.stdout, levels, 3)
+        _emit(sys.stdout, _row_chunks(levels), 3)
     else:
         print("n,E_n")
-        _emit(sys.stdout, ((n, energy_shifted(n, gamma, spec)) for n in range(n_max + 1)), 2)
+        _emit(sys.stdout, _row_chunks((n, energy_shifted(n, gamma, spec)) for n in range(n_max + 1)), 2)
     return EXIT_OK
 
 
@@ -237,7 +265,7 @@ def _cmd_lj(args) -> int:
     print(f"omega = {_fmt(osc.omega)}")
     print(f"level_spacing = {_fmt(spec.epsilon / spec.gamma_sq)}")
     print("m,E_m")
-    _emit(sys.stdout, bound_levels(spec), 2)
+    _emit(sys.stdout, _row_chunks(bound_levels(spec)), 2)
     if estimate is not None:
         g, residual = estimate
         print(f"estimated_gamma_sq = {g}")
@@ -250,7 +278,7 @@ def _cmd_figure1(args) -> int:
         raise ValueError("needs --lo < --hi")
     z = _grid(args.lo, args.hi, args.step)
     columns = [eval_D(n, z) for n in range(4)]
-    _write_csv(args.out, "z,D0,D1,D2,D3", _array_rows(z, *columns))
+    _write_csv(args.out, "z,D0,D1,D2,D3", _array_chunks(z, *columns))
     print(f"wrote {args.out} ({len(z)} rows)")
     return EXIT_OK
 
@@ -294,8 +322,8 @@ def _cmd_figure2(args) -> int:
         r_grid.append(r_min)
         r_grid.sort()
     rows = [(r, lj_potential(r, spec), harmonic_curve(r, spec, k)) for r in r_grid]
-    _write_csv(args.out, "r,U_lj,V_harm", rows)
-    _write_csv(levels_out, "m,E_m", bound_levels(spec))
+    _write_csv(args.out, "r,U_lj,V_harm", _row_chunks(rows))
+    _write_csv(levels_out, "m,E_m", _row_chunks(bound_levels(spec)))
     print(f"wrote {args.out} ({len(rows)} rows) and {levels_out}")
     return EXIT_OK
 

@@ -20,11 +20,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .numerics import Grid1D, QuadratureRule
 from .oscillator import OscillatorSpec, _grid_residual, _x_mean, norm_const
 from .pcf import eval_D
 from .polys import _check_int, _check_order, _check_quantum_number
+
+if TYPE_CHECKING:
+    from .grids import Grid1D
+    from .numerics import QuadratureRule
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import _check_gamma_sq
 from .oscillator import OscillatorSpec
@@ -41,12 +40,14 @@ class LJSpec:
         if not math.isfinite(R_MIN_FACTOR * self.sigma):
             raise ValueError(f"well minimum r_min = 2^(1/6) sigma overflows for sigma = {self.sigma!r}")
         _check_gamma_sq(self.gamma_sq)
-        # The top level, -epsilon / (2 gamma_sq), is the smallest in size; compared exactly, so a
-        # gamma_sq past the double range is no OverflowError.
-        level = Fraction(self.epsilon) / (2 * self.gamma_sq)
-        if level < Fraction(sys.float_info.min):
+        # The top level, -epsilon / (2 gamma_sq), is the smallest in size; compared exactly, in integers,
+        # so a gamma_sq past the double range is no OverflowError.
+        p, q = self.epsilon.as_integer_ratio()
+        tiny_p, tiny_q = sys.float_info.min.as_integer_ratio()
+        if p * tiny_q < tiny_p * 2 * self.gamma_sq * q:
+            level = p / (2 * self.gamma_sq * q)
             raise ValueError(
-                f"smallest level epsilon / (2 gamma_sq) = {float(level)!r} is below the smallest normal double "
+                f"smallest level epsilon / (2 gamma_sq) = {level!r} is below the smallest normal double "
                 f"{sys.float_info.min!r}: the levels would lose digits"
             )
 
@@ -78,13 +79,14 @@ def fit_oscillator(spec: LJSpec, mu: float = 1.0, hbar: float = 1.0) -> Oscillat
 def bound_levels(spec: LJSpec) -> list[tuple[int, float]]:
     """The gamma_sq bound levels (m, E_m), E_m = (epsilon/gamma^2)(m + 1/2).
 
-    Levels are computed in exact rational arithmetic and rounded once, so
-    the ladder is the correctly-rounded image of an exactly even ladder
-    with spacing epsilon / gamma_sq.
+    Each level is the exact ratio of two integers, epsilon = p / q times
+    (2m + 1) over 2 gamma_sq, rounded once by int true division, which is
+    correctly rounded: the ladder is the correctly-rounded image of an
+    exactly even ladder with spacing epsilon / gamma_sq.
     """
-    eps = Fraction(spec.epsilon)
+    p, q = spec.epsilon.as_integer_ratio()
     g = spec.gamma_sq
-    return [(m, float(eps * (2 * m + 1) / (2 * g))) for m in range(-g, 0)]
+    return [(m, p * (2 * m + 1) / (2 * g * q)) for m in range(-g, 0)]
 
 
 def estimate_gamma_sq(epsilon: float, delta_e: float) -> tuple[int, float]:

@@ -1,10 +1,10 @@
-"""Quadrature against the Gaussian weight, uniform grids and a minimizer.
+"""Quadrature against the Gaussian weight, and a minimizer.
 
 This is the verification engine for the analytic claims made elsewhere in
-the package: Gauss-Hermite rules evaluate the weighted inner products,
-``Grid1D`` spans the grids on which the kinetic operator is applied by a
-central stencil, and a golden-section search provides an independent
-minimizer for potential curves.
+the package: Gauss-Hermite rules evaluate the weighted inner products, and
+a golden-section search provides an independent minimizer for potential
+curves.  The uniform grids of the residual stencils and of the CLI's
+tables live in ``grids``, which loads without this module.
 """
 
 from __future__ import annotations
@@ -90,41 +90,6 @@ def _table(rule: QuadratureRule, s: float, key: tuple) -> tuple[np.ndarray, bool
     table *= rule.fold_array
     table.flags.writeable = False
     return table, bool(np.isfinite(table).all())
-
-
-def grid_count(lo: float, hi: float, step: float) -> int:
-    """Points in lo, lo + step, ... <= hi (within 1e-6 of a step), step > 0."""
-    ratio = (hi - lo) / step
-    if not math.isfinite(ratio):
-        raise ValueError("grid range and step must give a finite point count")
-    nearest = round(ratio)
-    if abs(ratio - nearest) <= 1e-6 * max(1.0, abs(ratio)):
-        return int(nearest) + 1
-    return int(math.floor(ratio)) + 1
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid lo, lo + h, ..., covering [lo, hi]."""
-
-    lo: float
-    hi: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (self.hi > self.lo):
-            raise ValueError("grid needs hi > lo")
-        if not (self.h > 0):
-            raise ValueError("grid step must be positive")
-        if self.npoints < 5:
-            raise ValueError("grid needs at least 5 points for a central stencil")
-
-    @property
-    def npoints(self) -> int:
-        return grid_count(self.lo, self.hi, self.h)
-
-    def points(self) -> np.ndarray:
-        return self.lo + self.h * np.arange(self.npoints, dtype=float)
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:

@@ -11,12 +11,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import Grid1D, QuadratureRule, _check_finite, _mirror_sum, _nodes, _sized_rule
 from .pcf import _Ladder, _walk_orders, eval_D
 from .polys import DEGREE_CAP, _check_order, _check_quantum_number
+
+if TYPE_CHECKING:
+    from .grids import Grid1D
+    from .numerics import QuadratureRule
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,19 @@ def norm_const(n: int, spec: OscillatorSpec) -> float:
 
 @lru_cache(maxsize=None)
 def _inv_sqrt_factorial(n: int) -> float:
-    """1/sqrt(n!), correctly rounded: the int floor(2^1300 / sqrt(n!)), 677+ bits for n <= 200, over 2^1300."""
-    return math.isqrt((1 << 2600) // math.factorial(n)) / (1 << 1300)
+    """1/sqrt(n!), correctly rounded, from integers sized to n!.
+
+    With k = 64 + ceil(bits(n!) / 2), r = isqrt(floor(2^{2k} / n!)) is
+    floor(2^k / sqrt(n!)) >= 2^64, so every rounding boundary of a double
+    near 1/sqrt(n!) is a multiple of 2^-k.  For n >= 2, n! is not a square,
+    and 1/sqrt(n!) and (2r + 1) / 2^{k+1} both lie strictly inside
+    (r, r + 1) / 2^k, so they round alike; for n <= 1 both round to 1.0.
+    The int true division rounds once, correctly.
+    """
+    f = math.factorial(n)
+    k = 64 + (f.bit_length() + 1) // 2
+    r = math.isqrt((1 << 2 * k) // f)
+    return (2 * r + 1) / (1 << k + 1)
 
 
 @dataclass(frozen=True)
@@ -198,7 +213,11 @@ def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
     The state is called once, at x = center + u with u the rule's nodes over
     sqrt(mu omega / hbar); psi and x psi are folded and summed as ``overlap``
     does for two plain callables, with the same operations in the same order.
+    ``numerics`` is imported here, by its one user in this module, so that
+    loading ``oscillator`` does not load it.
     """
+    from .numerics import _check_finite, _mirror_sum, _nodes, _sized_rule
+
     rule = _sized_rule(k + 1, rule)
     s = math.sqrt(state.spec.gaussian_scale)
     x = _nodes(rule, s, center)

@@ -17,8 +17,8 @@ import pytest
 
 from paracyl.checks import field_suite, free_suite, lj_suite, minimum_correction
 from paracyl.field import FieldSpec
+from paracyl.grids import Grid1D
 from paracyl.ljmodel import LJSpec, bound_levels, estimate_gamma_sq
-from paracyl.numerics import Grid1D
 from paracyl.oscillator import OscillatorSpec, hamiltonian_residual
 
 ONES = OscillatorSpec()

@@ -14,6 +14,7 @@ import paracyl.checks as checks
 import paracyl.cli as cli
 import paracyl.field as field
 import paracyl.ljmodel as ljmodel
+import paracyl.oscillator as oscillator
 from paracyl.checks import CheckResult, field_suite, free_suite, lj_suite
 from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from paracyl.pcf import pcf_poly
@@ -301,10 +302,11 @@ class TestLadderLimits:
         def no_ladder(*args, **kwargs):
             raise AssertionError("ladder built before its row count was checked")
 
-        # The handlers import the field, L-J and check builders when they run,
-        # so those are replaced in their home modules; checks holds its own copies.
-        monkeypatch.setattr(cli, "energy", no_ladder)
+        # The handlers import the oscillator, field, L-J and check builders when
+        # they run, so those are replaced in their home modules; checks holds
+        # its own copies.
         for module, builder in (
+            (oscillator, "energy"),
             (field, "integer_branch_spectrum"),
             (field, "energy_shifted"),
             (ljmodel, "bound_levels"),
@@ -702,9 +704,8 @@ def _child_env() -> dict:
     return env
 
 
-# Runs ``python -m paracyl.cli`` as runpy does, and reports the collector's
-# state when numpy starts to load and after the entry has returned.
-_REPORT_COLLECTOR = """
+# Records in ``at_numpy`` whether the collector is on when numpy starts to load.
+_WATCH_NUMPY = """
 import gc, json, runpy, sys
 
 at_numpy = []
@@ -717,6 +718,11 @@ class Watch:
         return None
 
 
+"""
+
+# Runs ``python -m paracyl.cli`` as runpy does, and reports the collector's
+# state when numpy starts to load and after the entry has returned.
+_REPORT_COLLECTOR = _WATCH_NUMPY + """
 sys.meta_path.insert(0, Watch())
 sys.argv[0] = "paracyl"
 try:
@@ -724,6 +730,16 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, at_numpy, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)
+"""
+
+# Imports the entry as the ``paracyl`` console script does, with the collector
+# on or off, and reports its state when numpy starts to load and after the import.
+_REPORT_SCRIPT_IMPORT = _WATCH_NUMPY + """
+if sys.argv[1] == "off":
+    gc.disable()
+sys.meta_path.insert(0, Watch())
+from paracyl.cli import entry
+print(json.dumps([at_numpy, gc.isenabled(), gc.get_freeze_count()]))
 """
 
 
@@ -766,6 +782,18 @@ class TestProcessEntry:
         )
         assert json.loads(proc.stderr.splitlines()[-1]) == [EXIT_OK, [False], True, True]
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_console_script_import_loads_numpy_with_the_collector_off_and_restores_it(self, enabled):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_SCRIPT_IMPORT, "on" if enabled else "off"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [[False], enabled, 0]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -801,17 +829,19 @@ class TestProcessEntry:
         assert callable(cli.entry)
 
 
-# The modules each subcommand loads, besides ``paracyl`` and ``paracyl.cli``.
-CORE = {"numerics", "oscillator", "pcf", "polys"}
+# The modules each subcommand loads, besides ``paracyl`` and ``paracyl.cli``:
+# only ``verify`` runs quadrature and loads ``numerics``, and ``table`` and
+# ``figure1`` load no ``oscillator``.
+CORE = {"grids", "pcf", "polys"}
 LOADS = {
     "table": CORE,
-    "eval": CORE,
-    "spectrum": CORE,
+    "eval": CORE | {"oscillator"},
+    "spectrum": CORE | {"oscillator"},
     "figure1": CORE,
-    "field": CORE | {"field"},
-    "lj": CORE | {"field", "ljmodel"},
-    "figure2": CORE | {"field", "ljmodel"},
-    "verify": CORE | {"checks", "field", "ljmodel"},
+    "field": CORE | {"oscillator", "field"},
+    "lj": CORE | {"oscillator", "field", "ljmodel"},
+    "figure2": CORE | {"oscillator", "field", "ljmodel"},
+    "verify": CORE | {"oscillator", "numerics", "checks", "field", "ljmodel"},
 }
 
 _REPORT_MODULES = """
@@ -819,7 +849,7 @@ import json, sys
 from paracyl.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("paracyl."))
-print(json.dumps([code, loaded]), file=sys.stderr)
+print(json.dumps([code, loaded, [m for m in ("decimal", "fractions") if m in sys.modules]]), file=sys.stderr)
 """
 
 
@@ -848,6 +878,7 @@ class TestSubcommandImports:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))),
             timeout=120,
         )
-        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        code, loaded, rational = json.loads(proc.stderr.splitlines()[-1])
         assert code == EXIT_OK
         assert set(loaded) == LOADS[command] | {"cli"}
+        assert rational == []  # exact levels and bounds use int arithmetic, not ``fractions`` and ``decimal``

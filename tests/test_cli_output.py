@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,21 +89,72 @@ VALUES = st.one_of(
 TABLES = st.integers(1, 5).flatmap(lambda w: st.tuples(st.just(w), st.lists(st.tuples(*[VALUES] * w), max_size=40)))
 
 
+#: Array values: ``EDGE_FLOATS``, the largest subnormal and -tiny, +-1e300, and
+#: integers (small, at and past 10**12, and past 2**53).
+ARRAY_EDGES = EDGE_FLOATS + [
+    math.nextafter(sys.float_info.min, 0.0),
+    -sys.float_info.min,
+    1e300,
+    -1e300,
+    1.0,
+    -3.0,
+    999999999999.0,
+    1e12,
+    -123456789012345.0,
+    2.0**53 + 2.0,
+]
+
+
 class TestEmit:
     @given(TABLES)
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_bytes_equal_the_per_row_path(self, table):
         width, rows = table
         fh = io.StringIO()
-        cli._emit(fh, rows, width)
+        cli._emit(fh, cli._row_chunks(rows), width)
         assert fh.getvalue() == "".join(old_line(row) for row in rows)
 
     def test_one_write_per_chunk(self):
         rows = [(i, i / 7.0, -(i**0.5)) for i in range(2 * cli._CHUNK_ROWS + 5)]
         fh = RecordingFile()
-        cli._emit(fh, iter(rows), 3)
+        cli._emit(fh, cli._row_chunks(iter(rows)), 3)
         assert [w.count("\n") for w in fh.writes] == [cli._CHUNK_ROWS, cli._CHUNK_ROWS, 5]
         assert_same_lines("".join(fh.writes), "".join(old_line(row) for row in rows))
+
+    @given(TABLES)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_array_path_bytes_equal_the_per_row_path(self, table):
+        width, rows = table
+        columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
+        fh = io.StringIO()
+        cli._emit(fh, cli._array_chunks(*columns), width)
+        assert fh.getvalue() == "".join(old_line(row) for row in zip(*(c.tolist() for c in columns)))
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 5])
+    def test_array_path_renders_edge_values_with_one_write_per_chunk(self, width):
+        count = 2 * cli._CHUNK_ROWS + 7
+        rng = np.random.default_rng(width)
+        columns = [np.array(ARRAY_EDGES)[rng.integers(len(ARRAY_EDGES), size=count)] for _ in range(width)]
+        columns[0][: len(ARRAY_EDGES)] = ARRAY_EDGES  # every edge value, in the first chunk
+        fh = RecordingFile()
+        cli._emit(fh, cli._array_chunks(*columns), width)
+        assert [w.count("\n") for w in fh.writes] == [cli._CHUNK_ROWS, cli._CHUNK_ROWS, 7]
+        expected = "".join(old_line(row) for row in zip(*(c.tolist() for c in columns)))
+        assert_same_lines("".join(fh.writes), expected)
+        seen = set(fh.writes[0].replace("\n", ",").split(","))
+        assert {"0", "-0", "4.94065645841e-324", "-4.94065645841e-324", "1e+300", "-1e+300"} <= seen
+        assert {"1", "-3", "999999999999", "1e+12", "inf", "-inf", "nan"} <= seen
+
+    def test_array_path_renders_an_integer_column_as_integers(self):
+        count = cli._CHUNK_ROWS + 3
+        n = np.arange(-2, count - 2)
+        big = np.full(count, 2**53 + 1)  # upcast to the double 2**53, as '%.12g' rounds the int
+        fh = RecordingFile()
+        cli._emit(fh, cli._array_chunks(n, n / 8.0, big), 3)
+        assert [w.count("\n") for w in fh.writes] == [cli._CHUNK_ROWS, 3]
+        expected = "".join(old_line(row) for row in zip(n.tolist(), (n / 8.0).tolist(), big.tolist()))
+        assert_same_lines("".join(fh.writes), expected)
+        assert fh.writes[0].startswith("-2,-0.25,9.00719925474e+15\n-1,-0.125,")
 
 
 

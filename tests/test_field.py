@@ -16,7 +16,8 @@ from paracyl.field import (
     potential_minimum,
 )
 from paracyl import numerics
-from paracyl.numerics import Grid1D, gauss_hermite_rule, golden_section_minimize, overlap
+from paracyl.grids import Grid1D
+from paracyl.numerics import gauss_hermite_rule, golden_section_minimize, overlap
 from paracyl.oscillator import Eigenstate, OscillatorSpec, energy, expectation_x, hamiltonian_residual
 from paracyl.polys import DEGREE_CAP
 

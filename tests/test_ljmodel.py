@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -70,6 +71,22 @@ class TestSpec:
             LJSpec(2 * g * tiny, 1.0, g)
             with pytest.raises(ValueError):
                 LJSpec(math.nextafter(2 * g * tiny, 0.0), 1.0, g)
+
+    @pytest.mark.parametrize("g", [1, 3, 7, 10**6, 2**40 + 1, 10**400])
+    def test_the_rejection_and_its_level_match_a_fraction_reference(self, g):
+        # Depths on both sides of the edge 2 g tiny, as close as a double gets, and far from it.
+        tiny = sys.float_info.min
+        edge = 2 * g * tiny if g < 2**60 else 1.0
+        depths = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 2.3e-308, 1e-300, 1.0, 1e300]
+        depths += [2 * tiny, math.nextafter(2 * tiny, 0.0)]  # the edge of gamma_sq = 1
+        for epsilon in depths:
+            level = Fraction(epsilon) / (2 * g)
+            if level < Fraction(tiny):
+                message = f"smallest level epsilon / (2 gamma_sq) = {float(level)!r} is below"
+                with pytest.raises(ValueError, match="^" + re.escape(message)):
+                    LJSpec(epsilon, 1.0, g)
+            else:
+                LJSpec(epsilon, 1.0, g)
 
 
 class TestPotential:
@@ -154,6 +171,22 @@ class TestBoundLevels:
             spacing = 1.0 / g
             for a, b in zip(energies, energies[1:]):
                 assert b - a == pytest.approx(spacing, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("g", [1, 2, 7, 10**6])
+    def test_levels_equal_a_fraction_reference(self, g):
+        # A normal depth, depths at the normal/subnormal edge of the top level, and depths near the top of the range.
+        tiny = sys.float_info.min
+        depths = [1.0, 0.1, 3.7, 2 * g * tiny, math.nextafter(2 * g * tiny, math.inf), 1e300, sys.float_info.max]
+        every = 1 if g < 100 else 997  # for 10**6 levels, every 997th, the first and the last
+        for epsilon in depths:
+            levels = bound_levels(LJSpec(epsilon, 1.0, g))
+            assert len(levels) == g
+            picked = sorted({0, g - 1, *range(0, g, every)})
+            for i in picked:
+                m, e = levels[i]
+                assert m == i - g
+                assert e.hex() == float(Fraction(epsilon) * (2 * m + 1) / (2 * g)).hex()
+        assert bound_levels(LJSpec(2 * g * tiny, 1.0, g))[-1] == (-1, -tiny)
 
     def test_edges(self):
         levels = bound_levels(LJSpec(2.0, 1.0, 4))

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from paracyl import numerics
+from paracyl.grids import Grid1D
 from paracyl.numerics import (
-    Grid1D,
     MAX_RULE_POINTS,
     QuadratureRule,
     SQRT_PI,

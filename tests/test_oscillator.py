@@ -10,7 +10,8 @@ import pytest
 
 from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, field_hamiltonian_residual
 from paracyl import numerics, oscillator
-from paracyl.numerics import Grid1D, gauss_hermite_rule, overlap
+from paracyl.grids import Grid1D
+from paracyl.numerics import gauss_hermite_rule, overlap
 from paracyl.oscillator import (
     Eigenstate,
     OscillatorSpec,
@@ -126,6 +127,12 @@ class TestNormConst:
             for n in range(DEGREE_CAP + 1):
                 value = oscillator._inv_sqrt_factorial(n)
                 assert abs(value - 1 / mpmath.sqrt(mpmath.factorial(n))) <= math.ulp(value) / 2
+
+    def test_inverse_root_factorial_equals_the_fixed_width_formula(self):
+        # The former formula: the int floor(2^1300 / sqrt(n!)), 677 or more bits for n <= 200, over 2^1300.
+        for n in range(DEGREE_CAP + 1):
+            wide = math.isqrt((1 << 2600) // math.factorial(n)) / (1 << 1300)
+            assert oscillator._inv_sqrt_factorial(n).hex() == wide.hex()
 
     @pytest.mark.parametrize("spec", [OscillatorSpec(), OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1)])
     def test_within_four_units_of_roundoff_of_mpmath_at_every_order(self, spec):

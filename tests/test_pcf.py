@@ -13,7 +13,8 @@ from scipy.special import pbdv
 
 from paracyl import numerics, oscillator, pcf
 from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, field_hamiltonian_residual
-from paracyl.numerics import Grid1D, gauss_hermite_rule, overlap
+from paracyl.grids import Grid1D
+from paracyl.numerics import gauss_hermite_rule, overlap
 from paracyl.oscillator import Eigenstate, OscillatorSpec, energy, hamiltonian_residual, norm_const
 from paracyl.pcf import PcfPolyPart, _ode_residual, eval_D, pcf_poly, pcf_rodrigues_poly
 from paracyl.polys import DEGREE_CAP, PolyZ, hermite_recurrence, hermite_rodrigues
