@@ -8,10 +8,11 @@ Exit statuses: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 
 The module's imports load with Python's cyclic garbage collector paused, on
 every launch path.  An import of the module turns the collector back on if it
-was on; under ``python -m`` that is left to ``entry``, the process entry of
-both launch paths, which freezes what the imports made before the handler runs
-and all that is left before shutdown.  ``main`` and library imports leave the
-collector as they found it.
+was on; under ``python -m``, and under the ``paracyl`` console script, whose
+launcher (``_launch``) turns it off before this module loads, that is left to
+``entry``, the process entry of both launch paths, which freezes what the
+imports made before the handler runs and all that is left before shutdown.
+``main`` and library imports leave the collector as they found it.
 """
 
 from __future__ import annotations

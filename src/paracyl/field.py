@@ -200,8 +200,10 @@ def field_hamiltonian_residual(state: ShiftedState, e: float, grid: Grid1D) -> f
 
     H_field carries the potential mu omega^2 x^2 / 2 + q E x with q E
     reconstructed from the state's gamma.  The grid must cover the
-    displaced well center to +/- 6 oscillator lengths.  The grid keeps its
-    argument of D_k as ``hamiltonian_residual`` does.
+    displaced well center to +/- 6 oscillator lengths.  The stencil, its
+    operation order and its pinned rounding bound are those of
+    ``hamiltonian_residual``, on the row D_k(z + 2 gamma), and the grid keeps
+    its argument of D_k as that function does.
     """
     coverage = "grid must cover the displaced center to +/- 6 oscillator lengths"
     qe, center = state.charge_field_product, state.x_center

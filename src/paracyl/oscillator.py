@@ -179,8 +179,16 @@ def _grid_residual(
 ) -> float:
     """Max |(H - e) psi| on the grid interior for V = mu omega^2 x^2 / 2 + qe x, well at ``center``.
 
-    psi = N_k D_k(z_scale x + shift) is N_k times the row the grid's ladder
-    holds, read in place (``_Ladder.row``).
+    psi = N_k d with d = D_k(z_scale x + shift), the row the grid's ladder
+    holds, read in place (``_Ladder.row``).  With a = -(hbar^2 / 2 mu) / h^2,
+    the -2 psi_i of the second difference is folded into the potential:
+
+        r = a (d[:-2] + d[2:]) + (v_x - (e + 2 a)) d[1:-1]
+
+    in that operation order (seven array passes, no division, no psi row),
+    and the result is N_k max(max r, -min r).  Against the same stencil
+    evaluated exactly on the same doubles, the error stays within the pinned
+    8 u (|a| + max |v_x - e|) max |psi|, u = 2^-53 (measured up to 5.4 u).
     """
     if grid.npoints < 50:
         raise ValueError("grid too coarse: at least 50 points required")
@@ -190,21 +198,15 @@ def _grid_residual(
     slack = 1e-9 * spec.length_scale
     if x[0] > center - span + slack or x[-1] < center + span - slack:
         raise ValueError(coverage)
-    psi = norm_const(k, spec) * ladder.row(k)  # norm_const checks k first
-    inner = psi[1:-1]
-    # In place, in the operation order of
-    #   -(hbar^2 / 2 mu) (psi[:-2] - 2 psi[1:-1] + psi[2:]) / h^2
-    #   + (0.5 mu omega^2 x x + qe x - e) psi[1:-1]
-    # so the values are those of that expression bit for bit.
-    r = np.multiply(inner, 2.0)
-    np.subtract(psi[:-2], r, out=r)
-    r += psi[2:]
-    r *= -(spec.hbar**2 / (2.0 * spec.mu))
-    r /= h * h
-    v = np.subtract(vx, e)
-    v *= inner
-    r += v
-    return float(np.abs(r, out=r).max())
+    nk = norm_const(k, spec)  # checks k before the ladder climbs
+    d = ladder.row(k)
+    a = -(spec.hbar**2 / (2.0 * spec.mu)) / (h * h)
+    r = np.add(d[:-2], d[2:])
+    r *= a
+    w = np.subtract(vx, e + 2.0 * a)
+    w *= d[1:-1]
+    r += w
+    return nk * float(max(r.max(), -r.min()))
 
 
 def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
@@ -232,14 +234,16 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
     """Max-norm eigen-residual of (H - E_n) psi_n on the grid interior.
 
     The kinetic term uses the central second difference, so the residual
-    decays as O(h^2).  The grid must span [-6 l, 6 l] with l the oscillator
-    length and carry at least 50 points.  The grid points, the x part of
-    the potential and the ladder of D_n on the grid are kept, read-only, for
-    the two most recent grids.  The ladder keeps its cursor pair and a
-    checkpoint pair every 12 orders (none on a grid of more than 14 549
-    points), and each call reads its row there in place: on a warm grid no
-    argument is built, no row is copied, and a climb from a kept checkpoint
-    runs at most 11 steps.
+    decays as O(h^2); its -2 psi_i is folded into the potential and N_k is
+    applied to the max, with the pinned rounding bound ``_grid_residual``
+    states.  The grid must span [-6 l, 6 l] with l the oscillator length and
+    carry at least 50 points.  The grid points, the x part of the potential
+    and the ladder of D_n on the grid are kept, read-only, for the two most
+    recent grids.  The ladder keeps its cursor pair and a checkpoint pair
+    every 12 orders (none on a grid of more than 14 549 points), and each
+    call reads its row there in place: on a warm grid no argument is built,
+    no row is copied, and a climb from a kept checkpoint runs at most 11
+    steps.
     """
     coverage = "grid must cover [-6, 6] oscillator lengths"
     return _grid_residual(n, 0.0, spec, energy(n, spec), 0.0, 0.0, grid, coverage)

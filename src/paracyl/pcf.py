@@ -114,10 +114,11 @@ def pcf_rodrigues_poly(n: int) -> PcfPolyPart:
 #: Orders between the checkpoint pairs of a ladder.
 _STRIDE = 12
 
-#: The most points a ladder keeps checkpoints for.  36 rows of 14 549
-#: doubles (the argument, the cursor pair, 16 checkpoint pairs and the row a
-#: residual makes from the one it reads) take 4 194 144 bytes, within 4 MiB;
-#: a larger argument keeps only its cursor pair.
+#: The most points a ladder keeps checkpoints for.  35 rows of 14 549
+#: doubles (the argument, the cursor pair and 16 checkpoint pairs) take
+#: 4 077 640 bytes with their array headers, and the two interior rows of
+#: 14 547 doubles a residual makes from the one it reads add 232 976: at most
+#: 4 310 616 bytes.  A larger argument keeps only its cursor pair.
 _CHECKPOINT_POINTS = 14_549
 
 

@@ -732,14 +732,34 @@ except SystemExit as exc:
 print(json.dumps([code, at_numpy, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)
 """
 
-# Imports the entry as the ``paracyl`` console script does, with the collector
-# on or off, and reports its state when numpy starts to load and after the import.
+# Imports the entry as a library caller does, with the collector on or off,
+# and reports its state when numpy starts to load and after the import.
 _REPORT_SCRIPT_IMPORT = _WATCH_NUMPY + """
 if sys.argv[1] == "off":
     gc.disable()
 sys.meta_path.insert(0, Watch())
 from paracyl.cli import entry
 print(json.dumps([at_numpy, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+# Runs the ``paracyl`` console script as its generated wrapper does, and reports
+# the generation of each collection that starts between the launcher's import
+# and the call of ``main``.
+_REPORT_SCRIPT_COLLECTIONS = """
+import gc, json, sys
+started = []
+gc.callbacks.append(lambda phase, info: phase == "start" and started.append(info["generation"]))
+from paracyl._launch import entry
+from paracyl import cli
+main = cli.main
+before_main = []
+def counted(argv=None):
+    before_main.append(list(started))
+    return main(argv)
+cli.main = counted
+sys.argv[0] = "paracyl"
+code = entry()
+print(json.dumps([code, before_main, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)
 """
 
 
@@ -825,8 +845,23 @@ class TestProcessEntry:
         pyproject = (SRC.parent / "pyproject.toml").read_text()
         scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
         assert scripts is not None
-        assert scripts.group(1).strip().splitlines() == ['paracyl = "paracyl.cli:entry"']
-        assert callable(cli.entry)
+        assert scripts.group(1).strip().splitlines() == ['paracyl = "paracyl._launch:entry"']
+        # The launcher turns the collector off when it loads: it is checked in a child process.
+        code = "import paracyl._launch, paracyl.cli; print(paracyl._launch.entry is paracyl.cli.entry)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+    def test_the_console_script_runs_no_collection_before_main(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_SCRIPT_COLLECTIONS, "verify", "--suite", "lj"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert json.loads(proc.stderr.splitlines()[-1]) == [EXIT_OK, [[]], True, True]
 
 
 # The modules each subcommand loads, besides ``paracyl`` and ``paracyl.cli``:

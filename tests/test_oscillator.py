@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from paracyl.field import ShiftedState, energy_shifted, expectation_x_shifted, f
 from paracyl import numerics, oscillator
 from paracyl.grids import Grid1D
 from paracyl.numerics import gauss_hermite_rule, overlap
+from paracyl.pcf import eval_D
 from paracyl.oscillator import (
     Eigenstate,
     OscillatorSpec,
@@ -23,15 +25,40 @@ from paracyl.oscillator import (
 from paracyl.polys import DEGREE_CAP
 
 PI_QUARTER = math.pi ** -0.25
+CONVERGENCE_STEPS = (2e-3, 1e-3, 5e-4)
+
+#: The unit roundoff of a double.
+U = 2.0**-53
+#: 2**SCALE_BITS d is an integer for every finite double d (1074 + 53).
+SCALE_BITS = 1127
+SPEC_B = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1)
+
+
+def field_level(state):
+    """The level of a shifted state: hbar omega (m + 1/2) on the integer branch, else ``energy_shifted``."""
+    if state.m != state.pcf_index:
+        return state.spec.hbar * state.spec.omega * (state.m + 0.5)
+    return energy_shifted(state.pcf_index, state.gamma, state.spec)
+
+
+def state_id(state):
+    return f"m{state.m}-k{state.pcf_index}"
 
 
 def stencil_residual(state, e, qe, grid):
-    """max |(H - e) psi| over the grid interior, as one plain array expression."""
+    """max |(H - e) psi| over the grid interior, as one plain array expression.
+
+    psi = N_k d with d = D_k(z + shift); with a = -(hbar^2 / 2 mu) / h^2 the
+    -2 psi_i of the second difference is folded into the potential, and N_k
+    multiplies the max.
+    """
     spec, x, h = state.spec, grid.points(), grid.h
-    psi = state(x)
+    k, shift = (state.n, 0.0) if isinstance(state, Eigenstate) else (state.pcf_index, 2.0 * state.gamma)
+    d = eval_D(k, spec.z_scale * x + shift)
+    a = -(spec.hbar**2 / (2.0 * spec.mu)) / (h * h)
     potential = 0.5 * spec.mu * spec.omega**2 * x * x + qe * x
-    kinetic = -(spec.hbar**2 / (2.0 * spec.mu)) * (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
-    return float(np.max(np.abs(kinetic + (potential[1:-1] - e) * psi[1:-1])))
+    r = a * (d[:-2] + d[2:]) + (potential[1:-1] - (e + 2.0 * a)) * d[1:-1]
+    return norm_const(k, spec) * float(np.max(np.abs(r)))
 
 
 class TestSpec:
@@ -379,12 +406,26 @@ class TestHamiltonianResidual:
         grid = Grid1D(-6.0, 6.0, 1e-3)
         assert hamiltonian_residual(4, OscillatorSpec(), grid) < 1e-4
 
-    @pytest.mark.parametrize("n", range(0, 7))
+    @pytest.mark.parametrize("n", [*range(0, 7), 10, 50, 100, 200])
     def test_second_order_convergence(self, n):
+        # Each halving of h divides the residual by 4: rounding, which grows
+        # as 1/h^2, stays far below the O(h^2) truncation error at every order.
         spec = OscillatorSpec()
-        r1 = hamiltonian_residual(n, spec, Grid1D(-6.0, 6.0, 4e-3))
-        r2 = hamiltonian_residual(n, spec, Grid1D(-6.0, 6.0, 2e-3))
-        assert 1.9 <= math.log2(r1 / r2) <= 2.1
+        half = max(6.0, (math.sqrt(2 * n + 1) + 6.0) / spec.z_scale)
+        r = [hamiltonian_residual(n, spec, Grid1D(-half, half, h)) for h in CONVERGENCE_STEPS]
+        for coarse, fine in zip(r, r[1:]):
+            assert 1.9 <= math.log2(coarse / fine) <= 2.1
+
+    @pytest.mark.parametrize(
+        "state", [ShiftedState.integer_branch(-2, 3, SPEC_B), ShiftedState.continuous(100, -0.7, SPEC_B)], ids=state_id
+    )
+    def test_second_order_convergence_of_a_field_state(self, state):
+        spec = state.spec
+        half = max(6.0, (math.sqrt(2 * state.pcf_index + 1) + 6.0) / spec.z_scale) * spec.length_scale
+        grids = [Grid1D(state.x_center - half, state.x_center + half, h) for h in CONVERGENCE_STEPS]
+        r = [field_hamiltonian_residual(state, field_level(state), grid) for grid in grids]
+        for coarse, fine in zip(r, r[1:]):
+            assert 1.9 <= math.log2(coarse / fine) <= 2.1
 
     def test_wrong_energy_is_detected(self):
         # A shifted state with gamma = 0 is the free eigenstate, and the
@@ -427,3 +468,75 @@ class TestHamiltonianResidual:
     def test_rejects_short_grid(self):
         with pytest.raises(ValueError):
             hamiltonian_residual(0, OscillatorSpec(), Grid1D(-4.0, 6.0, 1e-3))
+
+
+def scaled_ints(values):
+    """Each double of ``values`` times 2**SCALE_BITS, exactly, as a Python int."""
+    one = 1 << SCALE_BITS
+    return [p * (one // q) for p, q in map(float.as_integer_ratio, values.tolist())]
+
+
+def exact_residual(k, d, v, e, h, spec):
+    """N_k max |a (d[:-2] - 2 d[1:-1] + d[2:]) + (v - e) d[1:-1]| with no rounding.
+
+    a = -(hbar^2 / 2 mu) / h^2 is exact, from the doubles hbar, mu and h.
+    Times a's and e's denominators and 2**(2 SCALE_BITS), every interior
+    value is an integer, so the max is taken in integers.
+    """
+    a, e = -Fraction(spec.hbar) ** 2 / (2 * Fraction(spec.mu) * Fraction(h) ** 2), Fraction(e)
+    dd, vv = scaled_ints(d), scaled_ints(v)
+    kinetic = a.numerator * e.denominator << SCALE_BITS
+    level = e.numerator << SCALE_BITS
+    worst = max(
+        abs(kinetic * (dd[i - 1] - 2 * dd[i] + dd[i + 1]) + a.denominator * (e.denominator * vv[i - 1] - level) * dd[i])
+        for i in range(1, len(dd) - 1)
+    )
+    return Fraction(norm_const(k, spec)) * Fraction(worst, a.denominator * e.denominator << 2 * SCALE_BITS)
+
+
+class TestResidualRounding:
+    """The folded float stencil against the same stencil evaluated exactly on the same doubles.
+
+    Its rounding error must stay within C u (|a| + max |v - e|) max |psi|,
+    with C pinned: the largest ratio measured over orders 0..200 on three
+    specs and two steps is 5.41 (the earlier unfolded stencil: 2.54).
+    """
+
+    C = 8.0
+
+    def assert_within_bound(self, k, shift, spec, e, qe, grid, got):
+        x = grid.points()
+        d = eval_D(k, spec.z_scale * x + shift)  # the ladder's row, bit for bit
+        xi = x[1:-1]
+        v = xi * (0.5 * spec.mu * spec.omega**2) * xi + qe * xi  # the grid's potential, bit for bit
+        a = -(spec.hbar**2 / (2.0 * spec.mu)) / (grid.h * grid.h)
+        psi_max = norm_const(k, spec) * float(np.max(np.abs(d)))
+        bound = self.C * U * (abs(a) + float(np.max(np.abs(v - e)))) * psi_max
+        assert abs(Fraction(got) - exact_residual(k, d, v, e, grid.h, spec)) <= bound
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 30, 50, 75, 100, 132, 160, 200])
+    @pytest.mark.parametrize("spec", [OscillatorSpec(), SPEC_B])
+    def test_free_states(self, spec, n):
+        length = spec.length_scale
+        grid = Grid1D(-6.5 * length, 6.5 * length, 1e-3)
+        got = hamiltonian_residual(n, spec, grid)
+        self.assert_within_bound(n, 0.0, spec, energy(n, spec), 0.0, grid, got)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ShiftedState.integer_branch(-2, 3, SPEC_B),
+            ShiftedState.integer_branch(4, 2, SPEC_B),
+            ShiftedState.integer_branch(40, 5, OscillatorSpec()),
+            ShiftedState.continuous(0, 0.4, SPEC_B),
+            ShiftedState.continuous(30, -0.9, SPEC_B),
+            ShiftedState.continuous(150, 0.7, OscillatorSpec()),
+        ],
+        ids=state_id,
+    )
+    def test_field_states(self, state):
+        spec, k, e = state.spec, state.pcf_index, field_level(state)
+        span = 6.5 * spec.length_scale
+        grid = Grid1D(state.x_center - span, state.x_center + span, 2e-3)
+        got = field_hamiltonian_residual(state, e, grid)
+        self.assert_within_bound(k, 2.0 * state.gamma, spec, e, state.charge_field_product, grid, got)

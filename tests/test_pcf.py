@@ -490,16 +490,20 @@ class TestWarmTraffic:
         assert self.replay(climbs) == want
 
 
-def plain_residual(psi, x, h, e, qe, spec):
-    """Max |(H - e) psi| on the interior, as one plain stencil expression."""
-    kinetic = -(spec.hbar**2 / (2.0 * spec.mu)) * (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
+def plain_residual(k, d, x, h, e, qe, spec):
+    """Max |(H - e) psi| on the interior for psi = N_k d, as one expression.
+
+    With a = -(hbar^2 / 2 mu) / h^2, the -2 psi_i of the second difference
+    is folded into the potential, and N_k multiplies the max.
+    """
+    a = -(spec.hbar**2 / (2.0 * spec.mu)) / (h * h)
     xi = x[1:-1]
-    potential = (xi * (0.5 * spec.mu * spec.omega**2) * xi + qe * xi - e) * psi[1:-1]
-    return float(np.max(np.abs(kinetic + potential)))
+    r = a * (d[:-2] + d[2:]) + (xi * (0.5 * spec.mu * spec.omega**2) * xi + qe * xi - (e + 2.0 * a)) * d[1:-1]
+    return norm_const(k, spec) * float(np.max(np.abs(r)))
 
 
 class TestResidualBits:
-    """Both residuals equal the plain stencil on uncached_D bit for bit, with kept grids and ladders."""
+    """Both residuals equal the folded stencil on uncached_D bit for bit, with kept grids and ladders."""
 
     @pytest.mark.parametrize("spec", [OscillatorSpec(), OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1)])
     def test_hamiltonian_residual(self, spec):
@@ -507,8 +511,7 @@ class TestResidualBits:
         x = grid.points()
         s = pcf._STRIDE
         for n in (0, 1, s - 1, s, s + 1, 60, 3, 199, 200, 61):  # crosses checkpoints, up and down
-            psi = norm_const(n, spec) * uncached_D(n, spec.z_scale * x)
-            want = plain_residual(psi, x, grid.h, energy(n, spec), 0.0, spec)
+            want = plain_residual(n, uncached_D(n, spec.z_scale * x), x, grid.h, energy(n, spec), 0.0, spec)
             assert_bit_equal(hamiltonian_residual(n, spec, grid), want)
 
     def test_field_hamiltonian_residual(self):
@@ -523,24 +526,23 @@ class TestResidualBits:
             grid = Grid1D(state.x_center - span, state.x_center + span, 2e-3)
             x = grid.points()
             k = state.pcf_index
-            psi = norm_const(k, spec) * uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
+            d = uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
             e = energy_shifted(k, state.gamma, spec)
-            want = plain_residual(psi, x, grid.h, e, state.charge_field_product, spec)
+            want = plain_residual(k, d, x, grid.h, e, state.charge_field_product, spec)
             assert_bit_equal(field_hamiltonian_residual(state, e, grid), want)
 
 
 def free_want(n, spec, grid):
-    """The plain stencil residual of psi_n on uncached_D."""
+    """The folded stencil residual of psi_n on uncached_D."""
     x = grid.points()
-    psi = norm_const(n, spec) * uncached_D(n, spec.z_scale * x)
-    return plain_residual(psi, x, grid.h, energy(n, spec), 0.0, spec)
+    return plain_residual(n, uncached_D(n, spec.z_scale * x), x, grid.h, energy(n, spec), 0.0, spec)
 
 
 def shifted_want(state, e, grid):
     x = grid.points()
     k, spec = state.pcf_index, state.spec
-    psi = norm_const(k, spec) * uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
-    return plain_residual(psi, x, grid.h, e, state.charge_field_product, spec)
+    d = uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
+    return plain_residual(k, d, x, grid.h, e, state.charge_field_product, spec)
 
 
 class TestResidualInPlace:
