@@ -26,7 +26,6 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
-    import itertools
     import math
     import os
     import sys
@@ -60,7 +59,7 @@ EXIT_IO = 3
 #: ``lj``, ``figure2``, ``verify --gamma-sq``) that are built in memory.
 MAX_GRID_ROWS = 10**6
 
-#: Rows per chunk of ``_emit``, formatted by one ``%`` and written by one
+#: Rows per chunk of ``_emit``, rendered as one string and written by one
 #: ``write``: enough to make the per-call cost vanish, few enough that a
 #: chunk's text stays small next to the table.
 _CHUNK_ROWS = 4096
@@ -71,31 +70,24 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _emit(fh, chunks, width: int) -> None:
-    """Write ``chunks`` to ``fh`` as CSV lines of ``width`` values, one ``%`` and one write per chunk.
+def _emit(fh, *columns) -> None:
+    """Write equal-length ``columns`` to ``fh`` as CSV lines, ``_CHUNK_ROWS`` rows per write.
 
-    A chunk is a flat list of the values of at most ``_CHUNK_ROWS`` rows, row
-    after row (``_row_chunks``, ``_array_chunks``); the row template, repeated
-    once per row, formats it.  Each value renders as ``_fmt`` renders it:
-    ``'%.12g' % v`` and ``format(float(v), '.12g')`` make the same string,
-    and an integer of magnitude below 10**12 renders as ``str``.
+    ``render.csv_rows`` renders each chunk: each value as ``'%.12g' % v``
+    renders it (``format(float(v), '.12g')`` makes the same string), an
+    integer column as its doubles, as ``'%.12g'`` converts an integer.
+    Only the handlers that write tables call this, so only they load
+    ``render``.
     """
-    line = ",".join(["%.12g"] * width) + "\n"
-    for chunk in chunks:
-        fh.write(line * (len(chunk) // width) % tuple(chunk))
+    from .render import csv_rows
 
-
-def _row_chunks(rows):
-    """The values of ``rows`` (tuples of numbers), flattened ``_CHUNK_ROWS`` rows at a time."""
-    rows = iter(rows)
-    while chunk := list(itertools.chain.from_iterable(itertools.islice(rows, _CHUNK_ROWS))):
-        yield chunk
-
-
-def _array_chunks(*columns: np.ndarray):
-    """The rows of equal-length float arrays as Python floats, flattened ``_CHUNK_ROWS`` rows at a time."""
     for i in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield np.column_stack([c[i : i + _CHUNK_ROWS] for c in columns]).ravel().tolist()
+        fh.write(csv_rows([c[i : i + _CHUNK_ROWS] for c in columns]))
+
+
+def _columns(rows, width: int) -> np.ndarray:
+    """The columns of ``rows`` (tuples of ``width`` numbers) as doubles, one row of the result each."""
+    return np.array(rows, dtype=float).reshape(-1, width).T
 
 
 def _check_rows(what: str, count: int) -> None:
@@ -146,11 +138,11 @@ def _spec_from_args(args) -> OscillatorSpec:
     return OscillatorSpec(mu=args.mu, omega=args.omega, hbar=args.hbar)
 
 
-def _write_csv(path: str, header: str, chunks) -> None:
-    """Write ``header`` and the ``_emit`` ``chunks``, whose row width is the header's column count."""
+def _write_csv(path: str, header: str, *columns) -> None:
+    """Write ``header`` and the ``_emit`` lines of ``columns``, one per header name."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        _emit(fh, chunks, header.count(",") + 1)
+        _emit(fh, *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +175,9 @@ def _cmd_eval(args) -> int:
     x = _grid(args.lo, args.hi, args.step)
     if spec.z_scale * args.step < sys.float_info.min:
         raise ValueError(f"z step z_scale * step = {spec.z_scale * args.step!r} is subnormal")
+    edge = max(-x[0].item(), x[-1].item())  # the largest |x|, at an end of the grid
+    if not math.isfinite(spec.z_scale * edge):
+        raise ValueError(f"z = z_scale * x overflows: z_scale = {spec.z_scale!r}, |x| up to {edge!r}")
     z = spec.z_scale * x
     d = eval_D(args.n, z)  # also rejects --n outside 0..DEGREE_CAP
     print(
@@ -190,7 +185,7 @@ def _cmd_eval(args) -> int:
         f"hbar={_fmt(spec.hbar)} E_n={_fmt(energy(args.n, spec))}"
     )
     print("x,z,D_n,psi_n")
-    _emit(sys.stdout, _array_chunks(x, z, d, norm_const(args.n, spec) * d), 4)
+    _emit(sys.stdout, x, z, d, norm_const(args.n, spec) * d)
     return EXIT_OK
 
 
@@ -203,7 +198,8 @@ def _cmd_spectrum(args) -> int:
     _check_rows("ladder", args.n + 1)
     energy(args.n, spec)  # the top level is the largest: a ValueError here, before any output
     print("n,E_n")
-    _emit(sys.stdout, _row_chunks((n, energy(n, spec)) for n in range(args.n + 1)), 2)
+    count = args.n + 1
+    _emit(sys.stdout, np.arange(count), np.fromiter((energy(n, spec) for n in range(count)), float, count))
     return EXIT_OK
 
 
@@ -238,10 +234,12 @@ def _cmd_field(args) -> int:
     print(f"e_min = {_fmt(e_min)}")
     if args.gamma_sq is not None:
         print("m,E_m,pcf_index")
-        _emit(sys.stdout, _row_chunks(levels), 3)
+        _emit(sys.stdout, *_columns(levels, 3))
     else:
         print("n,E_n")
-        _emit(sys.stdout, _row_chunks((n, energy_shifted(n, gamma, spec)) for n in range(n_max + 1)), 2)
+        count = n_max + 1
+        levels = np.fromiter((energy_shifted(n, gamma, spec) for n in range(count)), float, count)
+        _emit(sys.stdout, np.arange(count), levels)
     return EXIT_OK
 
 
@@ -266,7 +264,7 @@ def _cmd_lj(args) -> int:
     print(f"omega = {_fmt(osc.omega)}")
     print(f"level_spacing = {_fmt(spec.epsilon / spec.gamma_sq)}")
     print("m,E_m")
-    _emit(sys.stdout, _row_chunks(bound_levels(spec)), 2)
+    _emit(sys.stdout, *_columns(bound_levels(spec), 2))
     if estimate is not None:
         g, residual = estimate
         print(f"estimated_gamma_sq = {g}")
@@ -279,7 +277,7 @@ def _cmd_figure1(args) -> int:
         raise ValueError("needs --lo < --hi")
     z = _grid(args.lo, args.hi, args.step)
     columns = [eval_D(n, z) for n in range(4)]
-    _write_csv(args.out, "z,D0,D1,D2,D3", _array_chunks(z, *columns))
+    _write_csv(args.out, "z,D0,D1,D2,D3", z, *columns)
     print(f"wrote {args.out} ({len(z)} rows)")
     return EXIT_OK
 
@@ -323,8 +321,8 @@ def _cmd_figure2(args) -> int:
         r_grid.append(r_min)
         r_grid.sort()
     rows = [(r, lj_potential(r, spec), harmonic_curve(r, spec, k)) for r in r_grid]
-    _write_csv(args.out, "r,U_lj,V_harm", _row_chunks(rows))
-    _write_csv(levels_out, "m,E_m", _row_chunks(bound_levels(spec)))
+    _write_csv(args.out, "r,U_lj,V_harm", *_columns(rows, 3))
+    _write_csv(levels_out, "m,E_m", *_columns(bound_levels(spec), 2))
     print(f"wrote {args.out} ({len(rows)} rows) and {levels_out}")
     return EXIT_OK
 

@@ -95,6 +95,25 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--lo", "1.7976931348623157e308", "--hi", "1.7976931348623157e308"],  # printed z = inf
+            ["--lo=-1e308", "--hi=-1e308", "--omega", "4"],
+            ["--lo=-1e200", "--hi=1e200", "--step=1e199", "--mu=1e120", "--omega=1e120"],
+        ],
+    )
+    def test_overflowing_z_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "eval", "--n", "3", *grid)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: z = z_scale * x overflows: ")
+
+    def test_the_largest_finite_z_is_allowed(self, capsys):
+        code, out, _ = run(capsys, "eval", "--lo", "1e308", "--hi", "1e308", "--omega", "1.5")
+        assert code == EXIT_OK
+        assert out.splitlines()[2] == "1e+308,1.73205080757e+308,0,0"
+
     @pytest.mark.parametrize("n", ["-1", "201"])
     def test_order_outside_the_cap_is_usage_error(self, capsys, n):
         code, out, err = run(capsys, "eval", "--n", n)
@@ -865,17 +884,19 @@ class TestProcessEntry:
 
 
 # The modules each subcommand loads, besides ``paracyl`` and ``paracyl.cli``:
-# only ``verify`` runs quadrature and loads ``numerics``, and ``table`` and
-# ``figure1`` load no ``oscillator``.
+# only ``verify`` runs quadrature and loads ``numerics``, ``table`` and
+# ``figure1`` load no ``oscillator``, and only the subcommands that write CSV
+# tables load the renderer, ``render``.
 CORE = {"grids", "pcf", "polys"}
+TABLES = CORE | {"render"}
 LOADS = {
     "table": CORE,
-    "eval": CORE | {"oscillator"},
-    "spectrum": CORE | {"oscillator"},
-    "figure1": CORE,
-    "field": CORE | {"oscillator", "field"},
-    "lj": CORE | {"oscillator", "field", "ljmodel"},
-    "figure2": CORE | {"oscillator", "field", "ljmodel"},
+    "eval": TABLES | {"oscillator"},
+    "spectrum": TABLES | {"oscillator"},
+    "figure1": TABLES,
+    "field": TABLES | {"oscillator", "field"},
+    "lj": TABLES | {"oscillator", "field", "ljmodel"},
+    "figure2": TABLES | {"oscillator", "field", "ljmodel"},
     "verify": CORE | {"oscillator", "numerics", "checks", "field", "ljmodel"},
 }
 

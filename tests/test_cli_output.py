@@ -4,20 +4,23 @@ Each expected output is rebuilt here from the library values with the old
 per-row code, so the comparison holds whatever libm the values come from.
 """
 
+import contextlib
 import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import paracyl.cli as cli
-from paracyl.cli import EXIT_IO, EXIT_OK, main
+from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from paracyl.field import FieldSpec, energy_shifted, gamma_of, integer_branch_spectrum, potential_minimum
 from paracyl.ljmodel import (
     R_MIN_FACTOR,
@@ -110,34 +113,26 @@ class TestEmit:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_bytes_equal_the_per_row_path(self, table):
         width, rows = table
+        columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
         fh = io.StringIO()
-        cli._emit(fh, cli._row_chunks(rows), width)
+        cli._emit(fh, *columns)
         assert fh.getvalue() == "".join(old_line(row) for row in rows)
 
     def test_one_write_per_chunk(self):
         rows = [(i, i / 7.0, -(i**0.5)) for i in range(2 * cli._CHUNK_ROWS + 5)]
         fh = RecordingFile()
-        cli._emit(fh, cli._row_chunks(iter(rows)), 3)
+        cli._emit(fh, *cli._columns(rows, 3))
         assert [w.count("\n") for w in fh.writes] == [cli._CHUNK_ROWS, cli._CHUNK_ROWS, 5]
         assert_same_lines("".join(fh.writes), "".join(old_line(row) for row in rows))
 
-    @given(TABLES)
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    def test_array_path_bytes_equal_the_per_row_path(self, table):
-        width, rows = table
-        columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
-        fh = io.StringIO()
-        cli._emit(fh, cli._array_chunks(*columns), width)
-        assert fh.getvalue() == "".join(old_line(row) for row in zip(*(c.tolist() for c in columns)))
-
     @pytest.mark.parametrize("width", [1, 2, 4, 5])
-    def test_array_path_renders_edge_values_with_one_write_per_chunk(self, width):
+    def test_edge_values_with_one_write_per_chunk(self, width):
         count = 2 * cli._CHUNK_ROWS + 7
         rng = np.random.default_rng(width)
         columns = [np.array(ARRAY_EDGES)[rng.integers(len(ARRAY_EDGES), size=count)] for _ in range(width)]
         columns[0][: len(ARRAY_EDGES)] = ARRAY_EDGES  # every edge value, in the first chunk
         fh = RecordingFile()
-        cli._emit(fh, cli._array_chunks(*columns), width)
+        cli._emit(fh, *columns)
         assert [w.count("\n") for w in fh.writes] == [cli._CHUNK_ROWS, cli._CHUNK_ROWS, 7]
         expected = "".join(old_line(row) for row in zip(*(c.tolist() for c in columns)))
         assert_same_lines("".join(fh.writes), expected)
@@ -145,17 +140,46 @@ class TestEmit:
         assert {"0", "-0", "4.94065645841e-324", "-4.94065645841e-324", "1e+300", "-1e+300"} <= seen
         assert {"1", "-3", "999999999999", "1e+12", "inf", "-inf", "nan"} <= seen
 
-    def test_array_path_renders_an_integer_column_as_integers(self):
+    def test_an_integer_column_renders_as_integers(self):
         count = cli._CHUNK_ROWS + 3
         n = np.arange(-2, count - 2)
         big = np.full(count, 2**53 + 1)  # upcast to the double 2**53, as '%.12g' rounds the int
         fh = RecordingFile()
-        cli._emit(fh, cli._array_chunks(n, n / 8.0, big), 3)
+        cli._emit(fh, n, n / 8.0, big)
         assert [w.count("\n") for w in fh.writes] == [cli._CHUNK_ROWS, 3]
         expected = "".join(old_line(row) for row in zip(n.tolist(), (n / 8.0).tolist(), big.tolist()))
         assert_same_lines("".join(fh.writes), expected)
         assert fh.writes[0].startswith("-2,-0.25,9.00719925474e+15\n-1,-0.125,")
 
+    def test_rows_of_mixed_numbers_become_double_columns(self):
+        rows = [(-3, -0.75, 0), (2**53 + 1, 0.1, 10**15)]
+        x, y, z = cli._columns(rows, 3)
+        assert x.dtype == y.dtype == z.dtype == np.float64
+        assert (x.tolist(), y.tolist(), z.tolist()) == ([-3.0, 2.0**53], [-0.75, 0.1], [0.0, 1e15])
+        assert [c.shape for c in cli._columns([], 2)] == [(0,), (0,)]
+
+    def test_the_working_set_of_a_chunk_stays_below_the_percent_path(self):
+        x = -5.0 + 0.0025 * np.arange(cli._CHUNK_ROWS)
+        columns = [x, 1.3 * x, eval_D(131, 1.3 * x), 0.37 * eval_D(131, 1.3 * x)]
+        cli._emit(io.StringIO(), *columns)  # the renderer's tables are built on first use
+
+        def peak(write_chunk) -> int:
+            tracemalloc.start()
+            try:
+                write_chunk()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        def by_percent():  # the path the renderer replaced
+            values = np.column_stack(columns).ravel().tolist()
+            Sink().write(("%.12g,%.12g,%.12g,%.12g\n" * cli._CHUNK_ROWS) % tuple(values))
+
+        assert peak(lambda: cli._emit(Sink(), *columns)) < peak(by_percent)
 
 
 class TestCommandsRenderLikeThePerRowPath:
@@ -257,6 +281,114 @@ class TestCommandsRenderLikeThePerRowPath:
         code, out, _ = run(capsys, "lj", "--epsilon", "3", "--gamma-sq", "5000", "--delta-e", "0.25")
         assert code == EXIT_OK
         assert_same_lines(out, expected)
+
+
+#: Flag values of the fuzz: NaN, infinities, subnormals, zeros, huge and
+#: out-of-range values, and ordinary ones.
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, sys.float_info.min, 0.0, -0.0]
+        + [1e-300, 1e300, -1e300, sys.float_info.max, -sys.float_info.max, 1e154, 1e-154, 0.5, 1.0, 2.0]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(-40.0, 40.0),
+)
+FUZZ_ORDERS = st.one_of(st.integers(-3, 205), st.sampled_from([-(10**6), 10**6, 10**7, 10**12, 2**63]))
+#: Grids and ladders the fuzz runs: near 10^4 rows, or past the row limit (rejected before any work).
+FUZZ_ROWS = 12000
+#: Scale flags: the default, ordinary values, or hostile ones.
+FUZZ_SCALES = st.one_of(st.just(1.0), st.floats(0.05, 20.0), FUZZ_FLOATS)
+#: Grids: ordinary ones of up to about 10^4 rows, or any three hostile values.
+FUZZ_GRIDS = st.one_of(
+    st.tuples(st.floats(-40.0, 40.0), st.floats(0.0, 80.0), st.integers(1, 10000) | st.integers(9000, 10000)).map(
+        lambda g: (g[0], g[0] + g[1], g[1] / g[2] if g[1] > 0 else 0.5)
+    ),
+    st.tuples(FUZZ_FLOATS, FUZZ_FLOATS, st.one_of(st.just(0.01), FUZZ_FLOATS)),
+)
+
+
+def flag(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def fuzz_rows(lo: float, hi: float, step: float) -> float:
+    """About the row count of the grid ``lo, hi, step``, inf where it is not a grid."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step) and step > 0 and hi >= lo):
+        return math.inf
+    return (hi - lo) / step + 1
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_rejection(code: int, out: str, err: str) -> None:
+    assert code == EXIT_USAGE, (code, err)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestFuzz:
+    """Hostile flags: exit 2 with nothing on stdout, or exit 0 with the bytes of the per-row path."""
+
+    @given(n=st.one_of(st.integers(0, 200), FUZZ_ORDERS), spec=st.tuples(*[FUZZ_SCALES] * 3), grid=FUZZ_GRIDS)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_eval(self, n, spec, grid):
+        lo, hi, step = grid
+        assume(not (FUZZ_ROWS < fuzz_rows(lo, hi, step) <= cli.MAX_GRID_ROWS))
+        argv = ["eval", "--n", flag(n), *(f"--{k}={flag(v)}" for k, v in zip(("mu", "omega", "hbar"), spec))]
+        code, out, err = run_quietly([*argv, f"--lo={flag(lo)}", f"--hi={flag(hi)}", f"--step={flag(step)}"])
+        if code != EXIT_OK:
+            assert_clean_rejection(code, out, err)
+            return
+        osc = OscillatorSpec(*spec)
+        x = cli._grid(lo, hi, step)
+        z = osc.z_scale * x
+        d = eval_D(n, z)
+        expected = (
+            f"# n={n} mu={old_fmt(osc.mu)} omega={old_fmt(osc.omega)} "
+            f"hbar={old_fmt(osc.hbar)} E_n={old_fmt(energy(n, osc))}\nx,z,D_n,psi_n\n"
+        )
+        rows = zip(x.tolist(), z.tolist(), d.tolist(), (norm_const(n, osc) * d).tolist())
+        assert_same_lines(out, expected + "".join(old_line(row) for row in rows))
+        assert err == ""
+
+    @given(grid=FUZZ_GRIDS)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_figure1(self, grid):
+        lo, hi, step = grid
+        assume(not (FUZZ_ROWS < fuzz_rows(lo, hi, step) <= cli.MAX_GRID_ROWS))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fig1.csv")
+            argv = ["figure1", f"--lo={flag(lo)}", f"--hi={flag(hi)}", f"--step={flag(step)}", "--out", path]
+            code, out, err = run_quietly(argv)
+            if code != EXIT_OK:
+                assert_clean_rejection(code, out, err)
+                assert not os.path.exists(path)
+                return
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+        z = cli._grid(lo, hi, step)
+        rows = zip(z.tolist(), *(eval_D(k, z).tolist() for k in range(4)))
+        assert out == f"wrote {path} ({len(z)} rows)\n"
+        assert_same_lines(text, "z,D0,D1,D2,D3\n" + "".join(old_line(row) for row in rows))
+        assert err == ""
+
+    @given(n=st.one_of(st.integers(0, 10000), FUZZ_ORDERS), spec=st.tuples(*[FUZZ_SCALES] * 3))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_spectrum(self, n, spec):
+        assume(not (FUZZ_ROWS < n + 1 <= cli.MAX_GRID_ROWS))
+        argv = ["spectrum", "--n", flag(n), *(f"--{k}={flag(v)}" for k, v in zip(("mu", "omega", "hbar"), spec))]
+        code, out, err = run_quietly(argv)
+        if code != EXIT_OK:
+            assert_clean_rejection(code, out, err)
+            return
+        osc = OscillatorSpec(*spec)
+        assert_same_lines(out, "n,E_n\n" + "".join(f"{k},{old_fmt(energy(k, osc))}\n" for k in range(n + 1)))
+        assert err == ""
 
 
 class TestThroughAPipe:
