@@ -110,6 +110,20 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
+def _check_gaussian(z_max: float) -> None:
+    """Reject a grid whose largest |z|, ``z_max``, takes D_0 = e^{-z^2/4} below the smallest normal double.
+
+    There ``eval_D`` returns subnormal values or 0.0 for every order (the
+    bound is |z| = 2 sqrt(-ln 2^-1022) = 53.2314...), so the table would
+    print zeros; D_0 is computed as ``eval_D`` computes it.
+    """
+    if np.exp(-(z_max * z_max) / 4.0) < sys.float_info.min:
+        raise ValueError(
+            f"e^(-z^2/4) at |z| = {_fmt(z_max)} is below the smallest normal double, "
+            "so every D_n there would print as 0 or lose digits: keep |z| <= 53.23"
+        )
+
+
 def _poly_str(coeffs: tuple[int, ...], var: str = "z") -> str:
     """``coeffs`` (index k holds the coefficient of var^k) as text, highest power first."""
     if not any(coeffs):
@@ -178,6 +192,7 @@ def _cmd_eval(args) -> int:
     edge = max(-x[0].item(), x[-1].item())  # the largest |x|, at an end of the grid
     if not math.isfinite(spec.z_scale * edge):
         raise ValueError(f"z = z_scale * x overflows: z_scale = {spec.z_scale!r}, |x| up to {edge!r}")
+    _check_gaussian(spec.z_scale * edge)
     z = spec.z_scale * x
     d = eval_D(args.n, z)  # also rejects --n outside 0..DEGREE_CAP
     print(
@@ -276,6 +291,7 @@ def _cmd_figure1(args) -> int:
     if not args.lo < args.hi:
         raise ValueError("needs --lo < --hi")
     z = _grid(args.lo, args.hi, args.step)
+    _check_gaussian(max(-z[0].item(), z[-1].item()))
     columns = [eval_D(n, z) for n in range(4)]
     _write_csv(args.out, "z,D0,D1,D2,D3", z, *columns)
     print(f"wrote {args.out} ({len(z)} rows)")

@@ -75,21 +75,44 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=3)
-def _table(rule: QuadratureRule, s: float, key: tuple) -> tuple[np.ndarray, bool]:
-    """The folded table of every order at node_array / s, read-only, and whether it is finite.
+def _table(rule: QuadratureRule, s: float, key: tuple) -> tuple[np.ndarray, bool, list]:
+    """The folded table of every order at node_array / s, read-only, whether it is finite, and its Gram rows.
 
     Row k is N_k (D_k + 0.0) * fold_array, k = 0..``DEGREE_CAP``, from one
     walk (``Eigenstate._table``) of the spec that ``key``, a ``_table_key``
     of plain numbers and types, names: a lookup compares no state or spec.
-    ``maxsize`` is the number of default rules (64, 128, 256 points): 720 KB
-    for one spec and scale, 1.23 MB at most.  A non-finite table is kept
-    with its flag, so every read of it is checked.
+    A non-finite table is kept with its flag, so every read of it is checked.
+    The list holds one slot per order for the table's Gram rows, None until
+    ``_gram_row`` fills it, and is evicted with the table.  ``maxsize`` is
+    the number of default rules (64, 128, 256 points): one spec and scale
+    keep 720 KB of tables and at most 628 KB of rows, and three 256-point
+    entries 1.23 MB of tables and 0.97 MB of rows.
     """
     state_type, spec_type, *params = key
     table = state_type(0, spec_type(*params))._table(rule.node_array / s)
     table *= rule.fold_array
     table.flags.writeable = False
-    return table, bool(np.isfinite(table).all())
+    return table, bool(np.isfinite(table).all()), [None] * len(table)
+
+
+def _gram_row(rule: QuadratureRule, table: np.ndarray, rows: list, i: int) -> np.ndarray:
+    """Row i of a table's Gram rows: 2 sum_t w_t T_it T_jt for every j the rule integrates exactly.
+
+    That is j <= min(2k - 1 - i, ``DEGREE_CAP``) on a k-point rule.  Entry j
+    is ``_mirror_sum(table[i], table[j], rule)`` before its halving, bit for
+    bit: the same products (w T_i) T_j, and an axis-1 ``np.add.reduce`` that
+    sums each row of mirror pairs in the pairwise order of the 1-D sum.  The
+    row is built once, into a fresh read-only array, and published by one
+    list-slot assignment, so threads may share ``rows``: a racing build
+    makes the same bits.
+    """
+    row = rows[i]
+    if row is None:
+        v = (rule.weight_array * table[i]) * table[: min(2 * len(rule) - i, len(table))]
+        row = np.add.reduce(v + v[:, ::-1], axis=1)
+        row.flags.writeable = False
+        rows[i] = row
+    return row
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:
@@ -192,16 +215,22 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
 
     About c = 0, an ``Eigenstate``'s folded column is a row of the table
     ``_table`` keeps per rule, scale and spec (see ``_folded``), built once
-    for every order 0..``DEGREE_CAP``: a Gram block of eigenstates of one
-    spec costs one walk per rule, not one evaluation per state.  Every other
-    argument, and every argument about a centre other than 0, is called once
-    per overlap.  The values are the same either way, bit for bit.
+    for every order 0..``DEGREE_CAP``.  Two ``Eigenstate``s of one
+    ``_table_key`` (one state type and spec) of orders i and j on a finite
+    table read entry j of the table's Gram row i (``_gram_row``), halved
+    and divided by sqrt(scale): one lookup, once the row is built, which
+    the first read of order i on that table does for every j the rule
+    integrates exactly.  A Gram block of eigenstates of one spec costs one
+    walk per rule and one row per order, not one evaluation per state or
+    one sum per pair.  Every other argument, and every argument about a
+    centre other than 0, is called once per overlap.  The values are the
+    same every way, bit for bit.
 
-    A table is checked finite once, when it is built, so an overlap of two
-    columns of finite tables runs no check and only forms and sums the
-    products.  Otherwise both factors are checked, on every call, and a
-    non-finite value is a ``ValueError`` naming the first node where either
-    factor has one.
+    A table is checked finite once, when it is built.  An overlap of two
+    columns of finite tables runs no check and only reads a Gram row, or
+    forms and sums the products of columns of two specs.  Otherwise both
+    factors are checked, on every call, and a non-finite value is a
+    ``ValueError`` naming the first node where either factor has one.
     """
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
@@ -212,6 +241,11 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
         rule = gauss_hermite_rule(64)
     s = math.sqrt(scale)
     center = (getattr(a, "x_center", 0.0) + getattr(b, "x_center", 0.0)) / 2.0
+    key = getattr(a, "_table_key", None)
+    if center == 0.0 and key is not None and key == getattr(b, "_table_key", None):
+        table, finite, rows = _table(rule, s, key)
+        if finite:
+            return float(_gram_row(rule, table, rows, a.n)[b.n]) / 2.0 / s
     fv, f_finite = _folded(a, rule, s, center)
     gv, g_finite = _folded(b, rule, s, center)
     if not (f_finite and g_finite):
@@ -228,7 +262,7 @@ def _folded(state, rule: QuadratureRule, s: float, center: float) -> tuple[np.nd
     left to the caller to check.
     """
     if center == 0.0 and hasattr(state, "_table_key"):
-        table, finite = _table(rule, s, state._table_key)
+        table, finite, _ = _table(rule, s, state._table_key)
         return table[state.n], finite
     return state(_nodes(rule, s, center)) * rule.fold_array, False
 

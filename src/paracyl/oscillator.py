@@ -109,10 +109,13 @@ class Eigenstate:
     Equal states hash equal, to ``hash((n, spec))``.  ``overlap`` reads the
     state's column from the table of every order that ``numerics._table``
     caches per rule, scale and ``_table_key``, computed once: the state's
-    type, and the spec's type, mu, omega and hbar.  It holds no object with
-    a Python-level ``__hash__`` or ``__eq__`` (for float parameters), and
-    two keys are equal exactly when the specs are, so a lookup hashes and
-    compares only plain numbers, and a missing table is built from the key.
+    type, and the spec's type, mu, omega and hbar.  Next to each table it
+    keeps the Gram rows that ``overlap`` of two states of one key reads,
+    one per order, built on the first read of that order.  The key holds
+    no object with a Python-level ``__hash__`` or ``__eq__`` (for float
+    parameters), and two keys are equal exactly when the specs are, so a
+    lookup hashes and compares only plain numbers, and a missing table is
+    built from the key.
     ``n`` is checked as ``norm_const`` checks it, when the state is built,
     so ``overlap`` never sizes a rule for an order above ``DEGREE_CAP``.
     """

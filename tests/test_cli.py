@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import paracyl.checks as checks
@@ -15,6 +16,7 @@ import paracyl.cli as cli
 import paracyl.field as field
 import paracyl.ljmodel as ljmodel
 import paracyl.oscillator as oscillator
+import paracyl.pcf as pcf
 from paracyl.checks import CheckResult, field_suite, free_suite, lj_suite
 from paracyl.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from paracyl.pcf import pcf_poly
@@ -109,10 +111,15 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: z = z_scale * x overflows: ")
 
-    def test_the_largest_finite_z_is_allowed(self, capsys):
-        code, out, _ = run(capsys, "eval", "--lo", "1e308", "--hi", "1e308", "--omega", "1.5")
-        assert code == EXIT_OK
-        assert out.splitlines()[2] == "1e+308,1.73205080757e+308,0,0"
+    def test_the_largest_finite_z_is_a_gaussian_underflow(self, capsys):
+        # z = 1.73e308 is finite, so the overflow check passes it; every D_n there is 0.0.
+        code, out, err = run(capsys, "eval", "--lo", "1e308", "--hi", "1e308", "--omega", "1.5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: e^(-z^2/4) at |z| = 1.73205080757e+308 is below the smallest normal double, "
+            "so every D_n there would print as 0 or lose digits: keep |z| <= 53.23\n"
+        )
 
     @pytest.mark.parametrize("n", ["-1", "201"])
     def test_order_outside_the_cap_is_usage_error(self, capsys, n):
@@ -122,8 +129,8 @@ class TestEval:
         assert err.startswith("error: order")
 
     def test_overflowing_level_fails_before_any_output(self, capsys):
-        # printed E_n=inf in its header
-        argv = ["--n", "200", "--omega", "1e306", "--lo", "0", "--hi", "1e-150", "--step", "1e-150"]
+        # printed E_n=inf in its header; z_scale = 1.41e153, so |z| <= 14.2 stays inside the Gaussian's normal range
+        argv = ["--n", "200", "--omega", "1e306", "--lo", "0", "--hi", "1e-152", "--step", "1e-152"]
         code, out, err = run(capsys, "eval", *argv)
         assert code == EXIT_USAGE
         assert out == ""
@@ -451,6 +458,57 @@ class TestSubnormalLjLevel:
         code, _, _ = run(capsys, "figure2", "--epsilon", epsilon, "--gamma-sq", "1", "--out", str(out_path))
         assert code == EXIT_OK
         assert (tmp_path / "x_levels.csv").read_text().splitlines() == ["m,E_m", "-1,-2.22507385851e-308"]
+
+
+class TestGaussianUnderflow:
+    """A grid whose largest |z| takes D_0 = e^{-z^2/4} below the smallest normal double is a usage error."""
+
+    #: 2 sqrt(-ln 2^-1022): e^{-z^2/4} is a normal double up to here.
+    BOUND = 2.0 * math.sqrt(-math.log(sys.float_info.min))
+
+    def assert_rejected(self, code, out, err, z):
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: e^(-z^2/4) at |z| = {z} is below the smallest normal double")
+
+    @pytest.mark.parametrize(
+        "argv,z",
+        [
+            (["--n", "200", "--lo", "59", "--hi", "60", "--step", "0.5"], "84.8528137424"),  # printed 0 on every row
+            (["--n", "3", "--lo=-60", "--hi", "0", "--step", "1"], "84.8528137424"),  # the low end decides
+            (["--n", "0", "--mu", "100", "--lo", "3", "--hi", "4", "--step", "1"], "56.5685424949"),  # z_scale = sqrt(200)
+        ],
+    )
+    def test_eval(self, capsys, argv, z):
+        self.assert_rejected(*run(capsys, "eval", *argv), z)
+
+    def test_figure1(self, capsys, tmp_path):
+        path = tmp_path / "fig1.csv"
+        code, out, err = run(capsys, "figure1", "--lo", "50", "--hi", "60", "--step", "5", "--out", str(path))
+        self.assert_rejected(code, out, err, "60")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_bound_is_where_d0_stops_being_normal(self, capsys, tmp_path, sign):
+        inside = sign * 53.2314  # the bound is 53.23143...
+        outside = sign * 53.2315
+        path = tmp_path / "fig1.csv"
+        grid = [f"--lo={min(0.0, inside)}", f"--hi={max(0.0, inside)}", "--step", "53.2314"]
+        code, _, _ = run(capsys, "figure1", *grid, "--out", str(path))
+        assert code == EXIT_OK
+        assert pcf.eval_D(0, inside) >= sys.float_info.min
+        edge = path.read_text().splitlines()[1 if sign < 0 else 2]
+        assert edge.split(",")[0] == repr(inside)
+        # eval with z_scale = 1 (mu = 1/2) reads x as z
+        assert run(capsys, "eval", "--n", "0", "--mu", "0.5", *grid)[0] == EXIT_OK
+        argv = ["--n", "0", "--mu", "0.5", f"--lo={min(0.0, outside)}", f"--hi={max(0.0, outside)}", "--step", "53.2315"]
+        self.assert_rejected(*run(capsys, "eval", *argv), "53.2315")
+        assert pcf.eval_D(0, outside) < sys.float_info.min
+        assert self.BOUND == pytest.approx(53.23143501850, abs=1e-10)
+
+    def test_eval_d_itself_still_returns_zeros(self):
+        assert pcf.eval_D(200, np.array([59.0, 60.0])).tolist() == [0.0, 0.0]
 
 
 class TestFigure1:

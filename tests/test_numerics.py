@@ -497,12 +497,18 @@ class TestStoredColumns:
             k = len(rule)
             i = data.draw(st.integers(0, min(2 * k - 2, 200)))
             j = data.draw(st.integers(0, min(2 * k - 2 - i, 200)))
-            si, sj = data.draw(st.sampled_from(SPECS)), data.draw(st.sampled_from(SPECS))
+            si = data.draw(st.sampled_from(SPECS))
+            # Half the pairs share a spec, and read a Gram row; the others read two columns.
+            sj = si if data.draw(st.booleans()) else data.draw(st.sampled_from(SPECS))
             scale = data.draw(st.sampled_from([si.gaussian_scale, 0.5, 2.0]))
             # New objects per call: equal states share a column by equality, not identity.
             a, b = Eigenstate(i, replace(si)), Eigenstate(j, replace(sj))
-            assert overlap(a, b, scale, rule) == uncached_overlap(a, b, scale, rule)
+            assert overlap(a, b, scale, rule).hex() == uncached_overlap(a, b, scale, rule).hex()
             assert table_info()[2] <= 3
+            # The entry just read is the most recent, so this lookup leaves the eviction order alone.
+            _, finite, rows = numerics._table(rule, math.sqrt(scale), a._table_key)
+            if finite and si == sj:
+                assert rows[i] is not None  # the pair took the fast path
 
     def test_three_tables_are_kept_and_the_least_recent_is_dropped(self, monkeypatch):
         small, large = gauss_hermite_rule(4), gauss_hermite_rule(16)
@@ -536,9 +542,14 @@ class TestStoredColumns:
 
         windows = [(0, 64), (5, 128), (3, 256), (40, 64), (100, 128), (195, 256)]
         want = [op(start, k) for start, k in windows]
-        assert table_info() == (3, 2 * 6 * 21 - 3, 3)
+        assert table_info() == (3, 6 * 21 - 3, 3)  # one lookup per overlap
         assert [op(start, k) for start, k in windows] == want
-        assert table_info() == (3, 4 * 6 * 21 - 3, 3)  # every later lookup is a hit
+        assert table_info() == (3, 2 * 6 * 21 - 3, 3)  # every later lookup is a hit
+        # Each table holds the Gram rows of the orders its windows read, built once.
+        for k in (64, 128, 256):
+            rows = numerics._table(gauss_hermite_rule(k), 1.0, Eigenstate(0, spec)._table_key)[2]
+            starts = [start for start, size in windows if size == k]
+            assert [i for i, row in enumerate(rows) if row is not None] == [n for a in starts for n in range(a, a + 6)]
 
     @pytest.mark.parametrize("spec", [UNIT, SPECS[3]])
     @pytest.mark.parametrize("k", [64, 128, 256])
@@ -546,8 +557,9 @@ class TestStoredColumns:
         rule = gauss_hermite_rule(k)
         for scale in (spec.gaussian_scale, 0.5):
             s = math.sqrt(scale)
-            table, finite = numerics._table(rule, s, Eigenstate(0, spec)._table_key)
+            table, finite, rows = numerics._table(rule, s, Eigenstate(0, spec)._table_key)
             assert table.shape == (DEGREE_CAP + 1, k) and not table.flags.writeable and finite
+            assert len(rows) == DEGREE_CAP + 1 and all(row is None for row in rows)  # filled on first read
             for n in range(DEGREE_CAP + 1):
                 want = Eigenstate(n, spec)(rule.node_array / s) * rule.fold_array
                 assert table[n].tobytes() == want.tobytes(), n
@@ -595,11 +607,12 @@ class TestStoredColumns:
             with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
                 overlap(a, b, 1.0, rule)
         # The table is kept with its flag: one build, and every read checks its columns.
-        assert builds == [UNIT] and numerics._table(rule, 1.0, a._table_key)[1] is False
-        # Its finite rows still give the uncached values.
+        _, finite, rows = numerics._table(rule, 1.0, a._table_key)
+        assert builds == [UNIT] and finite is False
+        # Its finite rows still give the uncached values, summed pairwise: no Gram row is built.
         c, d = Eigenstate(0, UNIT), Eigenstate(2, UNIT)
-        assert overlap(c, d, 1.0, rule) == uncached_overlap(c, d, 1.0, rule)
-        assert builds == [UNIT]
+        assert overlap(c, d, 1.0, rule).hex() == uncached_overlap(c, d, 1.0, rule).hex()
+        assert builds == [UNIT] and all(row is None for row in rows)
 
     def test_plain_callables_and_shifted_states_are_never_stored(self):
         rule = gauss_hermite_rule(16)
@@ -668,8 +681,8 @@ class TestStoredColumns:
                 monkeypatch.setattr(cls, name, counting)
         assert [overlap(a, b, 1.0, rule) for a, b in pairs] == want
         assert calls == []
-        # Equal specs share one table.
-        assert table_info() == (1, 2 * 2 * len(want) - 1, 1)  # two columns per overlap, one table built
+        # Equal specs share one table, read once per overlap.
+        assert table_info() == (1, 2 * len(want) - 1, 1)
         # A user class with an order and its own __hash__ is called once per overlap and stores nothing.
         psi, other = Counting(3), Counting(5)
         for _ in range(2):
@@ -757,6 +770,130 @@ class TestStoredColumns:
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
         assert table_info()[2] == 3
+
+
+def gram_row_lengths(k):
+    """The length of each Gram row of a k-point rule's table: j runs to min(2k - 1 - i, DEGREE_CAP)."""
+    return [min(2 * k - i, DEGREE_CAP + 1) for i in range(min(2 * k, DEGREE_CAP + 1))]
+
+
+class TestGramRows:
+    """An overlap of two eigenstates of one spec about centre 0 is one entry of a Gram row kept beside the table."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        numerics._table.cache_clear()
+        yield
+        numerics._table.cache_clear()
+
+    @staticmethod
+    def reference(rule, s, table, i, j):
+        """The pairwise mirror sum of two table rows, as ``overlap`` formed it before the rows were kept."""
+        return numerics._mirror_sum(table[i], table[j], rule) / s
+
+    @pytest.mark.parametrize("spec", [UNIT, SPECS[3]])
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    def test_every_exact_pair_on_a_default_rule_equals_the_pairwise_sum(self, spec, k):
+        rule = gauss_hermite_rule(k)
+        states = [Eigenstate(n, spec) for n in range(DEGREE_CAP + 1)]
+        lengths = gram_row_lengths(k)
+        for scale in (spec.gaussian_scale, 0.5):
+            s = math.sqrt(scale)
+            table, finite, rows = numerics._table(rule, s, states[0]._table_key)
+            assert finite
+            bad = [
+                (i, j)
+                for i, length in enumerate(lengths)
+                for j in range(length)
+                if overlap(states[i], states[j], scale, rule).hex() != self.reference(rule, s, table, i, j).hex()
+            ]
+            assert bad == []
+            assert [row.size for row in rows if row is not None] == lengths
+            assert not any(row.flags.writeable for row in rows if row is not None)
+            # At most 201 x 201 doubles beside each table.
+            assert sum(lengths) <= (DEGREE_CAP + 1) ** 2
+
+    def test_sampled_rows_on_every_rule_size(self):
+        bad = []
+        for k in range(1, MAX_RULE_POINTS + 1):
+            rule = gauss_hermite_rule(k)
+            table = numerics._table(rule, 1.0, Eigenstate(0, UNIT)._table_key)[0]
+            top = min(2 * k - 1, DEGREE_CAP)
+            for i in sorted({0, top, (37 * k) % (top + 1)}):
+                a = Eigenstate(i, UNIT)
+                for j in range(min(2 * k - 1 - i, DEGREE_CAP) + 1):
+                    if overlap(a, Eigenstate(j, UNIT), 1.0, rule).hex() != self.reference(rule, 1.0, table, i, j).hex():
+                        bad.append((k, i, j))
+        assert bad == []
+
+    def test_other_arguments_build_no_row_and_are_called(self, monkeypatch):
+        rule = gauss_hermite_rule(16)
+        calls = []
+        call = ShiftedState.__call__
+        monkeypatch.setattr(ShiftedState, "__call__", lambda self, x: calls.append(self.gamma) or call(self, x))
+        psi, other = Eigenstate(3, UNIT), Eigenstate(5, SPECS[3])
+        centred, shifted = ShiftedState.continuous(5, 0.0, UNIT), ShiftedState.continuous(5, 0.4, UNIT)
+
+        def plain(x):
+            calls.append("plain")
+            return psi(x)
+
+        def direct(b):
+            """The pairwise sum of both factors, each evaluated at the nodes about the midpoint of the centres."""
+            x = numerics._nodes(rule, 1.0, getattr(b, "x_center", 0.0) / 2.0)
+            return numerics._mirror_sum(psi(x) * rule.fold_array, b(x) * rule.fold_array, rule)
+
+        for _ in range(2):
+            for b in (other, plain, centred, shifted):
+                assert overlap(psi, b, 1.0, rule).hex() == direct(b).hex()
+        # The reference calls each state too: two calls per pair and round.
+        assert calls == ["plain", "plain", 0.0, 0.0, 0.4, 0.4] * 2
+        for spec in (UNIT, SPECS[3]):
+            assert all(row is None for row in numerics._table(rule, 1.0, Eigenstate(0, spec)._table_key)[2])
+
+    def test_rows_are_dropped_with_their_table(self):
+        rule = gauss_hermite_rule(8)
+        psi = Eigenstate(4, UNIT)
+        overlap(psi, psi, 1.0, rule)
+        rows = numerics._table(rule, 1.0, psi._table_key)[2]
+        assert [i for i, row in enumerate(rows) if row is not None] == [4]
+        for spec in (SPECS[0], SPECS[3], OscillatorSpec(omega=3.0)):  # three other keys evict it
+            overlap(Eigenstate(4, spec), Eigenstate(4, spec), 1.0, rule)
+        assert numerics._table.cache_info().currsize == 3
+        fresh = numerics._table(rule, 1.0, psi._table_key)[2]
+        assert fresh is not rows and all(row is None for row in fresh)
+
+    def test_threads_reading_one_fresh_row_agree(self):
+        # More threads than the two cores CI gives, all racing to build the same row.
+        rule, spec = gauss_hermite_rule(128), SPECS[3]
+        scale = spec.gaussian_scale
+        s = math.sqrt(scale)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for i in (0, 1, 57, 130, DEGREE_CAP):
+                numerics._table.cache_clear()
+                table, _, rows = numerics._table(rule, s, Eigenstate(0, spec)._table_key)
+                assert rows[i] is None
+                orders = range(min(2 * len(rule) - i, DEGREE_CAP + 1))
+                want = [self.reference(rule, s, table, i, j).hex() for j in orders]
+                barrier = threading.Barrier(4)
+                got = [None] * 4
+
+                def worker(slot, i=i, orders=orders, barrier=barrier, got=got):
+                    barrier.wait(timeout=60)
+                    got[slot] = [overlap(Eigenstate(i, spec), Eigenstate(j, spec), scale, rule).hex() for j in orders]
+
+                threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == [want] * 4
+                assert not rows[i].flags.writeable and [(float(v) / 2.0 / s).hex() for v in rows[i]] == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGrid1D:
