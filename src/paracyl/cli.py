@@ -337,7 +337,12 @@ def _cmd_figure2(args) -> int:
         r_grid.append(r_min)
         r_grid.sort()
     rows = [(r, lj_potential(r, spec), harmonic_curve(r, spec, k)) for r in r_grid]
-    _write_csv(args.out, "r,U_lj,V_harm", *_columns(rows, 3))
+    r, u, v = _columns(rows, 3)
+    for name, column in (("U_lj", u), ("V_harm", v)):
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise ValueError(f"{name} at r = {_fmt(r[bad][0])} is {_fmt(column[bad][0])}, out of the double range")
+    _write_csv(args.out, "r,U_lj,V_harm", r, u, v)
     _write_csv(levels_out, "m,E_m", *_columns(bound_levels(spec), 2))
     print(f"wrote {args.out} ({len(rows)} rows) and {levels_out}")
     return EXIT_OK

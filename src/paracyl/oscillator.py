@@ -163,7 +163,8 @@ def _grid_arrays(grid: Grid1D, stiffness: float, qe: float, z_scale: float, shif
     The ladder's argument is z = z_scale x + shift, clipped to [-100, 100]
     as ``eval_D`` clips.  Keyed by what the arrays depend on, so equal keys
     give equal bits; the two most recent grids are kept, each with its own
-    ``pcf._Ladder``.
+    ``pcf._Ladder`` of at most ``pcf._CHECKPOINT_BYTES`` (6 MiB, counting
+    the two interior rows a residual makes).
     """
     x = grid.points()
     xi = x[1:-1]
@@ -243,10 +244,11 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
     carry at least 50 points.  The grid points, the x part of the potential
     and the ladder of D_n on the grid are kept, read-only, for the two most
     recent grids.  The ladder keeps its cursor pair and a checkpoint pair
-    every 12 orders (none on a grid of more than 14 549 points), and each
-    call reads its row there in place: on a warm grid no argument is built,
-    no row is copied, and a climb from a kept checkpoint runs at most 11
-    steps.
+    every ``stride`` orders, the smallest stride that keeps it within 6 MiB:
+    7 on a 12 001-point grid, 15 on 24 001 points, and no checkpoint on a
+    grid of more than 112 334 points.  Each call reads its row there in
+    place: on a warm grid no argument is built, no row is copied, and a
+    climb from a kept checkpoint runs at most ``stride`` - 1 steps.
     """
     coverage = "grid must cover [-6, 6] oscillator lengths"
     return _grid_residual(n, 0.0, spec, energy(n, spec), 0.0, 0.0, grid, coverage)

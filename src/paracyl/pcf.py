@@ -19,6 +19,10 @@ validate it once as a ``PcfPolyPart``; ``paracyl.checks`` walks the same
 ladders once up to ``DEGREE_CAP`` to prove the routes equal and
 P_n'' - z P_n' + n P_n = 0 (DLMF 18.8.1) exactly for every order.
 
+A residual grid keeps rows of the float recurrence in a ``_Ladder``: its
+cursor pair and checkpoint pairs at a stride each ladder derives from its
+argument's size, so that it holds at most ``_CHECKPOINT_BYTES``.
+
 Note the sign in the Rodrigues prefactor: it must be e^{+z^2/4}.  With
 e^{-z^2/4} the n = 1 case would come out as z e^{-3 z^2/4}, which does not
 solve the defining equation y'' + (n + 1/2 - z^2/4) y = 0.  The tests pin
@@ -27,6 +31,7 @@ this down against the n = 0..5 closed forms.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -111,15 +116,23 @@ def pcf_rodrigues_poly(n: int) -> PcfPolyPart:
     return PcfPolyPart(PolyZ(_expand(n, _nth(_rodrigues_rows(1), n))), n)
 
 
-#: Orders between the checkpoint pairs of a ladder.
-_STRIDE = 12
+#: The most bytes a ladder holds, with the two interior rows a residual makes
+#: from the row it reads, counted as ``sys.getsizeof`` counts arrays that own
+#: their data: the argument, the cursor pair and every checkpoint pair.
+_CHECKPOINT_BYTES = 6 * 2**20
 
-#: The most points a ladder keeps checkpoints for.  35 rows of 14 549
-#: doubles (the argument, the cursor pair and 16 checkpoint pairs) take
-#: 4 077 640 bytes with their array headers, and the two interior rows of
-#: 14 547 doubles a residual makes from the one it reads add 232 976: at most
-#: 4 310 616 bytes.  A larger argument keeps only its cursor pair.
-_CHECKPOINT_POINTS = 14_549
+
+def _stride(points: int) -> int:
+    """The smallest stride whose checkpoint pairs, on an argument of ``points`` doubles, fit ``_CHECKPOINT_BYTES``.
+
+    A stride s keeps ``DEGREE_CAP // s`` checkpoint pairs.  0 when not even
+    one fits: 12 001 points give 7, 14 549 give 9, 24 001 give 15, and
+    past 112 334 points not one checkpoint fits.
+    """
+    header = sys.getsizeof(np.empty(0))
+    row, interior = header + 8 * points, header + 8 * max(points - 2, 0)
+    pairs = (_CHECKPOINT_BYTES - 3 * row - 2 * interior) // (2 * row)
+    return DEGREE_CAP // (pairs + 1) + 1 if pairs > 0 else 0
 
 
 class _Ladder:
@@ -129,38 +142,46 @@ class _Ladder:
     is the grid's read-only z, which no caller writes to.
 
     ``pairs`` maps the cursor, the order of the last call, to its pair, and
-    keeps the pair at each positive multiple of ``_STRIDE`` that a climb
-    passes, ``DEGREE_CAP // _STRIDE`` at most, unless the argument has more
-    than ``_CHECKPOINT_POINTS`` points: once the checkpoint at or below n is
-    kept, a climb to n runs at most ``_STRIDE`` - 1 = 11 steps.  A row is
-    never changed, and ``row`` holds the ladder's lock, so threads may share
-    it.
+    keeps the pair at each positive multiple of ``stride`` that a climb
+    passes, ``DEGREE_CAP // stride`` at most: every multiple up to ``top``,
+    the highest.  ``stride`` is the smallest that keeps the ladder within
+    ``_CHECKPOINT_BYTES`` (``_stride``), 0 where only the cursor pair fits,
+    so once the checkpoint at or below n is kept, a climb to n runs at most
+    ``stride`` - 1 steps.  A row is never changed, and ``row`` holds the
+    ladder's lock, so threads may share it.
     """
 
     def __init__(self, arg) -> None:
         self.arg = arg
         self.pairs: dict = {}
         self.cursor: int | None = None
-        self.stride = _STRIDE if arg.size <= _CHECKPOINT_POINTS else 0
+        self.stride = _stride(arg.size)
+        self.top = 0
         self.lock = threading.Lock()
 
     def row(self, n: int):
         """D_n, not a copy: a held row, or the top of a climb from the highest pair at or below n.
 
-        The row may be -0.0 where D_n is zero, and must not be written to.
+        That pair is the checkpoint ``n - n % stride`` (``top`` if that one
+        is not kept yet), or the cursor where it lies between it and n.  The
+        row may be -0.0 where D_n is zero, and must not be written to.
         """
         with self.lock:
-            pairs, cursor = self.pairs, self.cursor
+            pairs, cursor, stride = self.pairs, self.cursor, self.stride
             for m in (n, n + 1):
                 if m in pairs:
                     return pairs[m][n + 1 - m]
-            k = max((m for m in pairs if m < n), default=0)
+            k = min(n - n % stride, self.top) if stride else 0
+            if cursor is not None and k < cursor < n:
+                k = cursor
             t = self.arg
             prev, cur = pairs[k] if k in pairs else (0.0, np.exp(-(t * t) / 4.0))
-            prev, cur, marks = _climb(t, prev, cur, k, n, self.stride)
-            if cursor is not None and (cursor % _STRIDE or cursor == 0 or not self.stride):
+            prev, cur, marks = _climb(t, prev, cur, k, n, stride)
+            if cursor is not None and (not stride or cursor % stride or cursor == 0):
                 del pairs[cursor]
-            pairs.update(marks)
+            if stride:
+                pairs.update(marks)
+                self.top = max(self.top, n - n % stride)
             pairs[n] = (prev, cur)
             self.cursor = n
             return cur

@@ -600,6 +600,26 @@ class TestFigure2:
         assert err == f"error: derived force constant k = mu omega^2 = {k} is out of the double range\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags,err",
+        [
+            (["--epsilon", "1e308"], "error: U_lj at r = 0.95 is inf, out of the double range\n"),  # 211 of 212 rows
+            (["--sigma", "1e300"], "error: V_harm at r = 9.5e+299 is inf, out of the double range\n"),  # 211 rows
+        ],
+        ids=["epsilon", "sigma"],
+    )
+    def test_a_curve_out_of_the_double_range_is_usage_error_before_any_output(self, capsys, tmp_path, flags, err):
+        code, out, got = run(capsys, "figure2", *flags, "--out", str(tmp_path / "x.csv"))
+        assert (code, out, got) == (EXIT_USAGE, "", err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_deep_well_within_the_double_range_writes_finite_rows(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "figure2", "--epsilon", "2e307", "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_OK
+        rows = [[float(v) for v in line.split(",")] for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 212 and all(map(math.isfinite, (v for row in rows for v in row)))
+        assert max(row[1] for row in rows) > 3.9e307  # U_lj(0.95 sigma) = 1.96 epsilon
+
     def test_infinite_force_constant_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "figure2", "--k", "inf", "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE

@@ -331,8 +331,31 @@ def assert_clean_rejection(code: int, out: str, err: str) -> None:
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def assert_finite_numbers(text: str) -> None:
+    """Every number in ``text`` is finite: the values of 'name = value' lines and the fields of CSV lines."""
+    for line in text.splitlines():
+        for field in line.split(" = ")[1:] if " = " in line else line.split(","):
+            try:
+                value = float(field)
+            except ValueError:  # a column name
+                continue
+            assert math.isfinite(value), line
+
+
+#: The --gamma-sq of the fuzz: ordinary counts or hostile ones.
+FUZZ_COUNTS = st.one_of(st.integers(-3, 60), FUZZ_ORDERS)
+#: L-J and field flags: the scales, or values at the top of the double range, where 4 epsilon,
+#: sigma^2 or mu omega^2 overflow.
+FUZZ_HUGE = st.one_of(FUZZ_SCALES, st.floats(1e150, sys.float_info.max))
+
+
 class TestFuzz:
-    """Hostile flags: exit 2 with nothing on stdout, or exit 0 with the bytes of the per-row path."""
+    """Hostile flags: exit 2 with nothing on stdout, or exit 0 with the bytes of the per-row path.
+
+    ``figure2``, ``lj`` and ``field`` are held to the weaker contract: exit 2
+    with nothing on stdout and no file, or exit 0 printing and writing only
+    finite numbers.
+    """
 
     @given(n=st.one_of(st.integers(0, 200), FUZZ_ORDERS), spec=st.tuples(*[FUZZ_SCALES] * 3), grid=FUZZ_GRIDS)
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -388,6 +411,76 @@ class TestFuzz:
             return
         osc = OscillatorSpec(*spec)
         assert_same_lines(out, "n,E_n\n" + "".join(f"{k},{old_fmt(energy(k, osc))}\n" for k in range(n + 1)))
+        assert err == ""
+
+    @given(
+        lj=st.tuples(FUZZ_HUGE, FUZZ_HUGE, FUZZ_COUNTS),
+        k=FUZZ_HUGE,
+        fit=st.tuples(st.booleans(), FUZZ_HUGE, FUZZ_HUGE),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_figure2(self, lj, k, fit):
+        epsilon, sigma, g = lj
+        assume(not (FUZZ_ROWS < g <= cli.MAX_GRID_ROWS))
+        fit_k, mu, hbar = fit
+        argv = ["figure2", f"--epsilon={flag(epsilon)}", f"--sigma={flag(sigma)}", f"--gamma-sq={flag(g)}"]
+        argv += [f"--k={flag(k)}", f"--mu={flag(mu)}", f"--hbar={flag(hbar)}", *(["--fit-k"] if fit_k else [])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, levels = os.path.join(tmp, "fig2.csv"), os.path.join(tmp, "fig2_levels.csv")
+            code, out, err = run_quietly([*argv, "--out", path])
+            if code != EXIT_OK:
+                assert_clean_rejection(code, out, err)
+                assert os.listdir(tmp) == []
+                return
+            with open(path, encoding="utf-8") as fh, open(levels, encoding="utf-8") as lh:
+                curve, ladder = fh.read(), lh.read()
+        assert out == f"wrote {path} ({curve.count(chr(10)) - 1} rows) and {levels}\n"
+        assert err == ""
+        assert curve.startswith("r,U_lj,V_harm\n") and ladder.startswith("m,E_m\n")
+        assert_finite_numbers(curve)
+        assert_finite_numbers(ladder)
+
+    @given(
+        lj=st.tuples(FUZZ_HUGE, FUZZ_HUGE, FUZZ_COUNTS),
+        delta_e=st.none() | FUZZ_HUGE,
+        spec=st.tuples(FUZZ_HUGE, FUZZ_HUGE),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_lj(self, lj, delta_e, spec):
+        epsilon, sigma, g = lj
+        assume(not (FUZZ_ROWS < g <= cli.MAX_GRID_ROWS))
+        argv = ["lj", f"--epsilon={flag(epsilon)}", f"--sigma={flag(sigma)}", f"--gamma-sq={flag(g)}"]
+        argv += [f"--mu={flag(spec[0])}", f"--hbar={flag(spec[1])}"]
+        code, out, err = run_quietly([*argv, *([] if delta_e is None else [f"--delta-e={flag(delta_e)}"])])
+        if code != EXIT_OK:
+            assert_clean_rejection(code, out, err)
+            return
+        assert out.startswith("r_min = ") and "\nm,E_m\n" in out
+        assert_finite_numbers(out)
+        assert all(line.startswith("warning: ") for line in err.splitlines())
+
+    @given(
+        fld=st.tuples(FUZZ_HUGE, FUZZ_HUGE),
+        gamma_sq=st.none() | FUZZ_COUNTS,
+        n=st.none() | FUZZ_COUNTS,
+        spec=st.tuples(*[FUZZ_HUGE] * 3),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_field(self, fld, gamma_sq, n, spec):
+        if gamma_sq is None:
+            rows = (5 if n is None else n) + 1
+        else:
+            rows = (gamma_sq if n is None else n) + gamma_sq + 1
+        assume(not (FUZZ_ROWS < rows <= cli.MAX_GRID_ROWS))
+        argv = ["field", f"--q={flag(fld[0])}", f"--efield={flag(fld[1])}"]
+        argv += [*(f"--{k}={flag(v)}" for k, v in zip(("mu", "omega", "hbar"), spec))]
+        argv += [] if gamma_sq is None else [f"--gamma-sq={gamma_sq}"]
+        code, out, err = run_quietly([*argv, *([] if n is None else [f"--n={n}"])])
+        if code != EXIT_OK:
+            assert_clean_rejection(code, out, err)
+            return
+        assert out.startswith("gamma = ")
+        assert_finite_numbers(out)
         assert err == ""
 
 

@@ -378,27 +378,29 @@ class TestLadder:
         return pcf._Ladder(z)
 
     def test_consecutive_orders_resume_instead_of_restarting(self, monkeypatch):
-        z = np.linspace(-3.0, 3.0, 64) + 1e-3
+        z = np.linspace(-6.0, 6.0, 12001) + 1e-3
         ladder = self.ladder(z)
+        assert ladder.stride == 7
         climbs = counting_climbs(monkeypatch)
-        for n in (40, 41, 42, 41, 30, 39, 26, 24):
+        for n in (40, 41, 42, 41, 30, 33, 26, 28):
             assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
-        # 41 and 24 are rows of kept pairs; every other order climbs from the
+        # 41 and 28 are rows of kept pairs; every other order climbs from the
         # highest kept pair below it: the cursor or a checkpoint.
-        assert climbs == [(0, 40), (40, 41), (41, 42), (24, 30), (36, 39), (24, 26)]
+        assert climbs == [(0, 40), (40, 41), (41, 42), (28, 30), (30, 33), (21, 26)]
 
     def test_a_climb_to_the_degree_cap_records_every_checkpoint(self, monkeypatch):
-        z = np.linspace(-1.0, 1.0, 9)
+        z = np.linspace(-1.0, 1.0, 12001)
         ladder = self.ladder(z)
+        assert ladder.stride == 7
         climbs = counting_climbs(monkeypatch)
-        checkpoints = list(range(pcf._STRIDE, DEGREE_CAP + 1, pcf._STRIDE))
-        assert len(checkpoints) == DEGREE_CAP // pcf._STRIDE
+        checkpoints = list(range(7, DEGREE_CAP + 1, 7))
         for n in (0, 10, DEGREE_CAP, DEGREE_CAP - 5, DEGREE_CAP - 2):
             assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
         # The cursors at 0 and at the cap, which are no checkpoints, are dropped when they move.
+        # D_195 is the first row of the kept pair at 196 = 28 * 7.
         assert sorted(ladder.pairs) == [*checkpoints, DEGREE_CAP - 2]
-        top = checkpoints[-1]
-        assert climbs == [(0, 0), (0, 10), (10, DEGREE_CAP), (top, DEGREE_CAP - 5), (DEGREE_CAP - 5, DEGREE_CAP - 2)]
+        assert ladder.top == checkpoints[-1] == 196
+        assert climbs == [(0, 0), (0, 10), (10, DEGREE_CAP), (196, DEGREE_CAP - 2)]
 
     def test_held_rows_are_never_changed(self):
         z = np.linspace(-6.0, 6.0, 301)
@@ -406,37 +408,77 @@ class TestLadder:
         ladder.row(60)
         ladder.row(130)
         held = {m: (pair, [np.asarray(d).tobytes() for d in pair]) for m, pair in ladder.pairs.items()}
-        assert sorted(held) == [*(m for m in range(12, 130) if m % pcf._STRIDE == 0), 130]
+        assert sorted(held) == sorted({*range(ladder.stride, 130, ladder.stride), 130})
         for n in (140, 30, 101, 200, 76, 3, 129):
             assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
         for pair, before in held.values():
             assert [np.asarray(d).tobytes() for d in pair] == before
 
-    @pytest.mark.parametrize("points,stride", [(12001, 12), (13001, 12), (14549, 12), (14550, 0)])
-    def test_only_an_argument_of_at_most_14549_points_keeps_checkpoints(self, points, stride):
-        ladder = self.ladder(np.linspace(-6.0, 6.0, points))
+    @staticmethod
+    def held_bytes(ladder):
+        """``sys.getsizeof`` of the argument, of every row of a kept pair and of the two interior rows of a residual."""
+        rows = {id(d): d for pair in ladder.pairs.values() for d in pair if isinstance(d, np.ndarray)}
+        rows[id(ladder.arg)] = ladder.arg
+        interior = sys.getsizeof(np.empty(ladder.arg.size - 2))
+        return sum(map(sys.getsizeof, rows.values())) + 2 * interior
+
+    @pytest.mark.parametrize(
+        "points,stride", [(9, 1), (12001, 7), (13001, 8), (14549, 9), (14550, 9), (24001, 15), (100001, 101)]
+    )
+    def test_every_argument_up_to_112334_points_keeps_checkpoints_within_the_byte_budget(
+        self, monkeypatch, points, stride
+    ):
+        z = np.linspace(-6.0, 6.0, points)
+        ladder = self.ladder(z)
         assert ladder.stride == stride
+        assert_bit_equal(ladder.row(DEGREE_CAP) + 0.0, uncached_D(DEGREE_CAP, z))
+        assert ladder.top == DEGREE_CAP - DEGREE_CAP % stride
+        assert self.held_bytes(ladder) <= pcf._CHECKPOINT_BYTES
+        climbs = counting_climbs(monkeypatch)
+        for i in range(1, 6):
+            start = round(195 * (0.6180339887 * i % 1.0))  # back down, windows in golden-ratio order
+            climbs.clear()
+            for n in range(start, start + 6):
+                assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
+            assert sum(n - k for k, n in climbs) <= stride - 1 + 5, start
+            assert self.held_bytes(ladder) <= pcf._CHECKPOINT_BYTES, start
 
-    @pytest.mark.parametrize("lo,points", [(-7.274, 14549), (-7.2745, 14550)])
-    def test_a_grid_over_the_limit_holds_no_checkpoint_after_a_residual_at_the_cap(self, fresh_grids, lo, points):
-        spec, grid = OscillatorSpec(), Grid1D(lo, -lo, 1e-3)
-        assert grid.npoints == points
-        for n in (DEGREE_CAP, 30, DEGREE_CAP):
-            assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
-        ladder = grid_ladder(spec, grid)
-        checkpoints = list(range(pcf._STRIDE, DEGREE_CAP + 1, pcf._STRIDE))
-        assert sorted(ladder.pairs) == (checkpoints if points <= 14549 else []) + [DEGREE_CAP]
+    def test_an_argument_past_112334_points_keeps_only_its_cursor_pair(self, monkeypatch):
+        assert pcf._stride(112334) == 101
+        z = np.linspace(-6.0, 6.0, 112335)
+        ladder = self.ladder(z)
+        assert ladder.stride == 0
+        climbs = counting_climbs(monkeypatch)
+        for n in (DEGREE_CAP, 30, 31):
+            assert_bit_equal(ladder.row(n) + 0.0, uncached_D(n, z))
+            assert list(ladder.pairs) == [n]
+        assert climbs == [(0, DEGREE_CAP), (0, 30), (30, 31)]
+        assert self.held_bytes(ladder) <= pcf._CHECKPOINT_BYTES
 
-    def test_a_window_sweep_on_a_kept_grid_climbs_less_than_a_stride(self, fresh_grids, monkeypatch):
-        spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
+    @staticmethod
+    def sweep_windows(grid, monkeypatch):
+        """40 windows of six residuals on ``grid``, kept after a residual at the cap; returns the grid's ladder."""
+        spec = OscillatorSpec()
         hamiltonian_residual(200, spec, grid)  # this climb records every checkpoint
+        ladder = grid_ladder(spec, grid)
+        assert ladder.top == DEGREE_CAP - DEGREE_CAP % ladder.stride
         climbs = counting_climbs(monkeypatch)
         for i in range(40):
             start = round(195 * (0.6180339887 * i % 1.0))  # windows in golden-ratio order
             climbs.clear()
             for n in range(start, start + 6):
                 hamiltonian_residual(n, spec, grid)
-            assert sum(n - k for k, n in climbs) <= pcf._STRIDE - 1 + 5, start
+            assert sum(n - k for k, n in climbs) <= ladder.stride - 1 + 5, start
+        assert grid_ladder(spec, grid) is ladder
+        return ladder
+
+    def test_a_window_sweep_on_a_kept_grid_climbs_less_than_a_stride(self, fresh_grids, monkeypatch):
+        assert self.sweep_windows(Grid1D(-6.0, 6.0, 1e-3), monkeypatch).stride == 7
+
+    def test_a_kept_24001_point_grid_keeps_checkpoints(self, fresh_grids, monkeypatch):
+        grid = Grid1D(-12.0, 12.0, 1e-3)
+        assert grid.npoints == 24001
+        assert self.sweep_windows(grid, monkeypatch).stride == 15
 
 
 class TestWarmTraffic:
@@ -468,8 +510,8 @@ class TestWarmTraffic:
             shifted = ShiftedState.continuous(start, float(next(gammas)), spec)
             values.append(expectation_x_shifted(shifted, exact[0]))
             if climbs is not None:
-                # At most 11 steps up from the checkpoint below the window, and 5 within it.
-                assert sum(n - k for t, k, n in climbs if t is ladder.arg) <= 16, start
+                # At most stride - 1 steps up from the checkpoint below the window, and 5 within it.
+                assert sum(n - k for t, k, n in climbs if t is ladder.arg) <= ladder.stride - 1 + 5, start
                 assert grid_ladder(spec, grid) is ladder, start
         return [np.asarray(v).tobytes() for v in values]
 
@@ -488,6 +530,11 @@ class TestWarmTraffic:
 
         monkeypatch.setattr(pcf, "_climb", recording)
         assert self.replay(climbs) == want
+
+
+def crossing(stride):
+    """Orders that cross the checkpoints of a ladder of ``stride``, up and down."""
+    return (0, 1, stride - 1, stride, stride + 1, 60, 3, 199, 200, 61)
 
 
 def plain_residual(k, d, x, h, e, qe, spec):
@@ -509,8 +556,7 @@ class TestResidualBits:
     def test_hamiltonian_residual(self, spec):
         grid = Grid1D(-6.5 * spec.length_scale, 6.5 * spec.length_scale, 1e-3)
         x = grid.points()
-        s = pcf._STRIDE
-        for n in (0, 1, s - 1, s, s + 1, 60, 3, 199, 200, 61):  # crosses checkpoints, up and down
+        for n in crossing(grid_ladder(spec, grid).stride):
             want = plain_residual(n, uncached_D(n, spec.z_scale * x), x, grid.h, energy(n, spec), 0.0, spec)
             assert_bit_equal(hamiltonian_residual(n, spec, grid), want)
 
@@ -548,13 +594,12 @@ def shifted_want(state, e, grid):
 class TestResidualInPlace:
     """A residual reads its row from the grid's ladder in place; none of that may show in its value."""
 
-    ORDERS = (0, 1, pcf._STRIDE - 1, pcf._STRIDE, pcf._STRIDE + 1, 60, 3, 199, 200, 61)
-
     def test_a_warm_grid_reads_its_own_ladder_in_place(self, fresh_grids, monkeypatch):
         spec, grid = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1), Grid1D(-8.0, 8.0, 2e-3)
-        want = [free_want(n, spec, grid) for n in self.ORDERS]
         hamiltonian_residual(0, spec, grid)
         x, _, ladder = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, 0.0, spec.z_scale, 0.0)
+        orders = crossing(ladder.stride)
+        want = [free_want(n, spec, grid) for n in orders]
         assert not ladder.arg.flags.writeable
         assert ladder.arg.tobytes() == np.clip(spec.z_scale * x, -100.0, 100.0).tobytes()
 
@@ -564,14 +609,14 @@ class TestResidualInPlace:
         monkeypatch.setattr(pcf, "eval_D", no_copy)
         monkeypatch.setattr(oscillator, "eval_D", no_copy)
         monkeypatch.setattr(np, "clip", no_copy)
-        for n, values in zip(self.ORDERS, want):
+        for n, values in zip(orders, want):
             assert_bit_equal(hamiltonian_residual(n, spec, grid), values)
         assert grid_ladder(spec, grid) is ladder
 
     def test_residuals_match_the_plain_stencil_without_a_kept_grid(self, monkeypatch):
         monkeypatch.setattr(oscillator, "_grid_arrays", oscillator._grid_arrays.__wrapped__)
         spec, grid = OscillatorSpec(), Grid1D(-6.0, 6.0, 1e-3)
-        for n in self.ORDERS:
+        for n in crossing(pcf._stride(grid.npoints)):
             assert_bit_equal(hamiltonian_residual(n, spec, grid), free_want(n, spec, grid))
         state = ShiftedState.integer_branch(-2, 3, spec)
         grid = Grid1D(state.x_center - 6.5, state.x_center + 6.5, 2e-3)
@@ -587,7 +632,7 @@ class TestResidualInPlace:
         first, second = (grid_ladder(spec, grid) for grid in grids)
         assert first is not second
         for ladder in (first, second):
-            assert len(ladder.pairs) == DEGREE_CAP // pcf._STRIDE + 1
+            assert sorted(ladder.pairs) == sorted({*range(ladder.stride, DEGREE_CAP + 1, ladder.stride), ladder.cursor})
 
     def test_threads_over_two_grids_agree(self):
         spec = OscillatorSpec()
