@@ -118,13 +118,15 @@ def field_suite(gamma_sq_values=(1, 2, 3, 4)) -> list[CheckResult]:
     spec = OscillatorSpec()
     checks = []
 
+    # Relative to hbar omega times the largest level compared: gamma^2 = fl(sqrt(g))^2 is g to one ulp of g.
     tol = 1e-12
-    worst = 0.0
+    worst = scale = 0.0
     for g in gamma_sq_values:
         gamma = math.sqrt(g)
         for _, e, idx in integer_branch_spectrum(g, g + 2, spec):
             worst = max(worst, abs(e - energy_shifted(idx, gamma, spec)))
-    checks.append(_bounded("field", "branch-consistency", worst <= tol, "max ladder mismatch", worst, tol))
+            scale = max(scale, abs(e))
+    checks.append(_bounded("field", "branch-consistency", worst <= tol * scale, "max ladder mismatch", worst, tol))
 
     tol = 1e-5
     worst = 0.0
@@ -169,6 +171,8 @@ def minimum_correction(fld: FieldSpec, spec: OscillatorSpec) -> CheckResult:
 
 def lj_suite(epsilon: float = 1.0, sigma: float = 1.0, gamma_sq: int = 2) -> list[CheckResult]:
     spec = LJSpec(epsilon=epsilon, sigma=sigma, gamma_sq=gamma_sq)
+    if not math.isfinite(2.0 * sigma):
+        raise ValueError(f"the minimum search runs to r = 2 sigma, which overflows for sigma = {sigma!r}")
     checks = []
 
     tol = 4e-16
@@ -181,14 +185,17 @@ def lj_suite(epsilon: float = 1.0, sigma: float = 1.0, gamma_sq: int = 2) -> lis
     detail = f"{len(levels)} negative levels, spacing {format(spacing, '.12g')}"
     checks.append(CheckResult("lj", "ladder-shape", ok, detail, (tol,)))
 
+    # Relative to epsilon, as above: both ladders round levels of up to epsilon in size.
     tol = 1e-12
     osc = fit_oscillator(spec)
     branch = integer_branch_spectrum(gamma_sq, -1, osc)
     worst = max(abs(e_lj - e_br) for (_, e_lj), (_, e_br, _) in zip(levels, branch))
-    checks.append(_bounded("lj", "ladder-branch-equivalence", worst <= tol, "max mismatch", worst, tol))
+    checks.append(_bounded("lj", "ladder-branch-equivalence", worst <= tol * epsilon, "max mismatch", worst, tol))
 
+    # In integers: hbar omega gamma^2 may round past the largest double where epsilon does not.
     tol = 1e-14
-    identity = abs(osc.hbar * osc.omega * gamma_sq - epsilon)
+    (a, b), (c, d), (p, q) = (v.as_integer_ratio() for v in (osc.hbar, osc.omega, epsilon))
+    identity = abs(a * c * gamma_sq * q - p * b * d) / (b * d * q)
     detail = f"|hbar omega gamma^2 - epsilon| {identity:.3e}"
     checks.append(CheckResult("lj", "fit-identity", identity <= tol * epsilon, detail, (tol,)))
 

@@ -53,10 +53,17 @@ class LJSpec:
 
 
 def lj_potential(r: float, spec: LJSpec) -> float:
-    """U(r) = 4 epsilon [(sigma/r)^12 - (sigma/r)^6]."""
+    """U(r) = 4 epsilon [(sigma/r)^12 - (sigma/r)^6].
+
+    For epsilon above a quarter of the largest double, where 4 epsilon
+    overflows, the bracket is scaled by epsilon first: both orders round the
+    same exact product once, so U is finite wherever it is a double.
+    """
     if not r > 0:
         raise ValueError("separation r must be positive")
     sr6 = (spec.sigma / r) ** 6
+    if spec.epsilon > sys.float_info.max / 4.0:
+        return 4.0 * (spec.epsilon * (sr6 * sr6 - sr6))
     return 4.0 * spec.epsilon * (sr6 * sr6 - sr6)
 
 

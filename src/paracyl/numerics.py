@@ -81,7 +81,7 @@ def _table(rule: QuadratureRule, s: float, key: tuple) -> tuple[np.ndarray, bool
     Row k is N_k (D_k + 0.0) * fold_array, k = 0..``DEGREE_CAP``, from one
     walk (``Eigenstate._table``) of the spec that ``key``, a ``_table_key``
     of plain numbers and types, names: a lookup compares no state or spec.
-    A non-finite table is kept with its flag, so every read of it is checked.
+    A non-finite table is kept with its flag, and ``overlap`` calls its states.
     The list holds one slot per order for the table's Gram rows, None until
     ``_gram_row`` fills it, and is evicted with the table.  ``maxsize`` is
     the number of default rules (64, 128, 256 points): one spec and scale
@@ -213,24 +213,21 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
     gives its error bound) makes overlaps of opposite parity about c = 0
     exactly 0.0 on a symmetric rule.
 
-    About c = 0, an ``Eigenstate``'s folded column is a row of the table
-    ``_table`` keeps per rule, scale and spec (see ``_folded``), built once
-    for every order 0..``DEGREE_CAP``.  Two ``Eigenstate``s of one
-    ``_table_key`` (one state type and spec) of orders i and j on a finite
-    table read entry j of the table's Gram row i (``_gram_row``), halved
-    and divided by sqrt(scale): one lookup, once the row is built, which
-    the first read of order i on that table does for every j the rule
+    About c = 0, two ``Eigenstate``s of one ``_table_key`` (one state type
+    and spec) of orders i and j on a finite table read entry j of Gram row i
+    (``_gram_row``) of the table ``_table`` keeps per rule, scale and spec,
+    halved and divided by sqrt(scale): one lookup, once the row is built,
+    which the first read of order i on that table does for every j the rule
     integrates exactly.  A Gram block of eigenstates of one spec costs one
     walk per rule and one row per order, not one evaluation per state or
-    one sum per pair.  Every other argument, and every argument about a
-    centre other than 0, is called once per overlap.  The values are the
-    same every way, bit for bit.
+    one sum per pair.  Every other pair is called: each factor once at the
+    mapped nodes, folded, checked and summed, as ``_x_mean`` does.  A table
+    row is that folded call bit for bit, so both paths give the same values.
 
-    A table is checked finite once, when it is built.  An overlap of two
-    columns of finite tables runs no check and only reads a Gram row, or
-    forms and sums the products of columns of two specs.  Otherwise both
-    factors are checked, on every call, and a non-finite value is a
-    ``ValueError`` naming the first node where either factor has one.
+    A table is checked finite once, when it is built, and a Gram-row read
+    runs no check.  Called factors are both checked, on every call, and a
+    non-finite value is a ``ValueError`` naming the first node where either
+    factor has one; two states of one key on a non-finite table are called.
     """
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
@@ -246,25 +243,11 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
         table, finite, rows = _table(rule, s, key)
         if finite:
             return float(_gram_row(rule, table, rows, a.n)[b.n]) / 2.0 / s
-    fv, f_finite = _folded(a, rule, s, center)
-    gv, g_finite = _folded(b, rule, s, center)
-    if not (f_finite and g_finite):
-        _check_finite(fv, gv, rule)
+    x = _nodes(rule, s, center)
+    fv = a(x) * rule.fold_array
+    gv = b(x) * rule.fold_array
+    _check_finite(fv, gv, rule)
     return _mirror_sum(fv, gv, rule) / s
-
-
-def _folded(state, rule: QuadratureRule, s: float, center: float) -> tuple[np.ndarray, bool]:
-    """state(center + node_array / s) * fold_array, and whether it is known to be finite.
-
-    About center 0, the column of an ``Eigenstate`` (the one argument that
-    carries a ``_table_key``) and its flag are a row and the flag of its
-    ``_table``; any other argument is called once, and its finiteness is
-    left to the caller to check.
-    """
-    if center == 0.0 and hasattr(state, "_table_key"):
-        table, finite, _ = _table(rule, s, state._table_key)
-        return table[state.n], finite
-    return state(_nodes(rule, s, center)) * rule.fold_array, False
 
 
 def golden_section_minimize(f, lo: float, hi: float):

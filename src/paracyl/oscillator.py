@@ -106,16 +106,16 @@ def _inv_sqrt_factorial(n: int) -> float:
 class Eigenstate:
     """Callable eigenstate psi_n; takes a float or an ndarray of x values.
 
-    Equal states hash equal, to ``hash((n, spec))``.  ``overlap`` reads the
-    state's column from the table of every order that ``numerics._table``
-    caches per rule, scale and ``_table_key``, computed once: the state's
-    type, and the spec's type, mu, omega and hbar.  Next to each table it
-    keeps the Gram rows that ``overlap`` of two states of one key reads,
-    one per order, built on the first read of that order.  The key holds
-    no object with a Python-level ``__hash__`` or ``__eq__`` (for float
-    parameters), and two keys are equal exactly when the specs are, so a
-    lookup hashes and compares only plain numbers, and a missing table is
-    built from the key.
+    Equal states hash equal, to ``hash((n, spec))``.  ``overlap`` of two
+    states of one ``_table_key`` about centre 0 reads one entry of a Gram
+    row, kept beside the table of every order that ``numerics._table``
+    caches per rule, scale and key, one row per order, built on the first
+    read of that order; every other overlap calls the state.  The key,
+    computed once, is the state's type, and the spec's type, mu, omega and
+    hbar.  It holds no object with a Python-level ``__hash__`` or ``__eq__``
+    (for float parameters), and two keys are equal exactly when the specs
+    are, so a lookup hashes and compares only plain numbers, and a missing
+    table is built from the key.
     ``n`` is checked as ``norm_const`` checks it, when the state is built,
     so ``overlap`` never sizes a rule for an order above ``DEGREE_CAP``.
     """

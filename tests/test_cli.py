@@ -620,6 +620,15 @@ class TestFigure2:
         assert len(rows) == 212 and all(map(math.isfinite, (v for row in rows for v in row)))
         assert max(row[1] for row in rows) > 3.9e307  # U_lj(0.95 sigma) = 1.96 epsilon
 
+    def test_a_well_where_4_epsilon_overflows_writes_finite_rows(self, capsys, tmp_path):
+        # U_lj read -inf near the minimum and nan at r = sigma, and the curve was refused.
+        code, out, _ = run(capsys, "figure2", "--epsilon", "8e307", "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_OK
+        rows = [[float(v) for v in line.split(",")] for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 212 and all(map(math.isfinite, (v for row in rows for v in row)))
+        assert [row[1] for row in rows if row[0] == 1.0] == [0.0]
+        assert min(row[1] for row in rows) == pytest.approx(-8e307, rel=1e-10)
+
     def test_infinite_force_constant_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "figure2", "--k", "inf", "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
@@ -714,6 +723,56 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "lj", "--sigma", sigma, "--epsilon", epsilon)
         assert code == EXIT_OK
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # One ulp of epsilon, or of gamma^2 = fl(sqrt(g))^2 ~ g, is more than 1e-12: the ladder bounds are relative.
+            ["--suite", "lj", "--epsilon", "1e5", "--gamma-sq", "3"],
+            ["--suite", "lj", "--epsilon", "12345.678", "--gamma-sq", "3"],
+            ["--suite", "lj", "--epsilon", "3.3e7", "--gamma-sq", "7"],
+            ["--suite", "lj", "--epsilon", "1e300", "--gamma-sq", "7"],
+            ["--suite", "field", "--gamma-sq", "8192"],
+            # 4 epsilon overflows, and so does the float product hbar omega gamma^2 at gamma^2 = 31.
+            ["--suite", "lj", "--epsilon", "4.5e307"],
+            ["--suite", "lj", "--epsilon", repr(sys.float_info.max), "--gamma-sq", "31"],
+        ],
+    )
+    def test_correct_inputs_at_large_scales_pass(self, capsys, flags):
+        code, out, _ = run(capsys, "verify", *flags)
+        *records, summary = out.splitlines()
+        assert code == EXIT_OK and "FAIL" not in out
+        assert summary == f"verify: {len(records)}/{len(records)} checks passed"
+
+    @pytest.mark.parametrize(
+        "name,gates",
+        [
+            ("energy_shifted", ["field] branch-consistency"]),
+            ("integer_branch_spectrum", ["field] branch-consistency", "lj] ladder-branch-equivalence"]),
+            ("bound_levels", ["lj] ladder-branch-equivalence"]),
+        ],
+    )
+    def test_ladder_gates_fail_a_wrong_ladder_at_default_flags(self, capsys, monkeypatch, name, gates):
+        original = getattr(checks, name)
+
+        def mutant(*args):
+            if name == "energy_shifted":
+                n, _, spec = args
+                return spec.hbar * spec.omega * (n + 0.5)  # the gamma^2 term dropped
+            # The first level moved up by one spacing: hbar omega on the branch, epsilon / gamma^2 in the well.
+            (m, e, *rest), *levels = original(*args)
+            spacing = args[2].hbar * args[2].omega if len(args) == 3 else args[0].epsilon / args[0].gamma_sq
+            return [(m, e + spacing, *rest), *levels]
+
+        monkeypatch.setattr(checks, name, mutant)
+        code, out, _ = run(capsys, "verify")
+        assert code == EXIT_VERIFY_FAIL
+        assert all(f"FAIL  [{gate}: " in out for gate in gates)
+
+    def test_a_minimum_search_past_the_double_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "all", "--sigma", "1.5e308")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: the minimum search runs to r = 2 sigma, which overflows for sigma = 1.5e+308\n"
 
     def test_minimum_search_sees_a_moved_minimum_at_atomic_scale(self, capsys, monkeypatch):
         lj_potential = checks.lj_potential

@@ -347,6 +347,14 @@ FUZZ_COUNTS = st.one_of(st.integers(-3, 60), FUZZ_ORDERS)
 #: L-J and field flags: the scales, or values at the top of the double range, where 4 epsilon,
 #: sigma^2 or mu omega^2 overflow.
 FUZZ_HUGE = st.one_of(FUZZ_SCALES, st.floats(1e150, sys.float_info.max))
+#: verify's --gamma-sq: log-uniform up to the row limit, or the last count a suite accepts or the first it refuses.
+FUZZ_LADDERS = st.one_of(
+    st.floats(0.0, 6.0).map(lambda e: round(10**e)),
+    # The field suite builds 2 g + 3 rows, the L-J suite g.
+    st.sampled_from(
+        [(cli.MAX_GRID_ROWS - 3) // 2, (cli.MAX_GRID_ROWS - 1) // 2, cli.MAX_GRID_ROWS, cli.MAX_GRID_ROWS + 1]
+    ),
+)
 
 
 class TestFuzz:
@@ -354,7 +362,8 @@ class TestFuzz:
 
     ``figure2``, ``lj`` and ``field`` are held to the weaker contract: exit 2
     with nothing on stdout and no file, or exit 0 printing and writing only
-    finite numbers.
+    finite numbers.  ``verify`` exits 2 the same way, or exits 0 with every
+    record a PASS.
     """
 
     @given(n=st.one_of(st.integers(0, 200), FUZZ_ORDERS), spec=st.tuples(*[FUZZ_SCALES] * 3), grid=FUZZ_GRIDS)
@@ -481,6 +490,25 @@ class TestFuzz:
             return
         assert out.startswith("gamma = ")
         assert_finite_numbers(out)
+        assert err == ""
+
+    @given(
+        suite=st.sampled_from(["free", "field", "lj", "all"]),
+        gamma_sq=st.none() | FUZZ_COUNTS | FUZZ_LADDERS,
+        lj=st.tuples(FUZZ_HUGE, FUZZ_HUGE),
+    )
+    # Fewer examples than the other fuzzes: a ladder near the row limit takes 0.5-1 s.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_verify(self, suite, gamma_sq, lj):
+        """Exit 2 with one error line, or exit 0 with every record PASS and a k/k summary."""
+        argv = ["verify", f"--suite={suite}", f"--epsilon={flag(lj[0])}", f"--sigma={flag(lj[1])}"]
+        code, out, err = run_quietly([*argv, *([] if gamma_sq is None else [f"--gamma-sq={gamma_sq}"])])
+        if code != EXIT_OK:
+            assert_clean_rejection(code, out, err)
+            return
+        *records, summary = out.splitlines()
+        assert [line for line in records if not line.startswith("PASS  [")] == []
+        assert summary == f"verify: {len(records)}/{len(records)} checks passed"
         assert err == ""
 
 

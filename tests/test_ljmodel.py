@@ -109,6 +109,21 @@ class TestPotential:
         assert -1e-6 < lj_potential(1e3, UNIT) < 0.0
         assert lj_potential(0.05, UNIT) > 1e10
 
+    @pytest.mark.parametrize("epsilon", [1.0, 2e307, sys.float_info.max / 4, 4.5e307, 1e308, sys.float_info.max])
+    def test_every_value_is_the_exact_product_rounded_once(self, epsilon):
+        # 4 epsilon overflows above a quarter of the largest double; the well depth U = -epsilon does not.
+        spec = LJSpec(epsilon=epsilon, sigma=1.0, gamma_sq=2)
+        for r in [0.95 + 0.005 * i for i in range(211)] + [1.0, R_MIN_FACTOR]:
+            sr6 = (1.0 / r) ** 6
+            exact = 4 * Fraction(epsilon) * Fraction(sr6 * sr6 - sr6)
+            try:
+                want = float(exact)
+            except OverflowError:
+                want = math.inf if exact > 0 else -math.inf
+            assert lj_potential(r, spec) == want, r
+        assert lj_potential(1.0, spec) == 0.0
+        assert lj_potential(R_MIN_FACTOR, spec) == pytest.approx(-epsilon, rel=1e-14, abs=0.0)
+
 
 class TestMinimum:
     def test_position(self):

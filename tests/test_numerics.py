@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
-from paracyl import numerics
+from paracyl import numerics, oscillator
 from paracyl.grids import Grid1D
 from paracyl.numerics import (
     MAX_RULE_POINTS,
@@ -451,22 +451,38 @@ SPECS = (
 )
 
 
-def table_builds(monkeypatch, spikes=()):
-    """Record the spec of every table built; row n of each gets NaN at node spikes[n]."""
+def table_builds(monkeypatch):
+    """Record the spec of every table built."""
     builds = []
     build = Eigenstate._table
-    spikes = dict(spikes)
 
     def recording(self, x):
         builds.append(self.spec)
-        rows = build(self, x)
-        for n, node in spikes.items():
-            if node is not None:
-                rows[n, node] = math.nan
-        return rows
+        return build(self, x)
 
     monkeypatch.setattr(Eigenstate, "_table", recording)
     return builds
+
+
+def spiked_states(monkeypatch, spikes):
+    """Make psi_n NaN at node index spikes[n], in its calls and in its table rows alike."""
+    spikes = {n: node for n, node in spikes.items() if node is not None}
+    call, walk = oscillator.eval_D, oscillator._walk_orders
+
+    def eval_D(n, z):
+        d = call(n, z)
+        if n in spikes:
+            d[spikes[n]] = math.nan
+        return d
+
+    def walk_orders(z):
+        rows = walk(z)
+        for n, node in spikes.items():
+            rows[n, node] = math.nan
+        return rows
+
+    monkeypatch.setattr(oscillator, "eval_D", eval_D)
+    monkeypatch.setattr(oscillator, "_walk_orders", walk_orders)
 
 
 def table_info():
@@ -563,18 +579,16 @@ class TestStoredColumns:
             for n in range(DEGREE_CAP + 1):
                 want = Eigenstate(n, spec)(rule.node_array / s) * rule.fold_array
                 assert table[n].tobytes() == want.tobytes(), n
-                column, finite = numerics._folded(Eigenstate(n, spec), rule, s, 0.0)
-                assert column.tobytes() == want.tobytes() and finite
 
     def test_a_stored_column_is_a_read_only_row_of_a_shared_table(self):
         rule = gauss_hermite_rule(8)
         psi = Eigenstate(5, UNIT)
         overlap(psi, psi, 1.0, rule)
-        column, _ = numerics._folded(Eigenstate(5, OscillatorSpec()), rule, 1.0, 0.0)
-        assert column.base is numerics._folded(Eigenstate(2, UNIT), rule, 1.0, 0.0)[0].base
-        assert column.tobytes() == (psi(rule.node_array) * rule.fold_array).tobytes()
+        table = numerics._table(rule, 1.0, Eigenstate(5, OscillatorSpec())._table_key)[0]
+        assert table is numerics._table(rule, 1.0, Eigenstate(2, UNIT)._table_key)[0]
+        assert table[5].tobytes() == (psi(rule.node_array) * rule.fold_array).tobytes()
         with pytest.raises(ValueError):
-            column[0] = 0.0
+            table[5][0] = 0.0
         assert table_info()[::2] == (1, 1)
 
     @pytest.mark.parametrize("k", [64, 128, 256])
@@ -589,27 +603,31 @@ class TestStoredColumns:
         monkeypatch.setattr(numerics, "_check_finite", lambda *args: checks.append(1) or check(*args))
         pairs = [(a, b) for a in states for b in states]  # the rule is exact for all of them
         for a, b in pairs:
-            (fv, _), (gv, _) = numerics._folded(a, rule, s, 0.0), numerics._folded(b, rule, s, 0.0)
+            fv, gv = (state(rule.node_array / s) * rule.fold_array for state in (a, b))
             check(fv, gv, rule)  # the reference's own check, not counted
             want = numerics._mirror_sum(fv, gv, rule) / s
             assert overlap(a, b, spec.gaussian_scale, rule).hex() == want.hex()
         assert checks == []  # overlap checked no column of a finite table
         overlap(states[1], lambda x: x * states[1](x), spec.gaussian_scale, rule)
         assert len(checks) == 1  # a factor from a direct call is checked
+        overlap(states[1], Eigenstate(1, UNIT), spec.gaussian_scale, rule)
+        assert len(checks) == 2  # so are the factors of two specs, each called
 
     @pytest.mark.parametrize("bad_a,bad_b", [(5, None), (None, 2), (5, 2), (2, 5)])
     def test_a_non_finite_factor_names_its_first_node_on_every_call(self, monkeypatch, bad_a, bad_b):
         rule = gauss_hermite_rule(16)
-        builds = table_builds(monkeypatch, {3: bad_a, 5: bad_b})
+        builds = table_builds(monkeypatch)
+        spiked_states(monkeypatch, {3: bad_a, 5: bad_b})
         a, b = Eigenstate(3, UNIT), Eigenstate(5, UNIT)
         first = min(i for i in (bad_a, bad_b) if i is not None)
         for _ in range(3):
             with pytest.raises(ValueError, match=f"at node {rule.nodes[first]!r}$"):
                 overlap(a, b, 1.0, rule)
-        # The table is kept with its flag: one build, and every read checks its columns.
-        _, finite, rows = numerics._table(rule, 1.0, a._table_key)
+        # The table agrees with its states and is kept with its flag: one build, and no Gram row.
+        table, finite, rows = numerics._table(rule, 1.0, a._table_key)
         assert builds == [UNIT] and finite is False
-        # Its finite rows still give the uncached values, summed pairwise: no Gram row is built.
+        assert table[3].tobytes() == (a(rule.node_array) * rule.fold_array).tobytes()
+        # Its finite states are called and give the uncached values, summed pairwise: still no Gram row.
         c, d = Eigenstate(0, UNIT), Eigenstate(2, UNIT)
         assert overlap(c, d, 1.0, rule).hex() == uncached_overlap(c, d, 1.0, rule).hex()
         assert builds == [UNIT] and all(row is None for row in rows)
