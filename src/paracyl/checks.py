@@ -169,10 +169,16 @@ def minimum_correction(fld: FieldSpec, spec: OscillatorSpec) -> CheckResult:
     return CheckResult("field", "minimum-correction", ok, detail, tol)
 
 
-def lj_suite(epsilon: float = 1.0, sigma: float = 1.0, gamma_sq: int = 2) -> list[CheckResult]:
+def lj_spec(epsilon: float = 1.0, sigma: float = 1.0, gamma_sq: int = 2) -> LJSpec:
+    """The L-J suite's well; a ValueError if it is invalid or its minimum search would overflow."""
     spec = LJSpec(epsilon=epsilon, sigma=sigma, gamma_sq=gamma_sq)
     if not math.isfinite(2.0 * sigma):
         raise ValueError(f"the minimum search runs to r = 2 sigma, which overflows for sigma = {sigma!r}")
+    return spec
+
+
+def lj_suite(epsilon: float = 1.0, sigma: float = 1.0, gamma_sq: int = 2) -> list[CheckResult]:
+    spec = lj_spec(epsilon, sigma, gamma_sq)
     checks = []
 
     tol = 4e-16

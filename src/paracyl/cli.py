@@ -357,15 +357,17 @@ def _cmd_verify(args) -> int:
             # The field suite builds the ladder m = -g .. g + 2, the L-J suite g levels.
             _check_rows("ladder", g if args.suite == "lj" else 2 * g + 3)
 
-    from .checks import field_suite, free_suite, lj_suite
+    from .checks import field_suite, free_suite, lj_spec, lj_suite
 
+    lj_args = (args.epsilon, args.sigma) if g is None else (args.epsilon, args.sigma, g)
+    lj_spec(*lj_args)  # every suite checks --epsilon and --sigma, as the L-J suite does
     records = []
     if args.suite in ("free", "all"):
         records.extend(free_suite())
     if args.suite in ("field", "all"):
         records.extend(field_suite() if g is None else field_suite([g]))
     if args.suite in ("lj", "all"):
-        records.extend(lj_suite(args.epsilon, args.sigma) if g is None else lj_suite(args.epsilon, args.sigma, g))
+        records.extend(lj_suite(*lj_args))
     for check in records:
         status = "PASS" if check.ok else "FAIL"
         print(f"{status}  [{check.suite}] {check.name}: {check.detail}")

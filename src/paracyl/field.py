@@ -1,11 +1,11 @@
 """The oscillator in a uniform electric field.
 
-Adding the linear term q E x to the harmonic potential shifts the argument
-of the parabolic cylinder functions by 2 gamma, where
+The linear term q E x only moves the well, to x_c = -q E / (mu omega^2):
+the field states are the free ones moved there, psi_k(x - x_c), with
 gamma = q E / sqrt(2 mu hbar omega^3).  Two solution families follow:
 
 * a continuous-gamma^2 branch, E_n = hbar omega (n + 1/2 - gamma^2), with
-  states N_n D_n(z + 2 gamma);
+  states psi_n(x - x_c) = N_n D_n(z + 2 gamma);
 * an integer branch valid when gamma^2 = 1, 2, 3, ..., where the spectrum
   keeps the free-oscillator form E_m = hbar omega (m + 1/2) for every
   integer m >= -gamma^2, realized by the same states with index
@@ -22,8 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .oscillator import OscillatorSpec, _grid_residual, _x_mean, norm_const
-from .pcf import eval_D
+from .oscillator import Eigenstate, OscillatorSpec, _grid_residual, _x_mean
 from .polys import _check_int, _check_order, _check_quantum_number
 
 if TYPE_CHECKING:
@@ -94,7 +93,7 @@ def energy_shifted(n: int, gamma: float, spec: OscillatorSpec) -> float:
 
 @dataclass(frozen=True)
 class ShiftedState:
-    """A displaced eigenstate N_k D_k(z + 2 gamma), k = pcf_index.
+    """A displaced eigenstate psi_k(x - x_center) = N_k D_k(z + 2 gamma), k = pcf_index.
 
     ``m`` is the spectral label: equal to pcf_index on the continuous
     branch, and m = pcf_index - gamma^2 (possibly negative) on the integer
@@ -129,9 +128,8 @@ class ShiftedState:
         return cls(m=m, gamma=math.sqrt(gamma_sq), spec=spec, pcf_index=m + gamma_sq)
 
     def __call__(self, x: float) -> float:
-        """N_k D_k(sqrt(2 mu omega / hbar) x + 2 gamma) with k = pcf_index."""
-        s, k = self.spec, self.pcf_index
-        return norm_const(k, s) * eval_D(k, s.z_scale * x + 2.0 * self.gamma)
+        """psi_k(x - x_center) with k = pcf_index: the ``Eigenstate`` call at the offset from the well center."""
+        return Eigenstate(self.pcf_index, self.spec)(x - self.x_center)
 
     @property
     def charge_field_product(self) -> float:
@@ -153,7 +151,7 @@ def expectation_x_shifted(state: ShiftedState, rule: QuadratureRule | None = Non
     more is exact: ``rule=None`` picks the 64-, 128- or 256-point rule, the
     smallest that holds that many, and a smaller rule is a ``ValueError``.
     """
-    return _x_mean(state, state.x_center, state.pcf_index, rule)
+    return _x_mean(state.pcf_index, state.spec, state.x_center, rule)
 
 
 def integer_branch_spectrum(
@@ -199,12 +197,13 @@ def field_hamiltonian_residual(state: ShiftedState, e: float, grid: Grid1D) -> f
     """Max-norm residual of (H_field - E) Psi over the grid interior.
 
     H_field carries the potential mu omega^2 x^2 / 2 + q E x with q E
-    reconstructed from the state's gamma.  The grid must cover the
-    displaced well center to +/- 6 oscillator lengths.  The stencil, its
-    operation order and its pinned rounding bound are those of
-    ``hamiltonian_residual``, on the row D_k(z + 2 gamma), and the grid keeps
-    its argument of D_k as that function does.
+    reconstructed from the state's gamma: mu omega^2 u^2 / 2 - hbar omega
+    gamma^2 at u = x - x_center.  So the residual is ``hamiltonian_residual``'s
+    stencil on u, with its pinned rounding bound, for the level
+    E + hbar omega gamma^2, and loses no digits to the cancellation of the
+    two lab-frame potential terms.  The grid must cover the displaced well
+    center to +/- 6 oscillator lengths.
     """
-    coverage = "grid must cover the displaced center to +/- 6 oscillator lengths"
-    qe, center = state.charge_field_product, state.x_center
-    return _grid_residual(state.pcf_index, 2.0 * state.gamma, state.spec, e, qe, center, grid, coverage)
+    spec = state.spec
+    level = e + spec.hbar * spec.omega * (state.gamma * state.gamma)
+    return _grid_residual(state.pcf_index, spec, level, state.x_center, grid)

@@ -61,7 +61,7 @@ def lj_potential(r: float, spec: LJSpec) -> float:
     """
     if not r > 0:
         raise ValueError("separation r must be positive")
-    sr6 = (spec.sigma / r) ** 6
+    sr6 = min(spec.sigma / r, 1e51) ** 6  # past 1e51, ** may raise, and sr6^2 and U overflow to inf
     if spec.epsilon > sys.float_info.max / 4.0:
         return 4.0 * (spec.epsilon * (sr6 * sr6 - sr6))
     return 4.0 * spec.epsilon * (sr6 * sr6 - sr6)

@@ -170,11 +170,6 @@ def _order(state) -> int | None:
     return n if isinstance(n, int) and not isinstance(n, bool) else None
 
 
-def _nodes(rule: QuadratureRule, s: float, center: float) -> np.ndarray:
-    """The rule's nodes t mapped to x = center + t / s."""
-    return rule.node_array / s if center == 0.0 else center + rule.node_array / s
-
-
 def _sized_rule(k_min: int, rule: QuadratureRule | None) -> QuadratureRule:
     """``rule``, checked to hold at least ``k_min`` points, or the smallest 64-, 128- or 256-point rule that does.
 
@@ -243,7 +238,7 @@ def overlap(a, b, scale: float, rule: QuadratureRule | None = None) -> float:
         table, finite, rows = _table(rule, s, key)
         if finite:
             return float(_gram_row(rule, table, rows, a.n)[b.n]) / 2.0 / s
-    x = _nodes(rule, s, center)
+    x = rule.node_array / s if center == 0.0 else center + rule.node_array / s
     fv = a(x) * rule.fold_array
     gv = b(x) * rule.fold_array
     _check_finite(fv, gv, rule)

@@ -112,10 +112,11 @@ class Eigenstate:
     caches per rule, scale and key, one row per order, built on the first
     read of that order; every other overlap calls the state.  The key,
     computed once, is the state's type, and the spec's type, mu, omega and
-    hbar.  It holds no object with a Python-level ``__hash__`` or ``__eq__``
-    (for float parameters), and two keys are equal exactly when the specs
-    are, so a lookup hashes and compares only plain numbers, and a missing
-    table is built from the key.
+    hbar; a subclass, which may override ``__call__``, has None and is called.
+    It holds no object with a Python-level ``__hash__`` or ``__eq__`` (for
+    float parameters), and two keys are equal exactly when the specs are, so
+    a lookup hashes and compares only plain numbers, and a missing table is
+    built from the key.
     ``n`` is checked as ``norm_const`` checks it, when the state is built,
     so ``overlap`` never sizes a rule for an order above ``DEGREE_CAP``.
     """
@@ -128,7 +129,8 @@ class Eigenstate:
         _check_quantum_number(self.n)
         _check_order(self.n)
         spec = self.spec
-        object.__setattr__(self, "_table_key", (type(self), type(spec), spec.mu, spec.omega, spec.hbar))
+        key = (Eigenstate, type(spec), spec.mu, spec.omega, spec.hbar) if type(self) is Eigenstate else None
+        object.__setattr__(self, "_table_key", key)
 
     def __call__(self, x: float) -> float:
         """psi_n(x) = N_n D_n(sqrt(2 mu omega / hbar) x)."""
@@ -153,83 +155,79 @@ def expectation_x(n: int, spec: OscillatorSpec, rule: QuadratureRule | None = No
     128- or 256-point rule, the smallest that does, and a smaller rule is a
     ``ValueError``.
     """
-    return _x_mean(Eigenstate(n, spec), 0.0, n, rule)
+    return _x_mean(n, spec, 0.0, rule)
 
 
 @lru_cache(maxsize=2)
-def _grid_arrays(grid: Grid1D, stiffness: float, qe: float, z_scale: float, shift: float):
-    """Read-only grid points x, (x stiffness) x + qe x on the grid interior, and the ladder of D_n on the grid.
+def _grid_arrays(grid: Grid1D, stiffness: float, z_scale: float, center: float):
+    """Read-only offsets u = x - center of the grid points, stiffness u^2 on the grid interior, and the ladder of D_n.
 
-    The ladder's argument is z = z_scale x + shift, clipped to [-100, 100]
-    as ``eval_D`` clips.  Keyed by what the arrays depend on, so equal keys
+    The ladder's argument is z = z_scale u, clipped to [-100, 100] as
+    ``eval_D`` clips.  Keyed by what the arrays depend on, so equal keys
     give equal bits; the two most recent grids are kept, each with its own
     ``pcf._Ladder`` of at most ``pcf._CHECKPOINT_BYTES`` (6 MiB, counting
     the two interior rows a residual makes).
     """
-    x = grid.points()
-    xi = x[1:-1]
-    v = np.multiply(xi, stiffness)
-    v *= xi
-    v += qe * xi
-    z = np.multiply(x, z_scale)
-    z += shift
+    u = grid.points() - center
+    ui = u[1:-1]
+    v = np.multiply(ui, stiffness)
+    v *= ui
+    z = np.multiply(u, z_scale)
     np.clip(z, -100.0, 100.0, out=z)
-    x.flags.writeable = v.flags.writeable = z.flags.writeable = False
-    return x, v, _Ladder(z)
+    u.flags.writeable = v.flags.writeable = z.flags.writeable = False
+    return u, v, _Ladder(z)
 
 
-def _grid_residual(
-    k: int, shift: float, spec: OscillatorSpec, e: float, qe: float, center: float, grid: Grid1D, coverage: str
-) -> float:
-    """Max |(H - e) psi| on the grid interior for V = mu omega^2 x^2 / 2 + qe x, well at ``center``.
+def _grid_residual(k: int, spec: OscillatorSpec, e: float, center: float, grid: Grid1D) -> float:
+    """Max |(H - e) psi| on the grid interior for psi = psi_k(u) and V = mu omega^2 u^2 / 2, u = x - center.
 
-    psi = N_k d with d = D_k(z_scale x + shift), the row the grid's ladder
-    holds, read in place (``_Ladder.row``).  With a = -(hbar^2 / 2 mu) / h^2,
-    the -2 psi_i of the second difference is folded into the potential:
+    psi = N_k d with d = D_k(z_scale u), the row the grid's ladder holds,
+    read in place (``_Ladder.row``).  With a = -(hbar^2 / 2 mu) / h^2, the
+    -2 psi_i of the second difference is folded into the potential:
 
-        r = a (d[:-2] + d[2:]) + (v_x - (e + 2 a)) d[1:-1]
+        r = a (d[:-2] + d[2:]) + (v_u - (e + 2 a)) d[1:-1]
 
     in that operation order (seven array passes, no division, no psi row),
     and the result is N_k max(max r, -min r).  Against the same stencil
     evaluated exactly on the same doubles, the error stays within the pinned
-    8 u (|a| + max |v_x - e|) max |psi|, u = 2^-53 (measured up to 5.4 u).
+    8 eps (|a| + max |v_u - e|) max |psi|, eps = 2^-53 (measured up to 5.4 eps).
     """
     if grid.npoints < 50:
         raise ValueError("grid too coarse: at least 50 points required")
-    x, vx, ladder = _grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe, spec.z_scale, shift)
-    h = grid.h
-    span = 6.0 * spec.length_scale
-    slack = 1e-9 * spec.length_scale
-    if x[0] > center - span + slack or x[-1] < center + span - slack:
-        raise ValueError(coverage)
+    u, vu, ladder = _grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, spec.z_scale, center)
+    reach = 6.0 * spec.length_scale - 1e-9 * spec.length_scale
+    if u[0] > -reach or u[-1] < reach:
+        raise ValueError("grid must cover the well center to +/- 6 oscillator lengths")
     nk = norm_const(k, spec)  # checks k before the ladder climbs
     d = ladder.row(k)
-    a = -(spec.hbar**2 / (2.0 * spec.mu)) / (h * h)
+    a = -(spec.hbar**2 / (2.0 * spec.mu)) / (grid.h * grid.h)
     r = np.add(d[:-2], d[2:])
     r *= a
-    w = np.subtract(vx, e + 2.0 * a)
+    w = np.subtract(vu, e + 2.0 * a)
     w *= d[1:-1]
     r += w
     return nk * float(max(r.max(), -r.min()))
 
 
-def _x_mean(state, center: float, k: int, rule: QuadratureRule | None) -> float:
-    """<x> over u = x - ``center``, where ``state`` is a degree-k polynomial times the rule's Gaussian.
+def _x_mean(k: int, spec: OscillatorSpec, center: float, rule: QuadratureRule | None) -> float:
+    """<x> of psi_k moved to ``center``: the integral over u = x - center of psi_k(u)^2 (center + u).
 
-    The state is called once, at x = center + u with u the rule's nodes over
-    sqrt(mu omega / hbar); psi and x psi are folded and summed as ``overlap``
-    does for two plain callables, with the same operations in the same order.
-    ``numerics`` is imported here, by its one user in this module, so that
-    loading ``oscillator`` does not load it.
+    psi_k is called once, at u, the rule's nodes over sqrt(mu omega / hbar),
+    and weighted by x = center + u; psi and x psi are folded and summed in
+    the operation order ``overlap`` uses for two plain callables, and the
+    folded psi is row k of ``numerics._table`` bit for bit.  ``numerics`` is
+    imported here, by its one user in this module, so that loading
+    ``oscillator`` does not load it.
     """
-    from .numerics import _check_finite, _mirror_sum, _nodes, _sized_rule
+    from .numerics import _check_finite, _mirror_sum, _sized_rule
 
+    psi = Eigenstate(k, spec)  # checks k before the rule is sized
     rule = _sized_rule(k + 1, rule)
-    s = math.sqrt(state.spec.gaussian_scale)
-    x = _nodes(rule, s, center)
-    psi = state(x)
-    fv = psi * rule.fold_array
-    gv = (x * psi) * rule.fold_array
+    s = math.sqrt(spec.gaussian_scale)
+    u = rule.node_array / s
+    p = psi(u)
+    fv = p * rule.fold_array
+    gv = ((center + u) * p) * rule.fold_array
     _check_finite(fv, gv, rule)
     return _mirror_sum(fv, gv, rule) / s
 
@@ -241,14 +239,13 @@ def hamiltonian_residual(n: int, spec: OscillatorSpec, grid: Grid1D) -> float:
     decays as O(h^2); its -2 psi_i is folded into the potential and N_k is
     applied to the max, with the pinned rounding bound ``_grid_residual``
     states.  The grid must span [-6 l, 6 l] with l the oscillator length and
-    carry at least 50 points.  The grid points, the x part of the potential
-    and the ladder of D_n on the grid are kept, read-only, for the two most
-    recent grids.  The ladder keeps its cursor pair and a checkpoint pair
+    carry at least 50 points.  The grid points, the potential and the
+    ladder of D_n on the grid are kept, read-only, for the two most recent
+    grids.  The ladder keeps its cursor pair and a checkpoint pair
     every ``stride`` orders, the smallest stride that keeps it within 6 MiB:
     7 on a 12 001-point grid, 15 on 24 001 points, and no checkpoint on a
     grid of more than 112 334 points.  Each call reads its row there in
     place: on a warm grid no argument is built, no row is copied, and a
     climb from a kept checkpoint runs at most ``stride`` - 1 steps.
     """
-    coverage = "grid must cover [-6, 6] oscillator lengths"
-    return _grid_residual(n, 0.0, spec, energy(n, spec), 0.0, 0.0, grid, coverage)
+    return _grid_residual(n, spec, energy(n, spec), 0.0, grid)

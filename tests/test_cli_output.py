@@ -500,16 +500,41 @@ class TestFuzz:
     # Fewer examples than the other fuzzes: a ladder near the row limit takes 0.5-1 s.
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_verify(self, suite, gamma_sq, lj):
-        """Exit 2 with one error line, or exit 0 with every record PASS and a k/k summary."""
+        """Exit 2 with one error line, or exit 0 with every record PASS and a k/k summary.
+
+        Every suite exits 2 when the L-J suite would refuse ``--epsilon`` and ``--sigma``.
+        """
         argv = ["verify", f"--suite={suite}", f"--epsilon={flag(lj[0])}", f"--sigma={flag(lj[1])}"]
         code, out, err = run_quietly([*argv, *([] if gamma_sq is None else [f"--gamma-sq={gamma_sq}"])])
-        if code != EXIT_OK:
+        if code != EXIT_OK or lj_refuses(*lj, gamma_sq):
             assert_clean_rejection(code, out, err)
             return
         *records, summary = out.splitlines()
         assert [line for line in records if not line.startswith("PASS  [")] == []
         assert summary == f"verify: {len(records)}/{len(records)} checks passed"
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "flags,error",
+        [
+            (["--epsilon=nan", "--sigma=-1"], "epsilon must be positive and finite"),
+            (["--sigma=0"], "sigma must be positive and finite"),
+            (["--epsilon=5e-324"], "epsilon = 5e-324 is subnormal (below 2.2250738585072014e-308)"),
+            (["--sigma=1e308"], "the minimum search runs to r = 2 sigma, which overflows for sigma = 1e+308"),
+        ],
+    )
+    def test_verify_refuses_the_lj_flags_for_every_suite(self, flags, error):
+        for suite in ("free", "field", "lj", "all"):
+            assert run_quietly(["verify", f"--suite={suite}", *flags]) == (EXIT_USAGE, "", f"error: {error}\n")
+
+
+def lj_refuses(epsilon, sigma, gamma_sq):
+    """Whether the L-J suite refuses its well: ``LJSpec`` raises, or the search to r = 2 sigma overflows."""
+    try:
+        LJSpec(epsilon, sigma, 2 if gamma_sq is None else gamma_sq)
+    except ValueError:
+        return True
+    return not math.isfinite(2.0 * sigma)
 
 
 class TestThroughAPipe:

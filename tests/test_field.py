@@ -202,6 +202,49 @@ class TestExpectationXShifted:
         assert expectation_x_shifted(state, gauss_hermite_rule(256)) == pytest.approx(-1.0, abs=1e-9)
 
 
+SPEC_B = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1)
+
+
+class TestAFieldStateIsTheMovedFreeState:
+    """psi, <x> and the residual of a field state run on psi_k at the offsets u = x - x_center."""
+
+    @pytest.mark.parametrize("spec", [ONES, SPEC_B, OscillatorSpec(mu=0.37, omega=2.5, hbar=0.3)])
+    @pytest.mark.parametrize("k", [0, 1, 7, 60, 133, DEGREE_CAP])
+    def test_the_call_is_the_eigenstate_call_at_the_offset(self, spec, k):
+        states = [ShiftedState.continuous(k, gamma, spec) for gamma in (-40.0, -0.7, 0.0, 0.3, 1e5)]
+        states += [ShiftedState.integer_branch(k - g, g, spec) for g in (1, 3, 8192)]
+        for state in states:
+            psi = Eigenstate(k, spec)
+            x = state.x_center + np.linspace(-12.0, 12.0, 97) * spec.length_scale
+            assert state(x).tobytes() == psi(x - state.x_center).tobytes()
+            assert state(float(x[40])).hex() == psi(float(x[40]) - state.x_center).hex()
+
+    @pytest.mark.parametrize("spec", [ONES, SPEC_B])
+    @pytest.mark.parametrize("k", [0, 5, 63, 64, 200])
+    def test_the_folded_psi_of_the_mean_is_the_table_row(self, monkeypatch, spec, k):
+        factors = []
+        check = numerics._check_finite
+        monkeypatch.setattr(numerics, "_check_finite", lambda fv, gv, rule: factors.append(fv) or check(fv, gv, rule))
+        s = math.sqrt(spec.gaussian_scale)
+        for rule in [gauss_hermite_rule(points) for points in (64, 128, 256) if points > k]:
+            factors.clear()
+            expectation_x(k, spec, rule)
+            for gamma in (0.0, -0.8, 1e5):
+                expectation_x_shifted(ShiftedState.continuous(k, gamma, spec), rule)
+            row = numerics._table(rule, s, Eigenstate(0, spec)._table_key)[0][k]
+            assert len(factors) == 4 and all(fv.tobytes() == row.tobytes() for fv in factors)
+
+    @pytest.mark.parametrize("spec", [ONES, SPEC_B])
+    def test_the_mean_is_the_center_to_the_rounding_of_the_norm(self, spec):
+        # <x> = x_c <psi_k|psi_k> + <psi_k|u|psi_k>, and the second term is exactly 0.0 by parity: the
+        # relative error is that of the quadrature norm, up to 116 u at order 59 on the 64-point rule.
+        u = 2.0**-53
+        for gamma in (0.3, -37.5, 1e3, -1e5, 1e7):
+            for k in range(DEGREE_CAP + 1):
+                state = ShiftedState.continuous(k, gamma, spec)
+                assert abs(expectation_x_shifted(state) - state.x_center) <= 128 * u * abs(state.x_center), (gamma, k)
+
+
 class TestIntegerBranchSpectrum:
     def test_gamma_sq_one(self):
         assert integer_branch_spectrum(1, 1, ONES) == [(-1, -0.5, 0), (0, 0.5, 1), (1, 1.5, 2)]
@@ -372,6 +415,13 @@ class TestFieldHamiltonianResidual:
         grid = Grid1D(state.x_center - 6.5, state.x_center + 6.5, 1e-3)
         residual = field_hamiltonian_residual(state, energy_shifted(0, gamma, ONES), grid)
         assert residual < 1e-5
+
+    @pytest.mark.parametrize("gamma", [1e5, -1e5])
+    def test_a_far_displaced_ground_state(self, gamma):
+        # The level is measured from the displaced minimum, so the potential's cancellation costs no digits.
+        state = ShiftedState.continuous(0, gamma, ONES)
+        grid = Grid1D(state.x_center - 6.5, state.x_center + 6.5, 1e-3)
+        assert field_hamiltonian_residual(state, energy_shifted(0, gamma, ONES), grid) < 1e-5
 
     def test_integer_branch_negative_level(self):
         state = ShiftedState.integer_branch(-1, 1, ONES)

@@ -109,6 +109,12 @@ class TestPotential:
         assert -1e-6 < lj_potential(1e3, UNIT) < 0.0
         assert lj_potential(0.05, UNIT) > 1e10
 
+    @pytest.mark.parametrize("r", [1e-60, 1e-52, 1 / 1.5e51, 5e-308, sys.float_info.min, 5e-324])
+    @pytest.mark.parametrize("epsilon", [1.0, sys.float_info.max])
+    def test_past_the_double_range_is_inf(self, r, epsilon):
+        # (sigma / r)^12 and U are past the largest double: U is inf, not an OverflowError or nan.
+        assert lj_potential(r, LJSpec(epsilon=epsilon, sigma=1.0, gamma_sq=2)) == math.inf
+
     @pytest.mark.parametrize("epsilon", [1.0, 2e307, sys.float_info.max / 4, 4.5e307, 1e308, sys.float_info.max])
     def test_every_value_is_the_exact_product_rounded_once(self, epsilon):
         # 4 epsilon overflows above a quarter of the largest double; the well depth U = -epsilon does not.

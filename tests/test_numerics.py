@@ -652,6 +652,19 @@ class TestStoredColumns:
         assert expectation_x(3, UNIT, rule) == 0.0
         assert table_info() == (0, 0, 0)
 
+    def test_a_subclass_that_overrides_call_is_called(self):
+        class Doubled(Eigenstate):
+            def __call__(self, x):
+                return 2.0 * super().__call__(x)
+
+        spec = OscillatorSpec()
+        a, b = Doubled(3, spec), Doubled(3, spec)
+        assert a._table_key is None
+        assert overlap(a, b, 1.0).hex() == uncached_overlap(a, b, 1.0, gauss_hermite_rule(64)).hex()
+        assert overlap(a, b, 1.0) == pytest.approx(4.0, rel=1e-14)
+        assert overlap(a, Eigenstate(3, spec), 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert table_info() == (0, 0, 0)
+
     def test_an_identity_hashed_state_is_evaluated_afresh_after_a_mutation(self):
         class Trial:
             """A mutable variational state with an order, hashed by identity."""
@@ -858,7 +871,8 @@ class TestGramRows:
 
         def direct(b):
             """The pairwise sum of both factors, each evaluated at the nodes about the midpoint of the centres."""
-            x = numerics._nodes(rule, 1.0, getattr(b, "x_center", 0.0) / 2.0)
+            center = getattr(b, "x_center", 0.0) / 2.0
+            x = rule.node_array if center == 0.0 else center + rule.node_array
             return numerics._mirror_sum(psi(x) * rule.fold_array, b(x) * rule.fold_array, rule)
 
         for _ in range(2):

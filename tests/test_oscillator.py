@@ -45,19 +45,32 @@ def state_id(state):
     return f"m{state.m}-k{state.pcf_index}"
 
 
-def stencil_residual(state, e, qe, grid):
-    """max |(H - e) psi| over the grid interior, as one plain array expression.
+def centred_level(state, e):
+    """The offsets u = x - x_center frame of a state: its order, its center, and the level e measured there.
 
-    psi = N_k d with d = D_k(z + shift); with a = -(hbar^2 / 2 mu) / h^2 the
+    A field state's potential is mu omega^2 u^2 / 2 - hbar omega gamma^2, so
+    its level rises by hbar omega gamma^2; a free state is its own frame.
+    """
+    if isinstance(state, Eigenstate):
+        return state.n, 0.0, e
+    spec = state.spec
+    return state.pcf_index, state.x_center, e + spec.hbar * spec.omega * (state.gamma * state.gamma)
+
+
+def stencil_residual(state, e, grid):
+    """max |(H - e) psi| over the grid interior, as one plain array expression on u = x - x_center.
+
+    psi = N_k d with d = D_k(z_scale u); with a = -(hbar^2 / 2 mu) / h^2 the
     -2 psi_i of the second difference is folded into the potential, and N_k
     multiplies the max.
     """
-    spec, x, h = state.spec, grid.points(), grid.h
-    k, shift = (state.n, 0.0) if isinstance(state, Eigenstate) else (state.pcf_index, 2.0 * state.gamma)
-    d = eval_D(k, spec.z_scale * x + shift)
+    spec, h = state.spec, grid.h
+    k, center, level = centred_level(state, e)
+    u = grid.points() - center
+    d = eval_D(k, spec.z_scale * u)
     a = -(spec.hbar**2 / (2.0 * spec.mu)) / (h * h)
-    potential = 0.5 * spec.mu * spec.omega**2 * x * x + qe * x
-    r = a * (d[:-2] + d[2:]) + (potential[1:-1] - (e + 2.0 * a)) * d[1:-1]
+    potential = 0.5 * spec.mu * spec.omega**2 * u * u
+    r = a * (d[:-2] + d[2:]) + (potential[1:-1] - (level + 2.0 * a)) * d[1:-1]
     return norm_const(k, spec) * float(np.max(np.abs(r)))
 
 
@@ -343,28 +356,22 @@ class TestOrderCheckedBeforeTheRule:
             ShiftedState.continuous(230, 0.2, OscillatorSpec())
 
 
-def two_evaluation_x_mean(state, center, rule):
-    """<x> as one ``overlap`` of psi and x psi over u = x - center: the state is called twice."""
-
-    def centred(u):
-        return state(center + u)
-
-    return overlap(centred, lambda u: (center + u) * centred(u), state.spec.gaussian_scale, rule)
+def two_evaluation_x_mean(k, spec, center, rule):
+    """<x> of psi_k moved to ``center`` as one ``overlap`` of psi_k and x psi_k over u = x - center: psi_k is called twice."""
+    psi = Eigenstate(k, spec)
+    return overlap(psi, lambda u: (center + u) * psi(u), spec.gaussian_scale, rule)
 
 
-class CountingState:
-    """A state that delegates to ``state`` and counts its calls."""
-
-    def __init__(self, state):
-        self.state, self.spec, self.calls = state, state.spec, 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.state(x)
+def counting_calls(monkeypatch):
+    """Count the calls of ``Eigenstate.__call__``."""
+    calls = []
+    call = Eigenstate.__call__
+    monkeypatch.setattr(Eigenstate, "__call__", lambda self, x: calls.append(self.n) or call(self, x))
+    return calls
 
 
 class TestSingleEvaluationMean:
-    """<x> calls its state once, with the value bits of the two-evaluation overlap."""
+    """<x> calls psi_k once, at the offsets from its center, with the value bits of the two-evaluation overlap."""
 
     ORDERS = (0, 5, 63, 127, 200)
     SPECS = (OscillatorSpec(), OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1))
@@ -375,26 +382,26 @@ class TestSingleEvaluationMean:
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("n", ORDERS)
-    def test_free_states(self, spec, n):
+    def test_free_states(self, spec, n, monkeypatch):
         for rule in self.exact_rules(n):
-            want = two_evaluation_x_mean(Eigenstate(n, spec), 0.0, rule)
-            assert expectation_x(n, spec, rule).hex() == want.hex()
-            counting = CountingState(Eigenstate(n, spec))
-            assert oscillator._x_mean(counting, 0.0, n, rule).hex() == want.hex()
-            assert counting.calls == 1
+            want = two_evaluation_x_mean(n, spec, 0.0, rule)
+            with monkeypatch.context() as patch:
+                calls = counting_calls(patch)
+                assert expectation_x(n, spec, rule).hex() == want.hex()
+            assert calls == [n]
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("n", ORDERS)
-    def test_shifted_states(self, spec, n):
+    def test_shifted_states(self, spec, n, monkeypatch):
         states = [ShiftedState.continuous(n, gamma, spec) for gamma in (-0.8, 0.0, 0.3)]
         states += [ShiftedState.integer_branch(n - g, g, spec) for g in (1, 5)]  # gamma^2 = 1 and 5
         for state in states:
             for rule in self.exact_rules(n):
-                want = two_evaluation_x_mean(state, state.x_center, rule)
-                assert expectation_x_shifted(state, rule).hex() == want.hex()
-                counting = CountingState(state)
-                assert oscillator._x_mean(counting, state.x_center, n, rule).hex() == want.hex()
-                assert counting.calls == 1
+                want = two_evaluation_x_mean(n, spec, state.x_center, rule)
+                with monkeypatch.context() as patch:
+                    calls = counting_calls(patch)
+                    assert expectation_x_shifted(state, rule).hex() == want.hex()
+                assert calls == [n]
 
 
 class TestHamiltonianResidual:
@@ -445,7 +452,7 @@ class TestHamiltonianResidual:
     def test_free_residual_is_bit_identical_to_the_plain_expression(self, n):
         spec = OscillatorSpec()
         grid = Grid1D(-6.0, 6.0, 1e-3)
-        expected = stencil_residual(Eigenstate(n, spec), energy(n, spec), 0.0, grid)
+        expected = stencil_residual(Eigenstate(n, spec), energy(n, spec), grid)
         assert hamiltonian_residual(n, spec, grid) == expected
 
     @pytest.mark.parametrize("spec", [OscillatorSpec(), OscillatorSpec(mu=0.7, omega=1.3, hbar=0.9)])
@@ -462,7 +469,7 @@ class TestHamiltonianResidual:
         for state, e in cases:
             length = spec.length_scale
             grid = Grid1D(state.x_center - 7 * length, state.x_center + 7 * length, 2e-3 * length)
-            expected = stencil_residual(state, e, state.charge_field_product, grid)
+            expected = stencil_residual(state, e, grid)
             assert field_hamiltonian_residual(state, e, grid) == expected
 
     def test_rejects_short_grid(self):
@@ -504,11 +511,13 @@ class TestResidualRounding:
 
     C = 8.0
 
-    def assert_within_bound(self, k, shift, spec, e, qe, grid, got):
-        x = grid.points()
-        d = eval_D(k, spec.z_scale * x + shift)  # the ladder's row, bit for bit
-        xi = x[1:-1]
-        v = xi * (0.5 * spec.mu * spec.omega**2) * xi + qe * xi  # the grid's potential, bit for bit
+    def assert_within_bound(self, state, e, grid, got):
+        spec = state.spec
+        k, center, e = centred_level(state, e)
+        u = grid.points() - center
+        d = eval_D(k, spec.z_scale * u)  # the ladder's row, bit for bit
+        ui = u[1:-1]
+        v = ui * (0.5 * spec.mu * spec.omega**2) * ui  # the grid's potential, bit for bit
         a = -(spec.hbar**2 / (2.0 * spec.mu)) / (grid.h * grid.h)
         psi_max = norm_const(k, spec) * float(np.max(np.abs(d)))
         bound = self.C * U * (abs(a) + float(np.max(np.abs(v - e)))) * psi_max
@@ -520,7 +529,7 @@ class TestResidualRounding:
         length = spec.length_scale
         grid = Grid1D(-6.5 * length, 6.5 * length, 1e-3)
         got = hamiltonian_residual(n, spec, grid)
-        self.assert_within_bound(n, 0.0, spec, energy(n, spec), 0.0, grid, got)
+        self.assert_within_bound(Eigenstate(n, spec), energy(n, spec), grid, got)
 
     @pytest.mark.parametrize(
         "state",
@@ -535,8 +544,7 @@ class TestResidualRounding:
         ids=state_id,
     )
     def test_field_states(self, state):
-        spec, k, e = state.spec, state.pcf_index, field_level(state)
-        span = 6.5 * spec.length_scale
+        e, span = field_level(state), 6.5 * state.spec.length_scale
         grid = Grid1D(state.x_center - span, state.x_center + span, 2e-3)
         got = field_hamiltonian_residual(state, e, grid)
-        self.assert_within_bound(k, 2.0 * state.gamma, spec, e, state.charge_field_product, grid, got)
+        self.assert_within_bound(state, e, grid, got)

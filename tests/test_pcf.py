@@ -212,9 +212,9 @@ def assert_bit_equal(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def grid_ladder(spec, grid, qe=0.0, shift=0.0):
+def grid_ladder(spec, grid):
     """The ladder the residual grid of ``spec`` on ``grid`` owns (made now if the grid is not kept)."""
-    return oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, qe, spec.z_scale, shift)[2]
+    return oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, spec.z_scale, 0.0)[2]
 
 
 @pytest.fixture
@@ -537,15 +537,15 @@ def crossing(stride):
     return (0, 1, stride - 1, stride, stride + 1, 60, 3, 199, 200, 61)
 
 
-def plain_residual(k, d, x, h, e, qe, spec):
-    """Max |(H - e) psi| on the interior for psi = N_k d, as one expression.
+def plain_residual(k, d, u, h, e, spec):
+    """Max |(H - e) psi| on the interior of the offsets u for psi = N_k d, as one expression.
 
     With a = -(hbar^2 / 2 mu) / h^2, the -2 psi_i of the second difference
-    is folded into the potential, and N_k multiplies the max.
+    is folded into the potential mu omega^2 u^2 / 2, and N_k multiplies the max.
     """
     a = -(spec.hbar**2 / (2.0 * spec.mu)) / (h * h)
-    xi = x[1:-1]
-    r = a * (d[:-2] + d[2:]) + (xi * (0.5 * spec.mu * spec.omega**2) * xi + qe * xi - (e + 2.0 * a)) * d[1:-1]
+    ui = u[1:-1]
+    r = a * (d[:-2] + d[2:]) + (ui * (0.5 * spec.mu * spec.omega**2) * ui - (e + 2.0 * a)) * d[1:-1]
     return norm_const(k, spec) * float(np.max(np.abs(r)))
 
 
@@ -557,7 +557,7 @@ class TestResidualBits:
         grid = Grid1D(-6.5 * spec.length_scale, 6.5 * spec.length_scale, 1e-3)
         x = grid.points()
         for n in crossing(grid_ladder(spec, grid).stride):
-            want = plain_residual(n, uncached_D(n, spec.z_scale * x), x, grid.h, energy(n, spec), 0.0, spec)
+            want = plain_residual(n, uncached_D(n, spec.z_scale * x), x, grid.h, energy(n, spec), spec)
             assert_bit_equal(hamiltonian_residual(n, spec, grid), want)
 
     def test_field_hamiltonian_residual(self):
@@ -570,25 +570,22 @@ class TestResidualBits:
         ):
             span = 6.5 * spec.length_scale
             grid = Grid1D(state.x_center - span, state.x_center + span, 2e-3)
-            x = grid.points()
-            k = state.pcf_index
-            d = uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
-            e = energy_shifted(k, state.gamma, spec)
-            want = plain_residual(k, d, x, grid.h, e, state.charge_field_product, spec)
-            assert_bit_equal(field_hamiltonian_residual(state, e, grid), want)
+            e = energy_shifted(state.pcf_index, state.gamma, spec)
+            assert_bit_equal(field_hamiltonian_residual(state, e, grid), shifted_want(state, e, grid))
 
 
 def free_want(n, spec, grid):
     """The folded stencil residual of psi_n on uncached_D."""
     x = grid.points()
-    return plain_residual(n, uncached_D(n, spec.z_scale * x), x, grid.h, energy(n, spec), 0.0, spec)
+    return plain_residual(n, uncached_D(n, spec.z_scale * x), x, grid.h, energy(n, spec), spec)
 
 
 def shifted_want(state, e, grid):
-    x = grid.points()
+    """The folded stencil residual of psi_k on u = x - x_center, for the level e + hbar omega gamma^2."""
+    u = grid.points() - state.x_center
     k, spec = state.pcf_index, state.spec
-    d = uncached_D(k, spec.z_scale * x + 2.0 * state.gamma)
-    return plain_residual(k, d, x, grid.h, e, state.charge_field_product, spec)
+    level = e + spec.hbar * spec.omega * (state.gamma * state.gamma)
+    return plain_residual(k, uncached_D(k, spec.z_scale * u), u, grid.h, level, spec)
 
 
 class TestResidualInPlace:
@@ -597,7 +594,7 @@ class TestResidualInPlace:
     def test_a_warm_grid_reads_its_own_ladder_in_place(self, fresh_grids, monkeypatch):
         spec, grid = OscillatorSpec(mu=1.3, omega=0.7, hbar=1.1), Grid1D(-8.0, 8.0, 2e-3)
         hamiltonian_residual(0, spec, grid)
-        x, _, ladder = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, 0.0, spec.z_scale, 0.0)
+        x, _, ladder = oscillator._grid_arrays(grid, 0.5 * spec.mu * spec.omega**2, spec.z_scale, 0.0)
         orders = crossing(ladder.stride)
         want = [free_want(n, spec, grid) for n in orders]
         assert not ladder.arg.flags.writeable
