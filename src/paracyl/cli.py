@@ -115,9 +115,9 @@ def _check_gaussian(z_max: float) -> None:
 
     There ``eval_D`` returns subnormal values or 0.0 for every order (the
     bound is |z| = 2 sqrt(-ln 2^-1022) = 53.2314...), so the table would
-    print zeros; D_0 is computed as ``eval_D`` computes it.
+    print zeros.
     """
-    if np.exp(-(z_max * z_max) / 4.0) < sys.float_info.min:
+    if eval_D(0, z_max) < sys.float_info.min:
         raise ValueError(
             f"e^(-z^2/4) at |z| = {_fmt(z_max)} is below the smallest normal double, "
             "so every D_n there would print as 0 or lose digits: keep |z| <= 53.23"

@@ -6,19 +6,20 @@ a double first, as ``'%.12g'`` converts an integer, and then rendered in
 array passes:
 
 * **Scaling.**  With e = floor(log10 |v|), the 12-digit mantissa is
-  |v| 10^(11 - e), formed as an exact double-double: 10^k is held as
-  ``hi + lo`` (within 2^-104 of 10^k, ``lo`` at most an ulp of ``hi``),
-  |v| hi is Dekker's exact product of Veltkamp halves (Dekker, *Numer.
-  Math.* 18, 1971), and |v| lo is added to its error term.  The sum
-  p + lo is within about 2^-60 of the true mantissa, and
-  f = (p - rint(p)) + lo within 2^-53 of its distance from rint(p).
-* **Rounding.**  The mantissa rounds to rint(p), moved by one when
-  |f| > 1/2.  A value whose |f| lies within 2^-30 of 1/2 is a tie or too
-  near one to certify, and takes the fallback below.  An e from ``log10``
-  that is one too large or too small puts p outside [10^11, 10^12); those
-  values are scaled again with e corrected, so no digit depends on
-  ``log10``'s accuracy.  A mantissa that rounds up to 10^12 carries:
-  it becomes 10^11 and e grows by one.
+  m* = |v| 10^(11 - e) < 10^12 < 2^40, formed as one product
+  p = |v| ``_POW[e]``.  ``_POW[e]`` is the double nearest 10^(11 - e),
+  read from the decimal string as Python's correctly rounded ``float``.
+  The table and the product each round once, so in the standard model of
+  float arithmetic (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, 2nd ed., 2.2) |p - m*| <= (2u + u^2) m* < 2^-12, with
+  u = 2^-53.
+* **Rounding.**  When |p - rint(p)| < 1/2 - 2^-11, p and m* lie on the
+  same side of every half-integer, so rint(p) is m* correctly rounded.
+  Any other value, every exact tie among them, takes the fallback below.
+  An e from ``log10`` that is one too large or too small puts p outside
+  [10^11, 10^12); those values are scaled again with e corrected, so no
+  digit depends on ``log10``'s accuracy.  A mantissa that rounds up to
+  10^12 carries: it becomes 10^11 and e grows by one.
 * **Layout.**  Each value fills a 40-byte cell: the sign, the prefix
   ``0.000``, the 12 digits with a dot slot after each, ``e``, the
   exponent's sign and three digits, and the separator.  One table row per
@@ -31,13 +32,14 @@ array passes:
 * **Fallback.**  Whatever the passes cannot certify is rendered by
   ``'%.12g' % v`` itself: +-0, inf, nan, subnormals, |v| outside
   [1e-280, 1e281) (where the scaled products could leave the normal
-  range), near-ties, and a mantissa outside [10^11, 10^12) after the
+  range), a p within 2^-11 of a half (about 0.1 % of the values of
+  ``eval`` tables), and a mantissa outside [10^11, 10^12) after the
   correction.
 
 Whole rows are rendered in blocks of at most ``_BLOCK_VALUES`` values, so
 that the working set of a chunk of 4096 rows of four values stays below
 that of the ``%`` path it replaced (a list of floats, their tuple and the
-text): about 0.76 against 0.97 MB.
+text): about 0.71 against 0.95 MB.
 
 Correctly rounded conversion follows Steele & White and Gay, "Correctly
 rounded binary-decimal and decimal-binary conversions" (1990).
@@ -48,12 +50,11 @@ from __future__ import annotations
 import numpy as np
 
 #: Values rendered by one pass of the arrays: few enough that the working
-#: arrays (about 300 bytes a value, with ``np.compress``'s index) stay small
+#: arrays (about 270 bytes a value, with ``np.compress``'s index) stay small
 #: next to the chunk's text, many enough that each pass's per-call cost
 #: stays small next to its work.
 _BLOCK_VALUES = 2048
 
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into halves of 26 bits
 _E_MAX = 282
 #: The e of each table entry, 0.._E_MAX then -_E_MAX..-1: an e indexes its own entry.
 _E = [*range(_E_MAX + 1), *range(-_E_MAX, 0)]
@@ -67,40 +68,8 @@ _FORMS = 20
 # arithmetic and gathers that rendering runs anyway: each other numpy loop a
 # process runs maps more of numpy's code into its resident set.
 
-
-def _halves(x: np.ndarray):
-    """Veltkamp's split of ``x`` into two halves of 26 bits, exact in every product."""
-    c = _SPLIT * x
-    x1 = c - (c - x)
-    return x1, x - x1
-
-
-def _powers_of_ten():
-    """10^(11 - e) at every table e as hi + lo, within 2^-104, and hi's Veltkamp halves.
-
-    10^k = 10^(22 i) 10^j with 0 <= j < 22: 10^j is a double, 10^(22 i) is
-    rounded to hi + lo from integers, and the product is Dekker's, summed
-    back to hi + lo.
-    """
-    ij = [divmod(11 - e, 22) for e in _E]
-    big = {}
-    for i in {i for i, _ in ij}:
-        num, den = (10 ** (22 * i), 1) if i >= 0 else (1, 10 ** (-22 * i))
-        h = num / den
-        hn, hd = h.as_integer_ratio()
-        big[i] = h, (num * hd - hn * den) / (den * hd)
-    th, tl = np.array([big[i][0] for i, _ in ij]), np.array([big[i][1] for i, _ in ij])
-    tens = [float(10**j) for j in range(22)]
-    f = np.array([tens[j] for _, j in ij])
-    p = th * f
-    t1, t2 = _halves(th)
-    f1, f2 = _halves(f)
-    err = ((t1 * f1 - p) + t1 * f2 + t2 * f1) + t2 * f2 + tl * f
-    hi = p + err
-    return (hi, (p - hi) + err, *_halves(hi))
-
-
-_P_HI, _P_LO, _P_H1, _P_H2 = _powers_of_ten()
+#: The double nearest 10^(11 - e) at each table e.
+_POW = np.array([float(f"1e{11 - e}") for e in _E])
 
 
 def _form(e: int) -> int:
@@ -177,14 +146,6 @@ _CELL_MASK = _cell_masks()
 _LAST = 26 * _FORMS
 
 
-def _scaled(a: np.ndarray, e: np.ndarray):
-    """p + lo = a 10^(11 - e) to about 2^-104 relative: Dekker's product with hi, plus a lo."""
-    p = a * _P_HI[e]
-    a1, a2 = _halves(a)
-    b1, b2 = _P_H1[e], _P_H2[e]
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + a * _P_LO[e]
-
-
 def _block(v: np.ndarray, width: int) -> str:
     """The text of ``v``, the row-major values of whole rows of ``width`` columns."""
     a = np.abs(v)
@@ -193,20 +154,15 @@ def _block(v: np.ndarray, width: int) -> str:
     ok = np.abs(e) <= 280  # False for +-0, subnormals, inf, nan and the far ends
     a = np.where(ok, a, 1.0)
     e = np.where(ok, e, 0.0).astype(np.intp)
-    p, lo = _scaled(a, e)
+    p = a * _POW[e]
     redo = np.flatnonzero(np.abs(p - 5.5e11) >= 4.5e11)  # p outside [1e11, 1e12): log10 was one off
     if redo.size:
         e[redo] += np.where(p[redo] < 1e11, -1, 1)
-        p[redo], lo[redo] = _scaled(a[redo], e[redo])
+        p[redo] = a[redo] * _POW[e[redo]]
         off = redo[np.abs(p[redo] - 5.5e11) > 4.5e11]  # two off: left to the fallback
-        ok[off], p[off], lo[off] = False, 1e11, 0.0
+        ok[off], p[off] = False, 1e11
     m = np.rint(p)
-    f = (p - m) + lo
-    near = np.flatnonzero(np.abs(f) >= 0.5 - 2.0**-30)
-    if near.size:
-        fn = f[near]
-        m[near] += (fn > 0.5).astype(float) - (fn < -0.5)
-        ok[near[np.abs(np.abs(fn) - 0.5) <= 2.0**-30]] = False
+    ok &= np.abs(p - m) < 0.5 - 2.0**-11  # within 2^-11 of a half: too near to certify
     carry = np.flatnonzero(m >= 1e12)
     if carry.size:
         m[carry] = 1e11

@@ -507,6 +507,38 @@ class TestGaussianUnderflow:
         assert pcf.eval_D(0, outside) < sys.float_info.min
         assert self.BOUND == pytest.approx(53.23143501850, abs=1e-10)
 
+    def last_normal_z(self) -> float:
+        """The largest double z at which ``eval_D(0, z)`` is a normal double."""
+        z = self.BOUND
+        while pcf.eval_D(0, z) < sys.float_info.min:
+            z = math.nextafter(z, 0.0)
+        while pcf.eval_D(0, math.nextafter(z, math.inf)) >= sys.float_info.min:
+            z = math.nextafter(z, math.inf)
+        return z
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_ulp_either_side_of_the_bound(self, capsys, tmp_path, sign):
+        inside = self.last_normal_z()
+        outside = math.nextafter(inside, math.inf)
+        # eval_D's D_0 and e^{-z^2/4} computed alone leave the normal range at the same z;
+        # past |z| = 100, where eval_D clips, both read 0.0.
+        for z in (inside, outside, 150.0):
+            assert (np.exp(-(z * z) / 4.0) < sys.float_info.min) == (pcf.eval_D(0, z) < sys.float_info.min)
+        cli._check_gaussian(inside)
+        for z in (outside, 150.0):
+            with pytest.raises(ValueError, match="below the smallest normal double"):
+                cli._check_gaussian(z)
+        path = tmp_path / "fig1.csv"
+        for z, rejected in ((inside, False), (outside, True), (150.0, True)):
+            z = sign * z
+            grid = [f"--lo={min(0.0, z)!r}", f"--hi={max(0.0, z)!r}", f"--step={abs(z)!r}"]
+            result = run(capsys, "figure1", *grid, "--out", str(path))
+            if rejected:
+                self.assert_rejected(*result, cli._fmt(abs(z)))
+            else:
+                assert result[0] == EXIT_OK
+                assert path.read_text().splitlines()[1 if sign < 0 else 2].startswith(cli._fmt(z) + ",")
+
     def test_eval_d_itself_still_returns_zeros(self):
         assert pcf.eval_D(200, np.array([59.0, 60.0])).tolist() == [0.0, 0.0]
 

@@ -60,8 +60,8 @@ def near_ties() -> list[float]:
     """The doubles nearest 13-digit decimals ending in 5, at every exponent the fast path takes.
 
     Each lies within about 1e-4 of a 12-digit tie, in units of the last
-    printed digit: nearer than the error of a mantissa scaled by the double
-    nearest 10^k alone, so only an exact scaling rounds them right.
+    printed digit: within the 2^-11 window round a half where one scaled
+    product cannot decide the rounding, so each takes the ``%`` fallback.
     """
     rng = np.random.default_rng(5)
     values = []
@@ -155,16 +155,48 @@ class TestExactness:
         assert csv_rows([column([]), column([])]) == ""
 
 
-class TestPowersOfTen:
-    def test_each_pair_is_within_2_to_the_minus_104(self):
-        for e, hi, lo in zip(render._E, render._P_HI.tolist(), render._P_LO.tolist()):
-            exact = Fraction(10) ** (11 - e)
-            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104, e
-            assert abs(lo) <= math.ulp(hi)
+def scaled(v: float) -> tuple[float, Fraction]:
+    """p = |v| ``_POW[e]`` and the true mantissa |v| 10^(11 - e), at e = floor(log10 |v|) found exactly."""
+    a = Fraction(abs(v))
+    e = math.floor(math.log10(abs(v)))
+    e += (a >= Fraction(10) ** (e + 1)) - (a < Fraction(10) ** e)
+    return abs(v) * render._POW[render._E.index(e)].item(), a * Fraction(10) ** (11 - e)
 
-    def test_the_halves_are_exact_and_short(self):
-        for hi, h1, h2 in zip(render._P_HI.tolist(), render._P_H1.tolist(), render._P_H2.tolist()):
-            assert h1 + h2 == hi
-            for half in (h1, h2):
-                mantissa = abs(half.as_integer_ratio()[0])
-                assert mantissa.bit_length() - (mantissa & -mantissa).bit_length() + 1 <= 26
+
+#: Doubles whose one scaled product p lies 2^-13 from a half, on the other side of
+#: it from the true mantissa: rint(p) misrounds them, and a window round the half
+#: of 2^-14 would print them wrong.  Found by an exact search of the doubles
+#: nearest 13-digit decimals ending in 5, over e = -280..280.
+MISROUNDED_BY_RINT = [
+    9.817198376585e-276, 9.321515622205e-263, 9.090311907115e-241, 9.834972884635e-154,
+    8.442319825955e-95, 7.818530643235e-33, 9.884543973285e-12, 9.118900698625e26,
+    9.508754632805e42, 8.426216295635e107, 9.500794890035e203, 9.149707057095e265,
+]
+
+
+class TestScaling:
+    def test_each_power_is_the_double_nearest_it(self):
+        assert len(render._POW) == len(render._E)
+        for e, power in zip(render._E, render._POW.tolist()):
+            exact = Fraction(10) ** (11 - e)
+            error = abs(Fraction(power) - exact)
+            assert error <= abs(Fraction(math.nextafter(power, 0.0)) - exact), e
+            assert error <= abs(Fraction(math.nextafter(power, math.inf)) - exact), e
+
+    def test_one_product_is_within_2_to_the_minus_12_of_the_mantissa(self):
+        # The bound the fallback window rests on: the table and the product round once each.
+        values = [v for v in thirteen_digit_ties() + near_ties() + MISROUNDED_BY_RINT if 1e-280 <= v < 1e281]
+        assert len(values) > 3000
+        for v in values:
+            p, mantissa = scaled(v)
+            assert abs(Fraction(p) - mantissa) < Fraction(1, 2**12), v
+
+    def test_values_rint_misrounds_take_the_fallback(self):
+        for v in MISROUNDED_BY_RINT:
+            p, mantissa = scaled(v)
+            m = round(p)
+            assert 0.5 - 2.0**-11 <= abs(p - m) < 0.5 - 2.0**-14, v
+            assert abs(mantissa - m) > Fraction(1, 2), v  # the half lies between p and the mantissa
+        v = column(MISROUNDED_BY_RINT)
+        assert_renders_like_percent([v])
+        assert_renders_like_percent([-v, v[::-1]])
