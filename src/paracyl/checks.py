@@ -28,8 +28,8 @@ from .ljmodel import LJSpec, bound_levels, estimate_gamma_sq, fit_oscillator, lj
 from .grids import Grid1D
 from .numerics import gauss_hermite_rule, golden_section_minimize, overlap
 from .oscillator import Eigenstate, OscillatorSpec, expectation_x, hamiltonian_residual
-from .pcf import _ode_identity, _ode_residual, _pcf_rows, pcf_poly
-from .polys import DEGREE_CAP, _hermite_rows, _rodrigues_rows
+from .pcf import _ode_identity, _ode_residual, pcf_poly
+from .polys import DEGREE_CAP, _hermite_rows, _pcf_rows, _rodrigues_rows
 
 #: Closed forms of the first six polynomial factors, in monic form.
 TABLE_POLYS = {

@@ -6,48 +6,36 @@ All configuration is via long-form flags; defaults are mu = omega = hbar = 1.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 
-The module's imports load with Python's cyclic garbage collector paused, on
-every launch path.  An import of the module turns the collector back on if it
-was on; under ``python -m``, and under the ``paracyl`` console script, whose
-launcher (``_launch``) turns it off before this module loads, that is left to
-``entry``, the process entry of both launch paths, which freezes what the
-imports made before the handler runs and all that is left before shutdown.
-``main`` and library imports leave the collector as they found it.
+The module loads no numpy: it imports only ``polys``, the exact integer
+ladders, so ``table``, ``--help`` and argument errors run without it.  Every
+other handler builds arrays: ``main`` imports numpy before it runs, with
+Python's cyclic garbage collector paused, and the handler imports the
+``pcf``, ``grids`` and ``render`` code it uses.  ``entry``, the process entry
+of ``python -m paracyl.cli`` and of the ``paracyl`` console script, also
+freezes what the numpy import made before the handler runs, and all that
+is left before shutdown.  ``main`` and library imports leave the collector
+as they found it.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
+import math
+import os
+import sys
+import warnings
+from pathlib import Path
+from typing import TYPE_CHECKING
 
-# numpy's import makes ~20 k objects: they load with the collector paused.  As
-# ``__main__``, it stays off until ``entry`` has frozen them, since turning it
-# on first would make the next allocation collect them all (about 2 ms).
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    import argparse
-    import math
-    import os
-    import sys
-    import warnings
-    from pathlib import Path
-    from typing import TYPE_CHECKING
-
-    import numpy as np
-
-    # ``checks``, ``field``, ``ljmodel`` and ``oscillator`` are imported by the
-    # handlers that use them, so that ``table`` and ``figure1`` load only
-    # ``polys``, ``pcf`` and ``grids``, and ``eval`` and ``spectrum`` add
-    # ``oscillator``.
-    from .grids import grid_count
-    from .pcf import _pcf_rows, eval_D
-    from .polys import DEGREE_CAP, _expand, _hermite_rows
-finally:
-    if _collecting and __name__ != "__main__":
-        gc.enable()
-    del _collecting
+# ``checks``, ``field``, ``grids``, ``ljmodel``, ``oscillator``, ``pcf`` and
+# ``render`` are imported by the handlers that use them, so that ``table``
+# loads only ``polys``.
+from .polys import DEGREE_CAP, _expand, _hermite_rows, _pcf_rows
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .oscillator import OscillatorSpec
 
 EXIT_OK = 0
@@ -87,6 +75,8 @@ def _emit(fh, *columns) -> None:
 
 def _columns(rows, width: int) -> np.ndarray:
     """The columns of ``rows`` (tuples of ``width`` numbers) as doubles, one row of the result each."""
+    import numpy as np
+
     return np.array(rows, dtype=float).reshape(-1, width).T
 
 
@@ -97,6 +87,10 @@ def _check_rows(what: str, count: int) -> None:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    import numpy as np
+
+    from .grids import grid_count
+
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0:
@@ -117,6 +111,8 @@ def _check_gaussian(z_max: float) -> None:
     bound is |z| = 2 sqrt(-ln 2^-1022) = 53.2314...), so the table would
     print zeros.
     """
+    from .pcf import eval_D
+
     if eval_D(0, z_max) < sys.float_info.min:
         raise ValueError(
             f"e^(-z^2/4) at |z| = {_fmt(z_max)} is below the smallest normal double, "
@@ -184,6 +180,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .oscillator import energy, norm_const
+    from .pcf import eval_D
 
     spec = _spec_from_args(args)
     x = _grid(args.lo, args.hi, args.step)
@@ -205,6 +202,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    import numpy as np
+
     from .oscillator import energy
 
     spec = _spec_from_args(args)
@@ -219,6 +218,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_field(args) -> int:
+    import numpy as np
+
     from .field import FieldSpec, _field_unit, energy_shifted, gamma_of, integer_branch_spectrum, potential_minimum
 
     spec = _spec_from_args(args)
@@ -288,6 +289,8 @@ def _cmd_lj(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
+    from .pcf import eval_D
+
     if not args.lo < args.hi:
         raise ValueError("needs --lo < --hi")
     z = _grid(args.lo, args.hi, args.step)
@@ -313,6 +316,8 @@ def _check_distinct(out: str, levels_out: str) -> None:
 
 
 def _cmd_figure2(args) -> int:
+    import numpy as np
+
     from .ljmodel import R_MIN_FACTOR, LJSpec, bound_levels, fit_oscillator, harmonic_curve, lj_potential
 
     levels_out = args.levels_out or _levels_path(args.out)
@@ -456,11 +461,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _load_numpy(freeze: bool) -> None:
+    """Import numpy with the collector paused, and if ``freeze``, freeze what the import made.
+
+    numpy's import makes ~20 k objects: collected as they are made they cost
+    about 5 ms, and once the collector is back on, the next allocation that
+    starts a collection traverses them all (about 2 ms) unless they are
+    frozen first.  The collector is left on or off as it was found.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if freeze:
+            gc.freeze()
+        if collecting:
+            gc.enable()
+
+
+def _run(argv, freeze: bool) -> int:
+    """Parse ``argv`` and run its handler, after loading numpy for every handler but ``table``'s."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    if args.handler is not _cmd_table:  # every other handler builds arrays
+        _load_numpy(freeze)
     try:
         return args.handler(args)
     except ValueError as exc:
@@ -471,17 +498,20 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def main(argv=None) -> int:
+    return _run(argv, freeze=False)
+
+
 def entry() -> int:
     """Process entry of ``python -m paracyl.cli`` and of the ``paracyl`` console script.
 
-    Runs ``main`` between two ``gc.freeze()`` calls: the first takes what the
-    imports made out of every collection the handler triggers, and the second
-    leaves the shutdown collection nothing to traverse.  Cyclic garbage made
-    before either call is left for the operating system to reclaim.
+    Runs the command with two ``gc.freeze()`` calls: one right after numpy's
+    import, which takes what it made out of every collection the handler
+    triggers, and one before returning, which leaves the shutdown collection
+    nothing to traverse.  Cyclic garbage made before either call is left for
+    the operating system to reclaim.
     """
-    gc.freeze()
-    gc.enable()
-    code = main()
+    code = _run(None, freeze=True)
     gc.freeze()
     return code
 

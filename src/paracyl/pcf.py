@@ -8,7 +8,8 @@ three-term recurrence of D_n in floats:
 * substitution through the Hermite polynomials,
   P_n(z) = 2^{-n/2} H_n(z / sqrt(2)), carried out exactly on each row of the
   H_n recurrence (the power of sqrt(2) cancels against the Hermite
-  coefficients, leaving integers);
+  coefficients, leaving integers), whose ladder is
+  ``polys._pcf_rows(polys._hermite_rows())``;
 * a Rodrigues-style route, D_n(z) = (-1)^n e^{+z^2/4} d^n/dz^n e^{-z^2/2},
   whose cofactor ladder is ``polys._rodrigues_rows(1)``.
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +46,7 @@ from .polys import (
     _expand,
     _hermite_rows,
     _nth,
+    _pcf_rows,
     _rodrigues_rows,
     poly_derivative,
     poly_eval,
@@ -67,21 +68,6 @@ class PcfPolyPart:
         for k, c in enumerate(self.poly.coeffs):
             if (self.index - k) % 2 and c:
                 raise ValueError("polynomial factor must have parity (-1)^index")
-
-
-def _substitute(n: int, h: tuple[int, ...]) -> tuple[int, ...]:
-    """The row of P_n from the row of H_n: coefficient k divided by 2^{(n+k)/2}."""
-    shifts = range((n + 1) // 2, (n + 1) // 2 + len(h))
-    row = tuple(c >> e for c, e in zip(h, shifts))
-    if [c << e for c, e in zip(row, shifts)] != list(h):
-        raise AssertionError("Hermite-to-cylinder substitution produced a non-integer coefficient")
-    return row
-
-
-def _pcf_rows(hermite: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Rows of P_0, P_1, ... substituted from a stream of H_0, H_1, ... rows."""
-    for n, h in enumerate(hermite):
-        yield _substitute(n, h)
 
 
 def _ode_identity(n: int, row: tuple[int, ...]) -> bool:

@@ -1,4 +1,4 @@
-"""Exact integer polynomial algebra and physicists' Hermite polynomials.
+"""Exact integer polynomial algebra, physicists' Hermite polynomials and the factors P_n of D_n.
 
 A polynomial is a tuple of Python ints, index i holding the coefficient of
 t**i; the empty tuple is the zero polynomial.  All arithmetic here is exact,
@@ -6,7 +6,10 @@ which is what makes the high-order constructions trustworthy: H_50 already
 has coefficients far beyond 64-bit range.
 
 The Hermite convention is the physicists' one (weight e^{-t^2}, leading
-coefficient 2^n, squared norm 2^n n! sqrt(pi)).
+coefficient 2^n, squared norm 2^n n! sqrt(pi)).  The factor P_n of the
+parabolic cylinder function D_n = P_n e^{-z^2/4} is the H_n ladder
+substituted row by row (``_pcf_rows``); ``pcf`` builds and checks it, and
+the ``table`` subcommand prints it with no module but this one.
 """
 
 from __future__ import annotations
@@ -129,6 +132,25 @@ def _rodrigues_rows(s: int) -> Iterator[tuple[int, ...]]:
     for n in count():
         yield row
         row = _rodrigues_step(n, row, s)
+
+
+def _substitute(n: int, h: tuple[int, ...]) -> tuple[int, ...]:
+    """The row of P_n from the row of H_n: coefficient k divided by 2^{(n+k)/2}.
+
+    P_n(z) = 2^{-n/2} H_n(z / sqrt(2)) is the factor of the parabolic
+    cylinder function D_n (``pcf``).
+    """
+    shifts = range((n + 1) // 2, (n + 1) // 2 + len(h))
+    row = tuple(c >> e for c, e in zip(h, shifts))
+    if [c << e for c, e in zip(row, shifts)] != list(h):
+        raise AssertionError("Hermite-to-cylinder substitution produced a non-integer coefficient")
+    return row
+
+
+def _pcf_rows(hermite: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Rows of P_0, P_1, ... substituted from a stream of H_0, H_1, ... rows."""
+    for n, h in enumerate(hermite):
+        yield _substitute(n, h)
 
 
 def _nth(rows: Iterator[tuple[int, ...]], n: int) -> tuple[int, ...]:

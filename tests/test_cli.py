@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import mpmath
@@ -156,7 +157,7 @@ class TestGridLimits:
         def no_allocation(*args, **kwargs):
             raise AssertionError("grid allocated before its row count was checked")
 
-        monkeypatch.setattr(cli.np, "arange", no_allocation)
+        monkeypatch.setattr(np, "arange", no_allocation)
         if argv[0].startswith("figure"):
             argv = [*argv, "--out", str(tmp_path / "x.csv")]
         code, out, err = run(capsys, *argv)
@@ -920,8 +921,8 @@ except SystemExit as exc:
 print(json.dumps([code, at_numpy, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)
 """
 
-# Imports the entry as a library caller does, with the collector on or off,
-# and reports its state when numpy starts to load and after the import.
+# Imports the entry as the console script's wrapper does, with the collector on
+# or off, and reports its state when numpy starts to load and after the import.
 _REPORT_SCRIPT_IMPORT = _WATCH_NUMPY + """
 if sys.argv[1] == "off":
     gc.disable()
@@ -931,23 +932,30 @@ print(json.dumps([at_numpy, gc.isenabled(), gc.get_freeze_count()]))
 """
 
 # Runs the ``paracyl`` console script as its generated wrapper does, and reports
-# the generation of each collection that starts between the launcher's import
-# and the call of ``main``.
+# the generation of each collection that starts while numpy loads, and whether
+# numpy is loaded and how many objects are frozen when the handler starts.
 _REPORT_SCRIPT_COLLECTIONS = """
 import gc, json, sys
-started = []
-gc.callbacks.append(lambda phase, info: phase == "start" and started.append(info["generation"]))
-from paracyl._launch import entry
+
+
+def loading_numpy():
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and getattr(numpy.__spec__, "_initializing", False)
+
+
+during_numpy = []
+gc.callbacks.append(lambda phase, info: phase == "start" and loading_numpy() and during_numpy.append(info["generation"]))
 from paracyl import cli
-main = cli.main
-before_main = []
-def counted(argv=None):
-    before_main.append(list(started))
-    return main(argv)
-cli.main = counted
+from paracyl.cli import entry
+handler = cli._cmd_verify
+at_handler = []
+def watched(args):
+    at_handler.append(["numpy" in sys.modules, gc.get_freeze_count()])
+    return handler(args)
+cli._cmd_verify = watched
 sys.argv[0] = "paracyl"
 code = entry()
-print(json.dumps([code, before_main, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)
+print(json.dumps([code, during_numpy, at_handler, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)
 """
 
 
@@ -991,7 +999,7 @@ class TestProcessEntry:
         assert json.loads(proc.stderr.splitlines()[-1]) == [EXIT_OK, [False], True, True]
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_the_console_script_import_loads_numpy_with_the_collector_off_and_restores_it(self, enabled):
+    def test_the_console_script_import_loads_no_numpy_and_leaves_the_collector_alone(self, enabled):
         proc = subprocess.run(
             [sys.executable, "-c", _REPORT_SCRIPT_IMPORT, "on" if enabled else "off"],
             capture_output=True,
@@ -1000,7 +1008,7 @@ class TestProcessEntry:
             timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert json.loads(proc.stdout) == [[False], enabled, 0]
+        assert json.loads(proc.stdout) == [[], enabled, 0]
 
     @pytest.mark.parametrize(
         "argv",
@@ -1033,15 +1041,11 @@ class TestProcessEntry:
         pyproject = (SRC.parent / "pyproject.toml").read_text()
         scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
         assert scripts is not None
-        assert scripts.group(1).strip().splitlines() == ['paracyl = "paracyl._launch:entry"']
-        # The launcher turns the collector off when it loads: it is checked in a child process.
-        code = "import paracyl._launch, paracyl.cli; print(paracyl._launch.entry is paracyl.cli.entry)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+        assert scripts.group(1).strip().splitlines() == ['paracyl = "paracyl.cli:entry"']
+        script = EntryPoint(name="paracyl", value="paracyl.cli:entry", group="console_scripts")
+        assert script.load() is cli.entry
 
-    def test_the_console_script_runs_no_collection_before_main(self):
+    def test_the_console_script_runs_no_collection_while_numpy_loads(self):
         proc = subprocess.run(
             [sys.executable, "-c", _REPORT_SCRIPT_COLLECTIONS, "verify", "--suite", "lj"],
             capture_output=True,
@@ -1049,33 +1053,63 @@ class TestProcessEntry:
             env=_child_env(),
             timeout=120,
         )
-        assert json.loads(proc.stderr.splitlines()[-1]) == [EXIT_OK, [[]], True, True]
+        code, during_numpy, at_handler, enabled, frozen = json.loads(proc.stderr.splitlines()[-1])
+        assert (code, during_numpy, enabled, frozen) == (EXIT_OK, [], True, True)
+        # numpy is loaded and what its import made is frozen before the handler runs.
+        [[numpy_loaded, frozen_at_handler]] = at_handler
+        assert numpy_loaded and frozen_at_handler > 0
 
 
 # The modules each subcommand loads, besides ``paracyl`` and ``paracyl.cli``:
-# only ``verify`` runs quadrature and loads ``numerics``, ``table`` and
-# ``figure1`` load no ``oscillator``, and only the subcommands that write CSV
-# tables load the renderer, ``render``.
-CORE = {"grids", "pcf", "polys"}
-TABLES = CORE | {"render"}
+# ``table`` loads only the exact ladders, ``polys``; only ``verify`` runs
+# quadrature and loads ``numerics``; only the grid builders (``eval``,
+# ``figure1``, ``figure2``) and ``verify`` load ``grids``; and only the
+# subcommands that write CSV tables load the renderer, ``render``.
+EXACT = {"polys"}
+FLOATS = EXACT | {"pcf"}
+TABLES = FLOATS | {"render"}
+GRIDS = TABLES | {"grids"}
 LOADS = {
-    "table": CORE,
-    "eval": TABLES | {"oscillator"},
+    "table": EXACT,
+    "eval": GRIDS | {"oscillator"},
     "spectrum": TABLES | {"oscillator"},
-    "figure1": TABLES,
+    "figure1": GRIDS,
     "field": TABLES | {"oscillator", "field"},
     "lj": TABLES | {"oscillator", "field", "ljmodel"},
-    "figure2": TABLES | {"oscillator", "field", "ljmodel"},
-    "verify": CORE | {"oscillator", "numerics", "checks", "field", "ljmodel"},
+    "figure2": GRIDS | {"oscillator", "field", "ljmodel"},
+    "verify": FLOATS | {"grids", "oscillator", "numerics", "checks", "field", "ljmodel"},
 }
+#: The subcommands that run without numpy.  ``spectrum``, ``field`` and
+#: ``lj`` still load it: they write their tables through ``render``.
+WITHOUT_NUMPY = {"table"}
 
 _REPORT_MODULES = """
 import json, sys
 from paracyl.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("paracyl."))
-print(json.dumps([code, loaded, [m for m in ("decimal", "fractions") if m in sys.modules]]), file=sys.stderr)
+rational = [m for m in ("decimal", "fractions") if m in sys.modules]
+print(json.dumps([code, loaded, rational, "numpy" in sys.modules]), file=sys.stderr)
 """
+
+# Runs one statement, then reports whether it loaded numpy.
+_REPORT_NUMPY = """
+import json, sys
+{}
+print(json.dumps("numpy" in sys.modules), file=sys.stderr)
+"""
+
+
+def _loads_numpy(statement: str, *argv: str) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY.format(statement), *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 class TestSubcommandImports:
@@ -1103,7 +1137,41 @@ class TestSubcommandImports:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))),
             timeout=120,
         )
-        code, loaded, rational = json.loads(proc.stderr.splitlines()[-1])
+        code, loaded, rational, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
         assert code == EXIT_OK
         assert set(loaded) == LOADS[command] | {"cli"}
         assert rational == []  # exact levels and bounds use int arithmetic, not ``fractions`` and ``decimal``
+        assert numpy_loaded == (command not in WITHOUT_NUMPY)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["table", "--n", "3"], EXIT_OK),
+            (["--help"], EXIT_OK),
+            (["table", "--help"], EXIT_OK),
+            (["table", "--n", "three"], EXIT_USAGE),
+            (["eval", "--bogus"], EXIT_USAGE),
+            ([], EXIT_USAGE),
+        ],
+    )
+    def test_table_help_and_argument_errors_load_no_numpy(self, argv, code):
+        statement = f"from paracyl.cli import main\nassert main(sys.argv[1:]) == {code}"
+        assert not _loads_numpy(statement, *argv)
+
+    def test_the_import_loads_no_numpy(self):
+        assert not _loads_numpy("import paracyl.cli")
+
+    @pytest.mark.parametrize("argv", [["table", "--n", "3"], ["--help"]])
+    def test_the_module_run_of_table_and_help_imports_no_numpy(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "paracyl.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, captured.out)
+        assert any(line.endswith(" paracyl.polys") for line in proc.stderr.splitlines())
+        assert not [line for line in proc.stderr.splitlines() if line.endswith(" numpy")]

@@ -5,9 +5,11 @@ per-row code, so the comparison holds whatever libm the values come from.
 """
 
 import contextlib
+import functools
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,7 +35,8 @@ from paracyl.ljmodel import (
     lj_potential,
 )
 from paracyl.oscillator import OscillatorSpec, energy, norm_const
-from paracyl.pcf import eval_D
+from paracyl.pcf import eval_D, pcf_rodrigues_poly
+from paracyl.polys import DEGREE_CAP
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -357,14 +360,75 @@ FUZZ_LADDERS = st.one_of(
 )
 
 
+#: A ``table`` line: D_k(z) = exp(-z^2/4), with a polynomial factor before the
+#: Gaussian, in parentheses when it has more than one term.
+TABLE_LINE = re.compile(r"D_(\d+)\(z\) = (?:\((.+)\) |(\S+) )?exp\(-z\^2/4\)")
+#: One term of a factor: a magnitude, a power of z, or a magnitude times a power.
+TABLE_TERM = re.compile(r"(\d*)(?:z(?:\^(\d+))?)?")
+
+
+def parse_table_line(line: str) -> tuple[int, tuple[int, ...]]:
+    """The order k and the coefficients of the factor (index i holds that of z^i) of a ``table`` line.
+
+    Also checks the canonical form: powers strictly descending, no
+    magnitude 1 written before a power of z, and no zero term.
+    """
+    m = TABLE_LINE.fullmatch(line)
+    assert m is not None, line
+    k, factor = int(m[1]), m[2] or m[3] or "1"
+    assert (m[2] is not None) == (" " in factor), line
+    first, *rest = re.split(r" ([+-]) ", factor)
+    signs = ["-" if first.startswith("-") else "+", *rest[::2]]
+    terms = [first.removeprefix("-"), *rest[1::2]]
+    coeffs: dict[int, int] = {}
+    for sign, term in zip(signs, terms):
+        t = TABLE_TERM.fullmatch(term)
+        assert t is not None and term, line
+        has_z = "z" in term
+        power = (int(t[2]) if t[2] else 1) if has_z else 0
+        assert t[1] != ("1" if has_z else "") and not t[1].startswith("0"), line
+        assert not coeffs or power < min(coeffs), line
+        coeffs[power] = int(t[1] or "1") * (-1 if sign == "-" else 1)
+    return k, tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def rodrigues_coeffs(k: int) -> tuple[int, ...]:
+    return pcf_rodrigues_poly(k).poly.coeffs
+
+
 class TestFuzz:
     """Hostile flags: exit 2 with nothing on stdout, or exit 0 with the bytes of the per-row path.
+
+    ``table`` prints the factors of the substitution route; each line must
+    parse back to the coefficients of the independent Rodrigues route.
 
     ``figure2``, ``lj`` and ``field`` are held to the weaker contract: exit 2
     with nothing on stdout and no file, or exit 0 printing and writing only
     finite numbers.  ``verify`` exits 2 the same way, or exits 0 with every
     record a PASS.
     """
+
+    # --n in -3..210: the ends of the accepted range 0..DEGREE_CAP and the orders just past each.
+    @given(
+        n=st.one_of(
+            st.integers(-3, -1),
+            st.sampled_from([0, DEGREE_CAP, DEGREE_CAP + 1]),
+            st.integers(0, DEGREE_CAP),
+            st.integers(DEGREE_CAP + 1, 210),
+        )
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_table(self, n):
+        code, out, err = run_quietly(["table", "--n", flag(n)])
+        if not 0 <= n <= DEGREE_CAP:
+            assert_clean_rejection(code, out, err)
+            return
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.split("\n")
+        assert lines.pop() == "" and len(lines) == n + 1
+        for k, line in enumerate(lines):
+            assert parse_table_line(line) == (k, rodrigues_coeffs(k))
 
     @given(n=st.one_of(st.integers(0, 200), FUZZ_ORDERS), spec=st.tuples(*[FUZZ_SCALES] * 3), grid=FUZZ_GRIDS)
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

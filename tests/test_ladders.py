@@ -1,7 +1,7 @@
 """The exact integer ladders and the two exact gates built on them.
 
 The ladders (``polys._hermite_rows``, ``polys._rodrigues_rows``,
-``pcf._pcf_rows``) stream parity-compressed rows; the public constructors
+``polys._pcf_rows``) stream parity-compressed rows; the public constructors
 read one row each, and ``checks.exact_claims`` walks all of them once.  The
 reference here is the plain construction on full coefficient lists, so the
 compressed steps are checked against arithmetic they do not share.
@@ -11,11 +11,19 @@ from itertools import islice
 
 import pytest
 
-from paracyl import checks, pcf, polys
+from paracyl import checks, polys
 from paracyl.checks import exact_claims, free_suite
 from paracyl.cli import EXIT_VERIFY_FAIL, main
-from paracyl.pcf import _ode_identity, _pcf_rows, pcf_poly, pcf_rodrigues_poly
-from paracyl.polys import DEGREE_CAP, _expand, _hermite_rows, _rodrigues_rows, hermite_recurrence, hermite_rodrigues
+from paracyl.pcf import _ode_identity, pcf_poly, pcf_rodrigues_poly
+from paracyl.polys import (
+    DEGREE_CAP,
+    _expand,
+    _hermite_rows,
+    _pcf_rows,
+    _rodrigues_rows,
+    hermite_recurrence,
+    hermite_rodrigues,
+)
 
 ORDERS = DEGREE_CAP + 1
 
@@ -96,7 +104,7 @@ class TestLadders:
 
     def test_substitution_rejects_an_odd_coefficient(self):
         with pytest.raises(AssertionError):
-            pcf._substitute(2, (-2, 5))
+            polys._substitute(2, (-2, 5))
 
 
 def bump(row):
@@ -132,8 +140,8 @@ class TestExactGates:
         assert failed == ["FAIL  [free] route-equivalence: both construction routes identical for n <= 200"]
 
     def test_changed_substitution_fails_both_gates(self, monkeypatch, capsys):
-        substitute = pcf._substitute
-        monkeypatch.setattr(pcf, "_substitute", lambda n, h: bump(substitute(n, h)) if n == 137 else substitute(n, h))
+        substitute = polys._substitute
+        monkeypatch.setattr(polys, "_substitute", lambda n, h: bump(substitute(n, h)) if n == 137 else substitute(n, h))
         assert exact_claims() == (False, False)
         assert main(["verify", "--suite", "free"]) == EXIT_VERIFY_FAIL
         failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
